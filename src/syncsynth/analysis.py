@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .automata import Dfa, Nfa, concat, inclusion, trim
 from .letters import Letter, SyncWord, Tape, inp, out
 
 
 class BoundExhausted(RuntimeError):
-    """Neither semi-procedure concluded within the configured bound."""
+    """No shiftlag witness, and no covering certificate within the bound."""
 
 
 @dataclass(frozen=True)
@@ -188,25 +188,16 @@ def shift_finiteness(a: Nfa) -> ShiftCertificate:
         for letter, nxt, is_shift in edges.get(node, []):
             if is_shift and comp_of[nxt] == comp_of[node]:
                 return ShiftCertificate(finite=False, witness=_shift_witness(t, edges, node, letter, nxt))
-    # condensation longest path weighted by shift edges
-    order = sorted(nodes, key=lambda n: (comp_of[n], node_key(n)), reverse=True)  # Tarjan gives reverse topo
-    best = {n: 0 for n in nodes}
-    for node in order:
-        for letter, nxt, is_shift in edges.get(node, []):
-            cand = best[node] + (1 if is_shift else 0)
-            if cand > best[nxt]:
-                best[nxt] = cand
-    # propagate until fixpoint (DAG on components; node-level repeats inside SCCs are shift-free)
-    changed = True
-    while changed:
-        changed = False
-        for node in nodes:
+    # longest shift-weighted path over the condensation: no shift edge lies
+    # inside a component, and Tarjan emits a component after all it reaches
+    best = [0] * len(comps)
+    for c in reversed(range(len(comps))):
+        for node in comps[c]:
             for letter, nxt, is_shift in edges.get(node, []):
-                cand = best[node] + (1 if is_shift else 0)
-                if cand > best[nxt]:
-                    best[nxt] = cand
-                    changed = True
-    return ShiftCertificate(finite=True, bound=max(best.values(), default=0))
+                d = comp_of[nxt]
+                if d != c:
+                    best[d] = max(best[d], best[c] + int(is_shift))
+    return ShiftCertificate(finite=True, bound=max(best, default=0))
 
 
 def _enriched_nfa(t: Nfa, edges: dict) -> Nfa:
@@ -340,26 +331,25 @@ def _find_shift_cycle(t: Nfa, comp: list) -> Optional[tuple[str, SyncWord]]:
 
 
 def shiftlag_finiteness(a: Nfa, cap: Optional[int] = None) -> ShiftlagCertificate:
-    """Dual semi-procedures: pumpable-witness search and bounded certificate search.
+    """Infinite iff the SCC search finds a pumpable witness; otherwise finite,
+    certified by the least m <= cap whose lag bound covers the language.
 
-    They must agree; disagreement is a hard error.
+    Covering is monotone in m (both the lag bound and the block count grow),
+    so a galloping search finds the same m as a scan from 1.
     """
     t = trim(a)
     n_states = len(t.states)
-    if cap is None:
-        cap = (n_states + 1) ** 2
-
     witness = _shiftlag_witness_search(t)
-    certificate = _shiftlag_certificate_search(t, cap)
-
-    if witness is not None and certificate is not None:
-        raise AssertionError("shiftlag semi-procedures disagree: witness and certificate both found")
     if witness is not None:
         return ShiftlagCertificate(verdict="infinite", witness=witness, state_count=n_states)
-    if certificate is not None:
-        m, nu = certificate
-        return ShiftlagCertificate(verdict="finite", m=m, nu=nu, state_count=n_states)
-    raise BoundExhausted(f"no shiftlag conclusion within m <= {cap}")
+    if cap is None:
+        cap = (n_states + 1) ** 2
+    m = least_true(lambda m: lag_blocks_cover(t, certificate_lag_bound(m, n_states), m), 1, cap)
+    if m is None:
+        raise BoundExhausted(f"no shiftlag conclusion within m <= {cap}")
+    return ShiftlagCertificate(
+        verdict="finite", m=m, nu=certificate_lag_bound(m, n_states), state_count=n_states
+    )
 
 
 def _shiftlag_witness_search(t: Nfa) -> Optional[ShiftlagWitness]:
@@ -411,21 +401,47 @@ def _shiftlag_witness_search(t: Nfa) -> Optional[ShiftlagWitness]:
 
 
 def certificate_lag_bound(m: int, state_count: int) -> int:
+    """Lag bound that covers a finite-shiftlag language of m blocks."""
     return 2 * (m * (state_count + 1) + 1)
 
 
-def _shiftlag_certificate_search(t: Nfa, cap: int) -> Optional[tuple[int, int]]:
-    n_states = len(t.states)
-    for m in range(1, cap + 1):
-        nu = certificate_lag_bound(m, n_states)
-        right = concat(
-            build_lag_bounded(nu, t.input_alphabet, t.output_alphabet),
-            build_blocks(m, None, t.input_alphabet, t.output_alphabet),
-        )
-        ok, _ = inclusion(t, right)
-        if ok:
-            return m, nu
-    return None
+def lag_blocks_cover(a: Nfa, nu: int, m: int) -> bool:
+    """Whether every word of `a` is a ≤nu-lagged prefix followed by at most m
+    pure blocks. Monotone in nu and in m."""
+    right = concat(
+        build_lag_bounded(nu, a.input_alphabet, a.output_alphabet),
+        build_blocks(m, None, a.input_alphabet, a.output_alphabet),
+    )
+    ok, _ = inclusion(a, right)
+    return ok
+
+
+def least_true(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
+    """Least x in [lo, hi] with holds(x), for holds monotone (false, then true).
+
+    Probes lo, lo+1, lo+3, lo+7, … below hi, then hi itself, and
+    binary-searches the last gap; None if holds(hi) is false.
+    """
+    if lo > hi:
+        return None
+    known_false = lo - 1
+    offset = 0
+    while lo + offset < hi:
+        if holds(lo + offset):
+            hi = lo + offset
+            break
+        known_false = lo + offset
+        offset = 2 * offset + 1
+    else:
+        if not holds(hi):
+            return None
+    while hi - known_false > 1:
+        mid = (known_false + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            known_false = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .analysis import ShiftlagCertificate, build_blocks, build_lag_bounded
+from .analysis import ShiftlagCertificate, lag_blocks_cover, least_true
 from .automata import (
     AutomatonError,
     Dfa,
     Nfa,
-    concat,
     determinize,
     explore_nfa,
     inclusion,
@@ -88,27 +87,6 @@ class CanonicalDfa:
 
     def accepts_pair(self, x: Sequence[str], y: Sequence[str]) -> bool:
         return self.dfa.accepts_word(canonical_sync(x, y))
-
-
-def _certificate_inclusion(s: Nfa, nu: int, m: int) -> bool:
-    right = concat(
-        build_lag_bounded(nu, s.input_alphabet, s.output_alphabet),
-        build_blocks(m, None, s.input_alphabet, s.output_alphabet),
-    )
-    ok, _ = inclusion(s, right)
-    return ok
-
-
-def _minimal_nu(s: Nfa, nu: int, m: int) -> int:
-    """Smallest lag bound that still covers the prefix part (binary search)."""
-    lo, hi = 0, nu
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _certificate_inclusion(s, mid, m):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = 1_000_000) -> Dfa:
@@ -221,9 +199,10 @@ def canonicalize(
         )
         return CanonicalDfa.from_dfa(empty, check_shape=False)
     m = cert.m
-    if not _certificate_inclusion(s, cert.nu, m):
+    # smallest lag bound that still covers the prefix part
+    nu_hat = least_true(lambda nu: lag_blocks_cover(s, nu, m), 0, cert.nu)
+    if nu_hat is None:
         raise InvalidCertificate("certificate inclusion fails on this source")
-    nu_hat = _minimal_nu(s, cert.nu, m)
     buf_cap = nu_hat + 1
 
     finals = s.finals

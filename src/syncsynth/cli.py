@@ -17,11 +17,11 @@ from .analysis import (
     shift_finiteness,
     shiftlag_finiteness,
 )
-from .automata import AutomatonError, END_IN, add_endmarkers, trim
+from .automata import AutomatonError, END_IN, add_endmarkers, determinize, trim
 from .canonical import canonicalize
 from .game import build_arena, extract_sdfa, solve, verify_uniformizer
 from .letters import Tape
-from .pipeline import PipelineConfig, Verdict, decide, decide_recognizable
+from .pipeline import PipelineConfig, Verdict, decide, decide_recognizable, target_parameters
 from .profiles import ClosureCapExceeded, compute_k, input_stt, profile_closure
 from .resync import ResyncParams, build_Ti, build_TiS
 from .serialize import dumps as automaton_json, load_path, to_dot
@@ -98,18 +98,6 @@ def cmd_canon(args) -> int:
     return 0
 
 
-def _target_params(t, k: int) -> ResyncParams:
-    from .pipeline import _minimal_gamma
-
-    cert = shiftlag_finiteness(t)
-    n = (cert.m + 1) if cert.is_finite else k + 1
-    from .automata import determinize
-
-    gamma_formula = 2 * (n * (len(determinize(trim(t)).states) + 1) + 1)
-    gamma = _minimal_gamma(trim(t), n, gamma_formula)
-    return ResyncParams(n=n, gamma=gamma if gamma is not None else 0, i=k)
-
-
 def cmd_resync(args) -> int:
     s = load_path(args.source)
     t = load_path(args.target)
@@ -121,8 +109,10 @@ def cmd_resync(args) -> int:
         print("error: source has infinite shiftlag", file=sys.stderr)
         return 3
     can = canonicalize(s, cert)
-    params = _target_params(t, args.bound_k)
-    t_i = build_Ti(trim(t), params)
+    t = trim(t)
+    n, gamma, _, _ = target_parameters(t, determinize(t), shiftlag_finiteness(t), args.bound_k)
+    params = ResyncParams(n=n, gamma=gamma, i=args.bound_k)
+    t_i = build_Ti(t, params)
     tis = build_TiS(can, t_i, params)
     if args.format == "dot":
         _emit(to_dot(tis, "resynchronized"), args.out)
@@ -168,16 +158,15 @@ def cmd_profiles(args) -> int:
     if not cert_s.is_finite or not cert_t.is_finite:
         print("error: profiles need finite-shiftlag source and target", file=sys.stderr)
         return 3
-    from .automata import determinize
-
     can = canonicalize(s, cert_s)
-    t_dfa = determinize(trim(t))
-    n = cert_t.m + 1
+    t = trim(t)
+    t_dfa = determinize(t)
+    n, gamma, _, _ = target_parameters(t, t_dfa, cert_t, None)
     cap = args.cap or 512
     try:
         inputs = profile_closure(n, can, t_dfa, Tape.INPUT, cap=cap)
         outputs = profile_closure(n, can, t_dfa, Tape.OUTPUT, cap=cap)
-        bound = compute_k(n, 0, can, t_dfa, closure_cap=cap)
+        bound = compute_k(n, gamma, can, t_dfa, closure_cap=cap)
     except ClosureCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -192,6 +181,7 @@ def cmd_profiles(args) -> int:
     _print_json(
         {
             "n": n,
+            "gamma": gamma,
             "input_profiles": len(inputs.profiles),
             "output_profiles": len(outputs.profiles),
             "max_input_representative": len(max(inputs.reps, key=len)),
@@ -233,6 +223,9 @@ def cmd_verify(args) -> int:
     machine = load_path(args.machine)
     s = load_path(args.source)
     t = load_path(args.target)
+    # synthesized machines read endmarked words; meet them on that alphabet
+    if END_IN in machine.input_alphabet and END_IN not in s.input_alphabet:
+        s, t = add_endmarkers(s), add_endmarkers(t)
     report = verify_uniformizer(machine, s, t, depth=args.depth)
     _print_json(
         {

@@ -294,10 +294,6 @@ def extract_sdfa(arena: GameArena, strategy: Strategy) -> SequentialDfa:
 
     base_inputs = sorted(arena.s_prime.input_alphabet - {END_IN})
 
-    def contract(v):
-        # follow strategy through emissions until the machine must read or emit
-        return v
-
     names: dict = {}
     transitions = []
     input_states = set()

@@ -12,16 +12,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .analysis import (
-    build_blocks,
-    build_lag_bounded,
+    ShiftlagCertificate,
+    certificate_lag_bound,
+    lag_blocks_cover,
+    least_true,
     shift_finiteness,
     shiftlag_finiteness,
 )
 from .automata import (
+    Dfa,
     Nfa,
     SequentialDfa,
     add_endmarkers,
-    concat,
     determinize,
     inclusion,
     language_equal,
@@ -73,27 +75,18 @@ class Verdict:
         return EXIT_CODES[self.answer]
 
 
-def _minimal_gamma(t: Nfa, n: int, gamma_max: int) -> Optional[int]:
-    """Smallest lag bound covering the target's prefix part, if any."""
-
-    def holds(g: int) -> bool:
-        right = concat(
-            build_lag_bounded(g, t.input_alphabet, t.output_alphabet),
-            build_blocks(n, None, t.input_alphabet, t.output_alphabet),
-        )
-        ok, _ = inclusion(t, right)
-        return ok
-
-    if not holds(gamma_max):
-        return None
-    lo, hi = 0, gamma_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def target_parameters(
+    t: Nfa, t_dfa: Dfa, cert: ShiftlagCertificate, k_override: Optional[int]
+) -> tuple[int, int, int, bool]:
+    """Block count n, least lag bound gamma covering the trimmed target with
+    n blocks (0 if none), the formula bound gamma is searched under, and
+    whether the target is covered. An infinite-shiftlag target needs k_override."""
+    n = cert.m + 1 if cert.is_finite else k_override + 1
+    gamma_formula = certificate_lag_bound(n, len(t_dfa.states))
+    gamma = least_true(lambda g: lag_blocks_cover(t, g, n), 0, gamma_formula)
+    if gamma is None:
+        return n, 0, gamma_formula, False
+    return n, gamma, gamma_formula, True
 
 
 def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
@@ -123,22 +116,17 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
     stats["canonical_source_states"] = len(can.dfa.states)
     stats["target_dfa_states"] = len(t_dfa.states)
 
-    if cert_t.is_finite:
-        n = cert_t.m + 1
-        gamma_formula = 2 * (n * (len(t_dfa.states) + 1) + 1)
-        gamma = _minimal_gamma(t, n, gamma_formula)
-        assert gamma is not None  # guaranteed by the certificate
-        target_covered = True
-    else:
-        n = (cfg.k_override or 1) + 1
-        gamma_formula = 2 * (n * (len(t_dfa.states) + 1) + 1)
-        gamma = _minimal_gamma(t, n, gamma_formula)
-        target_covered = gamma is not None
-        if gamma is None:
-            gamma = 0
-    stats.update(n=n, gamma=gamma, gamma_formula=gamma_formula, target_covered=target_covered)
+    n, gamma, gamma_formula, covered = target_parameters(t, t_dfa, cert_t, cfg.k_override)
+    stats.update(n=n, gamma=gamma, gamma_formula=gamma_formula, target_covered=covered)
+    if cert_t.is_finite and not covered:
+        return Verdict(
+            answer=INCONCLUSIVE,
+            reason=f"target parameters: no lag bound up to {gamma_formula} covers the "
+            f"target with {n} blocks, against its shiftlag certificate",
+            stats=stats,
+        )
 
-    conclusive = target_covered
+    conclusive = covered
     if cfg.k_override is not None:
         k_used = cfg.k_override
         stats["k_source"] = "override"
@@ -172,45 +160,7 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
 
     tis = build_TiS(can, t_i, params, state_cap=cfg.state_cap)
     stats["t_i_s_states"] = len(tis.states)
-
-    dom_s = project_input(s)
-    dom_tis = project_input(tis)
-    ok, witness = inclusion(dom_s, dom_tis)
-    if not ok:
-        answer = NO if conclusive else INCONCLUSIVE
-        return Verdict(
-            answer=answer,
-            witness=witness,
-            reason="an input of the source relation has no constrained synchronization",
-            stats=stats,
-        )
-
-    s_prime = add_endmarkers(tis)
-    arena = build_arena(s_prime)
-    stats["arena_vertices"] = len(arena.vertices)
-    region, strategy = solve(arena)
-    if arena.initial in region:
-        machine = extract_sdfa(arena, strategy)
-        report = verify_uniformizer(
-            machine, add_endmarkers(s), add_endmarkers(t), depth=cfg.depth
-        )
-        stats["machine_states"] = len(machine.states)
-        return Verdict(
-            answer=YES,
-            machine=machine,
-            reason="subset-uniformization game won; machine synthesized and verified",
-            stats=stats,
-            verification=report,
-        )
-    spoiler = in_spoiling_strategy(arena, region)
-    assert replay_spoiler(arena, region, spoiler)
-    answer = NO if conclusive else INCONCLUSIVE
-    return Verdict(
-        answer=answer,
-        reason="the input player spoils the constrained game",
-        witness=tuple(sorted(spoiler.items(), key=repr)[:4]),
-        stats=stats,
-    )
+    return _play(s, t, tis, cfg.depth, stats, exact=conclusive)
 
 
 def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
@@ -229,28 +179,37 @@ def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) 
     stats["canonical_source_states"] = len(s12.states)
     t_prime = build_Tprime_recognizable(s12, t)
     stats["t_prime_states"] = len(t_prime.states)
+    return _play(s, t, t_prime, cfg.depth, stats, exact=True)
 
-    dom_s = project_input(s)
-    dom_tp = project_input(t_prime)
-    ok, witness = inclusion(dom_s, dom_tp)
+
+def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, exact: bool) -> Verdict:
+    """The shared tail: domain check, endmarking, the game, then a verified
+    machine (YES) or a replayed spoiling strategy (NO, or INCONCLUSIVE when
+    the synchronized language `synced` is not exact)."""
+    miss = NO if exact else INCONCLUSIVE
+    ok, witness = inclusion(project_input(s), project_input(synced))
     if not ok:
         return Verdict(
-            answer=NO,
+            answer=miss,
             witness=witness,
-            reason="an input of the source relation has no target synchronization",
+            reason="an input of the source relation has no allowed synchronization",
             stats=stats,
         )
 
-    s_prime = add_endmarkers(t_prime)
-    arena = build_arena(s_prime)
+    arena = build_arena(add_endmarkers(synced))
     stats["arena_vertices"] = len(arena.vertices)
     region, strategy = solve(arena)
     if arena.initial in region:
         machine = extract_sdfa(arena, strategy)
-        report = verify_uniformizer(
-            machine, add_endmarkers(s), add_endmarkers(t), depth=cfg.depth
-        )
+        report = verify_uniformizer(machine, add_endmarkers(s), add_endmarkers(t), depth=depth)
         stats["machine_states"] = len(machine.states)
+        if not report.ok:
+            return Verdict(
+                answer=INCONCLUSIVE,
+                reason=f"verify: the synthesized machine fails verification: {report.failures[0]}",
+                stats=stats,
+                verification=report,
+            )
         return Verdict(
             answer=YES,
             machine=machine,
@@ -259,9 +218,14 @@ def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) 
             verification=report,
         )
     spoiler = in_spoiling_strategy(arena, region)
-    assert replay_spoiler(arena, region, spoiler)
+    if not replay_spoiler(arena, region, spoiler):
+        return Verdict(
+            answer=INCONCLUSIVE,
+            reason="spoiler: the input player's spoiling strategy fails its replay",
+            stats=stats,
+        )
     return Verdict(
-        answer=NO,
+        answer=miss,
         reason="the input player spoils the game",
         witness=tuple(sorted(spoiler.items(), key=repr)[:4]),
         stats=stats,

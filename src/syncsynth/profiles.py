@@ -199,10 +199,6 @@ def _strip(t: LabeledTree) -> LabeledTree:
     return t.map_labels(lambda lab: (lab[1], lab[2]))
 
 
-def public_tree(enriched: LabeledTree) -> LabeledTree:
-    return _strip(enriched)
-
-
 def input_stt(x, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> LabeledTree:
     """Tree of joint state transformations of an input segment against output
     counterparts built from at most i+1 output blocks."""

@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import build_blocks, build_lag_bounded
+from .analysis import _scc, build_blocks, build_lag_bounded, certificate_lag_bound
 from .automata import (
     AutomatonError,
     Dfa,
     Nfa,
     concat,
+    coreachable_states,
     explore_nfa,
     inclusion,
     product,
@@ -44,7 +45,7 @@ class ResyncParams:
 
     @classmethod
     def for_target(cls, t: Dfa, n: int, i: int) -> "ResyncParams":
-        return cls(n=n, gamma=2 * (n * (len(t.states) + 1) + 1), i=i)
+        return cls(n=n, gamma=certificate_lag_bound(n, len(t.states)), i=i)
 
     @property
     def guess_budget(self) -> int:
@@ -68,59 +69,24 @@ PEND_IN, PEND_OUT, GUESS_IN, GUESS_OUT = "pi", "po", "gi", "go"
 def tape_capacity(a: Nfa, tape: Tape) -> dict:
     """Per state: max number of `tape` letters on any accepting path from it
     (None = unbounded). Dead states get 0."""
-    from .automata import coreachable_states
-
     alive = coreachable_states(a)
-    # states on a cycle through a tape-letter edge, within the alive part
-    from .analysis import _scc
-
-    succ = {p: [] for p in a.states}
+    succ = {p: [] for p in alive}
     for p, letter, q in a.transitions:
         if p in alive and q in alive:
-            succ[p].append((letter, q))
-    comps, comp_of = _scc(sorted(a.states), lambda p: [q for _, q in succ.get(p, [])])
-    unbounded_comps = set()
-    for p in alive:
-        for letter, q in succ[p]:
-            if letter.tape is tape and comp_of[p] == comp_of[q]:
-                unbounded_comps.add(comp_of[p])
-    capacity: dict = {}
-    for p in a.states:
-        if p not in alive:
-            capacity[p] = 0
-    # propagate unboundedness backwards
-    preds: dict = {}
-    for p in alive:
-        for letter, q in succ[p]:
-            preds.setdefault(q, []).append(p)
-    inf_states = {p for p in alive if comp_of[p] in unbounded_comps}
-    frontier = list(inf_states)
-    while frontier:
-        q = frontier.pop()
-        for p in preds.get(q, []):
-            if p not in inf_states:
-                inf_states.add(p)
-                frontier.append(p)
-    for p in inf_states:
-        capacity[p] = None
-    # remaining: finite values by fixpoint over the DAG-ish part
-    bounded = [p for p in alive if p not in inf_states]
-    for p in bounded:
-        capacity.setdefault(p, 0)
-    changed = True
-    while changed:
-        changed = False
-        for p in bounded:
-            best = 0
-            for letter, q in succ[p]:
-                if q not in capacity or capacity[q] is None:
-                    continue
-                cand = capacity[q] + (1 if letter.tape is tape else 0)
-                if cand > best:
-                    best = cand
-            if best > capacity[p]:
-                capacity[p] = best
-                changed = True
+            succ[p].append((int(letter.tape is tape), q))
+    comps, comp_of = _scc(sorted(alive), lambda p: [q for _, q in succ[p]])
+    capacity = dict.fromkeys(a.states, 0)
+    # Tarjan emits a component after every component it reaches, so one pass
+    # sees final successor values; a tape edge inside a component is unbounded
+    for c, comp in enumerate(comps):
+        values = [
+            None if capacity[q] is None or (w and comp_of[q] == c) else capacity[q] + w
+            for p in comp
+            for w, q in succ[p]
+        ]
+        best = None if None in values else max(values, default=0)
+        for p in comp:
+            capacity[p] = best
     return capacity
 
 

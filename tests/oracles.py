@@ -118,3 +118,18 @@ def in_force_loss_set(arena):
                     losing.add(v)
                     changed = True
     return losing
+
+
+def tape_count_naive(a, tape, max_len):
+    """Per state: most `tape` letters on an accepting path of at most max_len
+    edges from it (None if it has no accepting path that short)."""
+    best = {p: (0 if p in a.finals else None) for p in a.states}
+    for _ in range(max_len):
+        nxt = dict(best)
+        for p, letter, q in a.transitions:
+            if best[q] is not None:
+                cand = best[q] + (1 if letter.tape is tape else 0)
+                if nxt[p] is None or cand > nxt[p]:
+                    nxt[p] = cand
+        best = nxt
+    return best

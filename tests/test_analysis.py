@@ -4,13 +4,16 @@ from syncsynth.analysis import (
     build_blocks,
     build_lag_bounded,
     certificate_lag_bound,
+    lag_blocks_cover,
+    least_true,
     measures,
     parikh_injective,
     shift_finiteness,
     shiftlag_finiteness,
 )
-from syncsynth.automata import accepts, concat, enumerate_accepted, inclusion, trim
+from syncsynth.automata import accepts, concat, determinize, enumerate_accepted, inclusion, trim
 from syncsynth.letters import inp, out
+from syncsynth.pipeline import target_parameters
 
 from .conftest import mk_nfa, tag_family
 from .oracles import (
@@ -65,15 +68,15 @@ def test_shift_finiteness_families(families):
     assert not cert.finite
 
 
-def test_shift_bound_dominates_enumeration(families):
-    for name in ("1*2*", "1*2*1*2*"):
-        fam = families[name]
-        cert = shift_finiteness(fam)
-        worst = max(
-            (measures(w).shift for w in enumerate_accepted(fam, 12)), default=0
-        )
+def test_shift_bound_dominates_enumeration(corpus):
+    finite = [name for name, a in corpus.items() if shift_finiteness(a).finite]
+    assert {"1*2*", "1*2*1*2*", "intro_S", "abst_T", "ann_S", "ann_T"} <= set(finite)
+    for name in finite:
+        a = corpus[name]
+        cert = shift_finiteness(a)
+        worst = max((measures(w).shift for w in enumerate_accepted(a, 8)), default=0)
         assert worst <= cert.bound
-        assert worst == cert.bound  # bound is attained on these shapes
+        assert worst == cert.bound, name  # bound is attained on these shapes
 
 
 def test_shift_witness_pumps(families):
@@ -217,3 +220,62 @@ def test_parikh_injective_vs_bruteforce(families):
         img = (sum(1 for x in t if x == 1), sum(1 for x in t if x == 2))
         assert img not in images or images[img] == t
         images[img] = t
+
+
+# ---------------------------------------------------------------------------
+# one covering check, one monotone search
+
+FIXTURES = ("intro_S", "intro_T", "abst_S", "abst_T", "ann_S", "ann_T")
+
+
+@pytest.fixture()
+def corpus(request, families):
+    return {**families, **{name: request.getfixturevalue(name) for name in FIXTURES}}
+
+
+def _scan(holds, lo, hi):
+    return next((x for x in range(lo, hi + 1) if holds(x)), None)
+
+
+def _covers_with_certificate_bound(t):
+    q = len(t.states)
+    return lambda m: lag_blocks_cover(t, certificate_lag_bound(m, q), m)
+
+
+def test_least_true_matches_scan():
+    for lo in range(3):
+        for hi in range(lo - 1, lo + 12):
+            for threshold in range(lo - 1, hi + 3):
+                probes = []
+
+                def holds(x):
+                    assert lo <= x <= hi
+                    probes.append(x)
+                    return x >= threshold
+
+                assert least_true(holds, lo, hi) == _scan(lambda x: x >= threshold, lo, hi)
+                assert len(probes) == len(set(probes))
+
+
+def test_covering_search_finds_no_m_on_infinite_shiftlag(corpus):
+    """The cross-check of the two shiftlag semi-procedures: no certificate
+    exists below the default cap where the witness search succeeds."""
+    for name in ("(1*2*)*", "intro_T"):
+        t = trim(corpus[name])
+        assert not shiftlag_finiteness(t).is_finite
+        assert least_true(_covers_with_certificate_bound(t), 1, (len(t.states) + 1) ** 2) is None
+
+
+def test_galloping_search_matches_linear_scan(corpus):
+    """m of the shiftlag certificate, canonicalization's nu-hat and gamma."""
+    for name, a in corpus.items():
+        t = trim(a)
+        cert = shiftlag_finiteness(a)
+        if cert.is_finite:
+            assert cert.m == _scan(_covers_with_certificate_bound(t), 1, (len(t.states) + 1) ** 2)
+            covers = lambda nu: lag_blocks_cover(t, nu, cert.m)
+            assert least_true(covers, 0, cert.nu) == _scan(covers, 0, cert.nu), name
+        for k in (None,) if cert.is_finite else (0, 1, 2):
+            n, gamma, formula, covered = target_parameters(t, determinize(t), cert, k)
+            want = _scan(lambda g: lag_blocks_cover(t, g, n), 0, formula)
+            assert (gamma, covered) == ((0, False) if want is None else (want, True)), (name, k)

@@ -151,3 +151,60 @@ def test_env_cap_mirrors_flag(tmp_path, capsys, monkeypatch, abst_S, abst_T):
 
     code = cli_module.main(["profiles", str(s_path), str(t_path)])
     assert code == 2  # closure cannot fit in one profile
+
+
+def test_decide_rec_machine_verifies(tmp_path, capsys, ann_S, ann_T):
+    """A machine from `decide-rec` is endmarked; `verify` meets it there."""
+    s_path = tmp_path / "s.json"
+    t_path = tmp_path / "t.json"
+    s_path.write_text(serialize.dumps(ann_S), encoding="utf-8")
+    t_path.write_text(serialize.dumps(ann_T), encoding="utf-8")
+    verdict_path = tmp_path / "verdict.json"
+    code = main(["decide-rec", str(s_path), str(t_path), "--out", str(verdict_path)])
+    assert code == 0
+    doc = json.loads(verdict_path.read_text(encoding="utf-8"))
+    machine_path = tmp_path / "machine.json"
+    machine_path.write_text(json.dumps(doc["machine"]), encoding="utf-8")
+    code = main(["verify", str(machine_path), str(s_path), str(t_path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0, report["failures"]
+    assert report["ok"]
+
+
+def test_block_cap_zero_is_one_block_everywhere(files, capsys, intro_S, intro_T):
+    from syncsynth.pipeline import PipelineConfig, decide
+
+    s_path, t_path = files
+    code = main(["resync", str(s_path), str(t_path), "--bound-k", "0"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    verdict = decide(intro_S, intro_T, PipelineConfig(k_override=0, depth=4))
+    assert doc["stats"]["n"] == verdict.stats["n"] == 1
+
+
+def test_profiles_k_matches_decide(tmp_path, capsys):
+    """`profiles` and `decide` read n and gamma from one parameter step, so
+    they agree on k. Here the output may wait for two inputs: gamma > 0."""
+    from syncsynth.pipeline import decide
+
+    s = mk_nfa(
+        {"a", "b"}, {"n", "o"}, "q0", {"f"},
+        [("q0", "i", x, "q1") for x in "ab"]
+        + [("q1", "i", "a", "ra"), ("q1", "i", "b", "rb"), ("ra", "o", "n", "f"), ("rb", "o", "o", "f")]
+        + [("f", "i", x, "f") for x in "ab"],
+    )
+    t = mk_nfa(
+        {"a", "b"}, {"n", "o"}, "p0", {"g"},
+        [(f"p{j}", "i", x, f"p{j + 1}") for j in range(2) for x in "ab"]
+        + [(f"p{j}", "o", y, "g") for j in range(3) for y in "no"]
+        + [("g", "i", x, "g") for x in "ab"],
+    )
+    s_path = tmp_path / "s.json"
+    t_path = tmp_path / "t.json"
+    s_path.write_text(serialize.dumps(s), encoding="utf-8")
+    t_path.write_text(serialize.dumps(t), encoding="utf-8")
+    assert main(["profiles", str(s_path), str(t_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    stats = decide(s, t).stats
+    assert doc["gamma"] == stats["gamma"] > 0
+    assert (doc["n"], doc["k"]) == (stats["n"], stats["k_computed"])

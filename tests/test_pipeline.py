@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from syncsynth import pipeline
 from syncsynth.automata import END_IN, END_OUT
+from syncsynth.game import VerificationReport
 from syncsynth.letters import decode
 from syncsynth.pipeline import (
     INCONCLUSIVE,
@@ -35,9 +42,9 @@ def test_rejects_infinite_shiftlag_source(intro_T):
     assert verdict.answer == REJECTED
 
 
-def test_forced_early_choice_no():
-    # relation {(ab, d), (ac, e)} with a target forcing the output right
-    # after the first input letter
+def early_choice():
+    """Relation {(ab, d), (ac, e)} with a target forcing the output right
+    after the first input letter: the input player spoils the game."""
     s = mk_nfa(
         {"a", "b", "c"},
         {"d", "e"},
@@ -61,26 +68,29 @@ def test_forced_early_choice_no():
         + [("t1", "o", sym, "t2") for sym in "de"]
         + [("t2", "i", sym, "t3") for sym in "abc"],
     )
-    verdict = decide(s, t, PipelineConfig(depth=5))
+    return s, t
+
+
+def product_relation():
+    """a* x {d} with target 1*2*: read everything, then emit."""
+    s = mk_nfa(
+        {"a"},
+        {"d"},
+        "s0",
+        {"s1"},
+        [("s0", "i", "a", "s0"), ("s0", "o", "d", "s1")],
+    )
+    return s, tag_family("1*2*")
+
+
+def test_forced_early_choice_no():
+    verdict = decide(*early_choice(), PipelineConfig(depth=5))
     assert verdict.answer == NO, (verdict.answer, verdict.reason, verdict.stats)
 
 
-def test_same_relation_late_target_yes():
-    s = mk_nfa(
-        {"a", "b", "c"},
-        {"d", "e"},
-        "s0",
-        {"s3"},
-        [
-            ("s0", "i", "a", "s1"),
-            ("s1", "i", "b", "s2d"),
-            ("s1", "i", "c", "s2e"),
-            ("s2d", "o", "d", "s3"),
-            ("s2e", "o", "e", "s3"),
-        ],
-    )
-    t = tag_family("1*2*", input_symbol="a", output_symbol="d")
-    # widen the family automaton to the full alphabets
+def late_target():
+    """The same relation with a target that lets every output wait."""
+    s, _ = early_choice()
     t = mk_nfa(
         {"a", "b", "c"},
         {"d", "e"},
@@ -90,7 +100,11 @@ def test_same_relation_late_target_yes():
         + [("t0", "o", sym, "t1") for sym in "de"]
         + [("t1", "o", sym, "t1") for sym in "de"],
     )
-    verdict = decide(s, t, PipelineConfig(depth=5))
+    return s, t
+
+
+def test_same_relation_late_target_yes():
+    verdict = decide(*late_target(), PipelineConfig(depth=5))
     assert verdict.answer == YES, (verdict.answer, verdict.reason, verdict.stats)
     assert verdict.verification.ok
 
@@ -175,16 +189,7 @@ def test_domain_mismatch_no():
 
 
 def test_recognizable_product_relation_yes():
-    # a* x {d}: read everything, then emit
-    s = mk_nfa(
-        {"a"},
-        {"d"},
-        "s0",
-        {"s1"},
-        [("s0", "i", "a", "s0"), ("s0", "o", "d", "s1")],
-    )
-    t = tag_family("1*2*")
-    verdict = decide_recognizable(s, t, PipelineConfig(depth=6))
+    verdict = decide_recognizable(*product_relation(), PipelineConfig(depth=6))
     assert verdict.answer == YES, (verdict.reason, verdict.stats)
     assert verdict.verification.ok, verdict.verification.failures
 
@@ -239,3 +244,52 @@ def test_recognizable_rejects_infinite_shift():
     fam = tag_family("(12)*")
     verdict = decide_recognizable(fam, fam, PipelineConfig(depth=4))
     assert verdict.answer == REJECTED
+
+
+# ---------------------------------------------------------------------------
+# the verdict contract does not rest on asserts
+
+
+def _failed_report(*args, **kwargs):
+    return VerificationReport(ok=False, checks=(), failures=("forced failure",))
+
+
+@pytest.mark.parametrize(
+    "procedure,instance", [(decide, late_target), (decide_recognizable, product_relation)]
+)
+def test_yes_needs_a_passing_verification(monkeypatch, procedure, instance):
+    monkeypatch.setattr(pipeline, "verify_uniformizer", _failed_report)
+    verdict = procedure(*instance(), PipelineConfig(depth=5))
+    assert verdict.answer == INCONCLUSIVE
+    assert verdict.reason.startswith("verify:") and "forced failure" in verdict.reason
+    assert verdict.machine is None
+    assert not verdict.verification.ok
+
+
+@pytest.mark.parametrize("procedure", [decide, decide_recognizable])
+def test_no_needs_a_replayed_spoiler(monkeypatch, procedure):
+    monkeypatch.setattr(pipeline, "replay_spoiler", lambda *args: False)
+    verdict = procedure(*early_choice(), PipelineConfig(depth=5))
+    assert verdict.answer == INCONCLUSIVE
+    assert verdict.reason.startswith("spoiler:")
+
+
+def test_verdict_checks_hold_under_optimize():
+    """`python -O` strips asserts; the YES and NO checks must still run."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "from syncsynth import pipeline\n"
+        "from tests.test_pipeline import _failed_report, early_choice, product_relation\n"
+        "pipeline.verify_uniformizer = _failed_report\n"
+        "pipeline.replay_spoiler = lambda *args: False\n"
+        "cfg = pipeline.PipelineConfig(depth=5)\n"
+        "for make in (product_relation, early_choice):\n"
+        "    print(pipeline.decide_recognizable(*make(), cfg).answer)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [INCONCLUSIVE, INCONCLUSIVE]
+

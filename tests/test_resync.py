@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from syncsynth.analysis import shiftlag_finiteness
@@ -9,7 +11,7 @@ from syncsynth.automata import (
     project_input,
 )
 from syncsynth.canonical import canonicalize
-from syncsynth.letters import decode, inp, out
+from syncsynth.letters import Tape, decode, inp, out
 from syncsynth.resync import (
     ResyncParams,
     ShapeViolation,
@@ -17,9 +19,11 @@ from syncsynth.resync import (
     build_TiS,
     build_Tprime_recognizable,
     shape_input_then_output,
+    tape_capacity,
 )
 
 from .conftest import mk_nfa, tag_family
+from .oracles import tape_count_naive
 
 
 def ti_oracle(t_i, s, max_len):
@@ -148,3 +152,31 @@ def test_shape_input_then_output():
     d = shape_input_then_output({"a"}, {"d"})
     assert d.accepts_word((inp("a"), out("d"), out("d")))
     assert not d.accepts_word((out("d"), inp("a")))
+
+
+def _random_small_nfa(rng):
+    """Mostly forward edges into a final last state, some backward ones."""
+    size = rng.randint(2, 5)
+    edges = []
+    for _ in range(rng.randint(size, 3 * size)):
+        p, q = sorted(rng.randrange(size) for _ in range(2))
+        if rng.random() < 0.15:
+            p, q = q, p
+        tape = rng.choice("io")
+        edges.append((f"q{p}", tape, "a" if tape == "i" else "d", f"q{q}"))
+    finals = {f"q{size - 1}"} | {f"q{j}" for j in range(size) if rng.random() < 0.2}
+    return mk_nfa({"a"}, {"d"}, "q0", finals, edges)
+
+
+def test_tape_capacity_matches_bounded_paths(abst_T, ann_T):
+    """An accepting path with |Q| letters of a tape repeats a state around
+    one of them, so a count of |Q| within |Q|^2 + 2|Q| edges means unbounded."""
+    rng = random.Random(7)
+    automata = [_random_small_nfa(rng) for _ in range(60)]
+    automata += [build_Ti(t, ResyncParams(n=3, gamma=2, i=2)) for t in (abst_T, ann_T)]
+    for a in automata:
+        n = len(a.states)
+        for tape in (Tape.INPUT, Tape.OUTPUT):
+            naive = tape_count_naive(a, tape, n * n + 2 * n)
+            want = {p: (None if c is not None and c >= n else (c or 0)) for p, c in naive.items()}
+            assert tape_capacity(a, tape) == want, (sorted(a.transitions, key=repr), tape)
