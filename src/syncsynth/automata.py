@@ -565,6 +565,9 @@ class StateCapExceeded(AutomatonError):
     """An on-the-fly construction grew past its configured state cap."""
 
 
+STATE_CAP = 2_000_000  # default state cap of the on-the-fly constructions
+
+
 def explore_nfa(
     initial,
     letters: Sequence[Letter],

@@ -15,6 +15,7 @@ from .automata import (
     AutomatonError,
     Dfa,
     Nfa,
+    STATE_CAP,
     determinize,
     explore_nfa,
     inclusion,
@@ -89,7 +90,7 @@ class CanonicalDfa:
         return self.dfa.accepts_word(canonical_sync(x, y))
 
 
-def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = 1_000_000) -> Dfa:
+def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP) -> Dfa:
     """Input-then-output canonical form of a finite-shift source.
 
     Words of the source have boundedly many pure runs; the reader walks the
@@ -181,7 +182,7 @@ def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = 1_000_000
 
 
 def canonicalize(
-    s: Nfa, cert: ShiftlagCertificate, state_cap: Optional[int] = 1_000_000
+    s: Nfa, cert: ShiftlagCertificate, state_cap: Optional[int] = STATE_CAP
 ) -> CanonicalDfa:
     """Language-level resynchronization of a finite-shiftlag source onto
     canonical words; the relation of pairs is preserved exactly."""

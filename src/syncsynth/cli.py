@@ -20,9 +20,9 @@ from .analysis import (
 from .automata import AutomatonError, END_IN, add_endmarkers, determinize, trim
 from .canonical import canonicalize
 from .game import build_arena, extract_sdfa, solve, verify_uniformizer
-from .letters import Tape
+from .letters import inp
 from .pipeline import PipelineConfig, Verdict, decide, decide_recognizable, target_parameters
-from .profiles import ClosureCapExceeded, compute_k, input_stt, profile_closure
+from .profiles import ClosureCapExceeded, compute_k, input_stt
 from .resync import ResyncParams, build_Ti, build_TiS
 from .serialize import dumps as automaton_json, load_path, to_dot
 from .trees import LabeledTree
@@ -164,17 +164,14 @@ def cmd_profiles(args) -> int:
     n, gamma, _, _ = target_parameters(t, t_dfa, cert_t, None)
     cap = args.cap or 512
     try:
-        inputs = profile_closure(n, can, t_dfa, Tape.INPUT, cap=cap)
-        outputs = profile_closure(n, can, t_dfa, Tape.OUTPUT, cap=cap)
         bound = compute_k(n, gamma, can, t_dfa, closure_cap=cap)
     except ClosureCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    inputs, outputs = bound.input_closure, bound.output_closure
     if args.format == "dot":
         word = max(inputs.reps, key=len)
-        from .letters import inp as _inp
-
-        anchor = t_dfa.run(tuple(_inp(x) for x in word)) or t_dfa.initial
+        anchor = t_dfa.run(tuple(inp(x) for x in word)) or t_dfa.initial
         tree_ = input_stt(word, anchor, can.dfa.initial, (n + 1) // 2, can, t_dfa)
         _emit(_tree_dot(tree_, f"stt_{''.join(word)}"), args.out)
         return 0
@@ -293,36 +290,40 @@ def build_parser() -> argparse.ArgumentParser:
         "of synchronized relations.",
     )
     env_cap = os.environ.get("SYNCSYNTH_CAP")
-    default_cap = int(env_cap) if env_cap else None
-
-    def common(p, *, source_target=False, language=False):
-        if language:
-            p.add_argument("language", help="automaton JSON file")
-        if source_target:
-            p.add_argument("source", help="source automaton JSON file")
-            p.add_argument("target", help="target automaton JSON file")
-        p.add_argument("--bound-k", type=int, default=None, help="output-block cap override")
-        p.add_argument("--depth", type=int, default=8, help="verification enumeration depth")
-        p.add_argument("--format", choices=("json", "dot"), default="json")
-        p.add_argument("--cap", type=int, default=default_cap, help="closure/size safety cap")
-        p.add_argument("--out", default=None, help="write the main artifact to this path")
-
+    options = {
+        "--bound-k": dict(type=int, default=None, help="output-block cap override"),
+        "--depth": dict(type=int, default=8, help="verification enumeration depth"),
+        "--format": dict(choices=("json", "dot"), default="json"),
+        "--cap": dict(
+            type=int, default=int(env_cap) if env_cap else None, help="closure/size safety cap"
+        ),
+    }
+    files = {
+        "language": "automaton JSON file",
+        "machine": "candidate machine JSON file",
+        "source": "source automaton JSON file",
+        "target": "target automaton JSON file",
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    common(sub.add_parser("classify", help="synchronization measures and certificates"), language=True)
-    common(sub.add_parser("canon", help="canonicalize a finite-shiftlag language"), language=True)
-    common(sub.add_parser("resync", help="build the constrained resynchronized source"), source_target=True)
-    common(sub.add_parser("profiles", help="profile closures and the block-cap bound"), source_target=True)
-    common(sub.add_parser("synthesize", help="solve the subset-uniformization game"), language=True)
-    verify_p = sub.add_parser("verify", help="verify a candidate uniformizer")
-    verify_p.add_argument("machine")
-    verify_p.add_argument("source")
-    verify_p.add_argument("target")
-    verify_p.add_argument("--depth", type=int, default=8)
-    verify_p.add_argument("--format", choices=("json", "dot"), default="json")
-    verify_p.add_argument("--cap", type=int, default=default_cap)
-    verify_p.add_argument("--out", default=None)
-    common(sub.add_parser("decide", help="decide target-controlled uniformizability"), source_target=True)
-    common(sub.add_parser("decide-rec", help="decide via the finite-shift fast path"), source_target=True)
+    # each subcommand takes exactly the options its handler reads
+    for name, help_, positionals, flags in (
+        ("classify", "synchronization measures and certificates", ["language"], []),
+        ("canon", "canonicalize a finite-shiftlag language", ["language"], ["--format"]),
+        ("resync", "build the constrained resynchronized source", ["source", "target"],
+         ["--bound-k", "--format"]),
+        ("profiles", "profile closures and the block-cap bound", ["source", "target"],
+         ["--format", "--cap"]),
+        ("synthesize", "solve the subset-uniformization game", ["language"], ["--format"]),
+        ("verify", "verify a candidate uniformizer", ["machine", "source", "target"], ["--depth"]),
+        ("decide", "decide target-controlled uniformizability", ["source", "target"], list(options)),
+        ("decide-rec", "decide via the finite-shift fast path", ["source", "target"], list(options)),
+    ):
+        p = sub.add_parser(name, help=help_)
+        for positional in positionals:
+            p.add_argument(positional, help=files[positional])
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.add_argument("--out", default=None, help="write the main artifact to this path")
     return parser
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .automata import (
@@ -19,6 +18,7 @@ from .automata import (
     END_OUT,
     Nfa,
     SequentialDfa,
+    coreachable_states,
     determinize,
     inclusion,
     project_input,
@@ -54,14 +54,6 @@ class GameArena:
     moves: dict  # vertex -> sorted tuple of (move, successor)
     initial: tuple
 
-    @cached_property
-    def out_vertices(self) -> frozenset:
-        return frozenset(v for v in self.vertices if v[0] == "out")
-
-    @cached_property
-    def in_vertices(self) -> frozenset:
-        return frozenset(v for v in self.vertices if v[0] == "in")
-
 
 @dataclass(frozen=True)
 class Strategy:
@@ -79,7 +71,7 @@ def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
         raise MissingEndmarkers("build_arena expects an endmarked language")
     p_dfa = determinize(s_prime)
     d_dfa = determinize(project_input(s_prime))
-    d_alive = _alive_states(d_dfa)
+    d_alive = coreachable_states(d_dfa)
     if cap is None:
         cap = len(p_dfa.states) * len(d_dfa.states) + 1
 
@@ -96,24 +88,16 @@ def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
         out_moves = []
         if kind == "out":
             _, p, d, phase, burst = v
+            for o in base_outputs:
+                p2 = p_dfa.delta(p, out(o))
+                if p2 is None:
+                    continue
+                nxt = ("out", p2, d, phase, burst + 1) if burst < cap else ("lose",)
+                out_moves.append((("emit", o), nxt))
             if phase == "pre":
-                for o in base_outputs:
-                    p2 = p_dfa.delta(p, out(o))
-                    if p2 is None:
-                        continue
-                    nxt = ("out", p2, d, phase, burst + 1) if burst < cap else ("lose",)
-                    out_moves.append((("emit", o), nxt))
                 out_moves.append((("yield",), ("in", p, d, phase)))
-            else:  # post-endmark: only emissions and finishing
-                for o in base_outputs:
-                    p2 = p_dfa.delta(p, out(o))
-                    if p2 is None:
-                        continue
-                    nxt = ("out", p2, d, phase, burst + 1) if burst < cap else ("lose",)
-                    out_moves.append((("emit", o), nxt))
-                p2 = p_dfa.delta(p, out(END_OUT))
-                if p2 is not None and p2 in p_dfa.finals:
-                    out_moves.append((("finish",), ("done",)))
+            elif p_dfa.delta(p, out(END_OUT)) in p_dfa.finals:
+                out_moves.append((("finish",), ("done",)))
         elif kind == "in":
             _, p, d, phase = v
             for a in base_inputs:
@@ -147,92 +131,60 @@ def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
     )
 
 
-def _alive_states(d: Dfa) -> frozenset:
-    preds: dict = {}
-    for p, _, q in d.transitions:
-        preds.setdefault(q, set()).add(p)
-    alive = set(d.finals)
-    queue = deque(d.finals)
-    while queue:
-        q = queue.popleft()
-        for p in preds.get(q, ()):
-            if p not in alive:
-                alive.add(p)
-                queue.append(p)
-    return frozenset(alive)
-
-
 def solve(arena: GameArena) -> tuple[frozenset, Strategy]:
     """Winning region of the output player and a positional strategy on it.
 
-    Post-endmark obligations are reachability (attractor ranks double as
-    progress measures); the pre-endmark part is the greatest safe region.
+    One backward pass over the predecessor index, linear in vertices plus
+    moves (Grädel, Thomas & Wilke, LNCS 2500, ch. 2). After the endmark the
+    output player must complete the word: a post-endmark Out vertex's rank is
+    its BFS distance to ("done",), and an unranked one is lost. Before the
+    endmark the game is safety: an In vertex is lost once one successor is,
+    an Out vertex once every move's successor is.
     """
-    # attractor to completion through Out moves, with BFS ranks
+    preds: dict = {}
+    for v, vmoves in arena.moves.items():
+        for _, nxt in vmoves:
+            preds.setdefault(nxt, []).append(v)
+
+    def post_out(v) -> bool:
+        return v[0] == "out" and v[3] == "post"
+
     rank = {("done",): 0, ("win",): 0}
-    changed = True
-    while changed:
-        changed = False
-        for v in arena.vertices:
-            if v[0] != "out" or v[3] != "post" or v in rank:
-                continue
-            best = None
-            for _, nxt in arena.moves.get(v, ()):
-                if nxt in rank:
-                    cand = rank[nxt] + 1
-                    best = cand if best is None else min(best, cand)
-            if best is not None:
-                rank[v] = best
-                changed = True
+    queue = deque(rank)
+    while queue:
+        v = queue.popleft()
+        for u in preds.get(v, ()):
+            if post_out(u) and u not in rank:
+                rank[u] = rank[v] + 1
+                queue.append(u)
 
-    safe = set(rank)
-    safe.update(v for v in arena.vertices if v[0] in ("win", "done"))
-    safe.update(v for v in arena.vertices if v[0] == "in")
-    safe.update(v for v in arena.vertices if v[0] == "out" and v[3] == "pre")
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(arena.vertices, key=repr):
-            if v not in safe or v[0] == "win" or v[0] == "done":
+    lost = {("lose",)} | {v for v in arena.moves if post_out(v) and v not in rank}
+    remaining = {
+        v: len(vmoves) for v, vmoves in arena.moves.items() if v[0] == "out" and v[3] == "pre"
+    }
+    queue = deque(lost)
+    while queue:
+        v = queue.popleft()
+        for u in preds.get(v, ()):
+            if u in lost or post_out(u):
                 continue
-            if v == ("lose",):
-                safe.discard(v)
-                continue
-            if v[0] == "out" and v[3] == "post":
-                continue  # handled by ranks
-            if v[0] == "out":
-                if not any(nxt in safe for _, nxt in arena.moves.get(v, ())):
-                    safe.discard(v)
-                    changed = True
-            else:  # In vertex: all moves must stay safe
-                if any(nxt not in safe for _, nxt in arena.moves.get(v, ())):
-                    safe.discard(v)
-                    changed = True
+            if u[0] == "out":
+                remaining[u] -= 1
+                if remaining[u]:
+                    continue
+            lost.add(u)
+            queue.append(u)
 
-    region = frozenset(safe)
     choices = {}
-    for v in sorted(region, key=repr):
-        if v[0] != "out":
+    for v, vmoves in arena.moves.items():
+        if v[0] != "out" or v in lost:
             continue
         if v[3] == "post":
-            best = None
-            for move, nxt in arena.moves.get(v, ()):
-                if nxt in rank and rank[nxt] == rank.get(v, 0) - 1:
-                    key = _move_key(move)
-                    if best is None or key < best[0]:
-                        best = (key, move)
-            if best is not None:
-                choices[v] = best[1]
+            candidates = [m for m, nxt in vmoves if rank.get(nxt) == rank[v] - 1]
         else:
-            best = None
-            for move, nxt in arena.moves.get(v, ()):
-                if nxt in region:
-                    key = _move_key(move)
-                    if best is None or key < best[0]:
-                        best = (key, move)
-            if best is not None:
-                choices[v] = best[1]
-    return region, Strategy(choices=choices)
+            candidates = [m for m, nxt in vmoves if nxt not in lost]
+        choices[v] = min(candidates, key=_move_key)
+    return arena.vertices - lost, Strategy(choices=choices)
 
 
 def _move_key(move):

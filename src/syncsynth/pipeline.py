@@ -22,7 +22,9 @@ from .analysis import (
 from .automata import (
     Dfa,
     Nfa,
+    STATE_CAP,
     SequentialDfa,
+    StateCapExceeded,
     add_endmarkers,
     determinize,
     inclusion,
@@ -51,7 +53,7 @@ class PipelineConfig:
     k_override: Optional[int] = None
     depth: int = 8
     closure_cap: int = 512
-    state_cap: int = 2_000_000
+    state_cap: int = STATE_CAP
     feasible_k_cap: int = 6
 
     def __post_init__(self):
@@ -111,7 +113,10 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
 
     s = trim(s)
     t = trim(t)
-    can = canonicalize(s, cert_s, state_cap=cfg.state_cap)
+    try:
+        can = canonicalize(s, cert_s, state_cap=cfg.state_cap)
+    except StateCapExceeded as exc:
+        return _capped("canonicalize", exc, stats)
     t_dfa = determinize(t)
     stats["canonical_source_states"] = len(can.dfa.states)
     stats["target_dfa_states"] = len(t_dfa.states)
@@ -158,7 +163,10 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
             conclusive = True
             stats["t_i_equals_t"] = True
 
-    tis = build_TiS(can, t_i, params, state_cap=cfg.state_cap)
+    try:
+        tis = build_TiS(can, t_i, params, state_cap=cfg.state_cap)
+    except StateCapExceeded as exc:
+        return _capped("build_TiS", exc, stats)
     stats["t_i_s_states"] = len(tis.states)
     return _play(s, t, tis, cfg.depth, stats, exact=conclusive)
 
@@ -175,11 +183,18 @@ def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) 
         )
     s = trim(s)
     t = trim(t)
-    s12 = canonicalize_finite_shift(s, cert, state_cap=cfg.state_cap)
+    try:
+        s12 = canonicalize_finite_shift(s, cert, state_cap=cfg.state_cap)
+    except StateCapExceeded as exc:
+        return _capped("canonicalize_finite_shift", exc, stats)
     stats["canonical_source_states"] = len(s12.states)
     t_prime = build_Tprime_recognizable(s12, t)
     stats["t_prime_states"] = len(t_prime.states)
     return _play(s, t, t_prime, cfg.depth, stats, exact=True)
+
+
+def _capped(construction: str, exc: StateCapExceeded, stats: dict) -> Verdict:
+    return Verdict(answer=INCONCLUSIVE, reason=f"state cap: {construction}: {exc}", stats=stats)
 
 
 def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, exact: bool) -> Verdict:

@@ -606,6 +606,9 @@ class KBound:
     output_profile_count: int
     r1_raw: int
     r2_raw: int
+    # the closures the bound was read from, for callers that report them
+    input_closure: Optional[ProfileClosure] = field(default=None, repr=False, compare=False)
+    output_closure: Optional[ProfileClosure] = field(default=None, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -626,4 +629,6 @@ def compute_k(n: int, gamma: int, a: CanonicalDfa, b: Dfa, closure_cap: int = 51
         output_profile_count=len(output_closure.profiles),
         r1_raw=r1_raw,
         r2_raw=r2_raw,
+        input_closure=input_closure,
+        output_closure=output_closure,
     )

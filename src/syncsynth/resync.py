@@ -15,6 +15,7 @@ from .automata import (
     AutomatonError,
     Dfa,
     Nfa,
+    STATE_CAP,
     concat,
     coreachable_states,
     explore_nfa,
@@ -90,7 +91,7 @@ def tape_capacity(a: Nfa, tape: Tape) -> dict:
     return capacity
 
 
-def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optional[int] = 2_000_000) -> Nfa:
+def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optional[int] = STATE_CAP) -> Nfa:
     """Words of the constrained target whose pair belongs to the source relation.
 
     Simulates the canonical DFA on the canonical re-interleaving of the word

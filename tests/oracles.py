@@ -120,6 +120,19 @@ def in_force_loss_set(arena):
     return losing
 
 
+def distance_to_done(arena, v):
+    """Fewest moves from v to ("done",) by forward breadth-first search over
+    the arena's moves, or None if ("done",) is unreachable."""
+    layer, seen, steps = {v}, {v}, 0
+    while layer:
+        if ("done",) in layer:
+            return steps
+        layer = {nxt for u in layer for _, nxt in arena.moves.get(u, ())} - seen
+        seen |= layer
+        steps += 1
+    return None
+
+
 def tape_count_naive(a, tape, max_len):
     """Per state: most `tape` letters on an accepting path of at most max_len
     edges from it (None if it has no accepting path that short)."""

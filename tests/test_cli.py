@@ -4,6 +4,7 @@ import pytest
 
 from syncsynth import serialize
 from syncsynth.cli import main
+from syncsynth.letters import Tape
 
 from .conftest import mk_nfa, tag_family
 
@@ -113,6 +114,29 @@ def test_profiles_stats(tmp_path, capsys, abst_S, abst_T):
     assert doc["input_profiles"] >= 1
 
 
+@pytest.mark.parametrize("fixture", ["abst", "ann"])
+def test_profiles_builds_each_closure_once(tmp_path, capsys, monkeypatch, request, fixture):
+    from syncsynth import cli as cli_module, profiles
+
+    s_path = tmp_path / "s.json"
+    t_path = tmp_path / "t.json"
+    s_path.write_text(serialize.dumps(request.getfixturevalue(f"{fixture}_S")), encoding="utf-8")
+    t_path.write_text(serialize.dumps(request.getfixturevalue(f"{fixture}_T")), encoding="utf-8")
+    calls = []
+    closure = profiles.profile_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "profile_closure", counted)
+    monkeypatch.setattr(cli_module, "profile_closure", counted, raising=False)
+    assert main(["profiles", str(s_path), str(t_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(calls) == 2 and set(calls) == {Tape.INPUT, Tape.OUTPUT}
+    assert doc["k"] == doc["r1"] + doc["r2"]
+
+
 def test_resync_emits_stats(tmp_path, capsys, abst_S, abst_T):
     s_path = tmp_path / "s.json"
     t_path = tmp_path / "t.json"
@@ -208,3 +232,21 @@ def test_profiles_k_matches_decide(tmp_path, capsys):
     stats = decide(s, t).stats
     assert doc["gamma"] == stats["gamma"] > 0
     assert (doc["n"], doc["k"]) == (stats["n"], stats["k_computed"])
+
+
+REMOVED_FLAGS = (
+    [("classify", flag) for flag in ("--bound-k", "--depth", "--format", "--cap")]
+    + [(cmd, flag) for cmd in ("canon", "synthesize") for flag in ("--bound-k", "--depth", "--cap")]
+    + [("resync", "--depth"), ("resync", "--cap")]
+    + [("profiles", "--bound-k"), ("profiles", "--depth")]
+    + [("verify", "--format"), ("verify", "--cap")]
+)
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_subcommand_rejects_flags_it_does_not_read(command, flag, capsys):
+    files = {"verify": ["m.json", "s.json", "t.json"], "resync": ["s.json", "t.json"],
+             "profiles": ["s.json", "t.json"]}.get(command, ["l.json"])
+    value = "json" if flag == "--format" else "1"
+    assert main([command, *files, flag, value]) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err

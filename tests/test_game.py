@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from syncsynth import serialize
 from syncsynth.automata import (
     END_IN,
     END_OUT,
@@ -24,7 +30,7 @@ from syncsynth.game import (
 from syncsynth.letters import inp, out
 
 from .conftest import mk_nfa
-from .oracles import in_force_loss_set
+from .oracles import distance_to_done, in_force_loss_set
 
 
 def sync_language(words, input_alphabet, output_alphabet):
@@ -54,7 +60,7 @@ def sync_language(words, input_alphabet, output_alphabet):
 
 
 A, B, C = inp("a"), inp("b"), inp("c")
-D, E = out("d"), out("e")
+D, E, F = out("d"), out("e"), out("f")
 
 
 def tiny_instances():
@@ -125,6 +131,10 @@ def tiny_instances():
         finals=frozenset({"6"}),
     )
     inst.append(("premature-commitment", len_spoil, False))
+    # two completions after the input: the shorter one (f) is the one to take
+    inst.append(
+        ("shortest-completion", sync_language([(A, D, E), (A, F)], {"a"}, {"d", "e", "f"}), True)
+    )
     return inst
 
 
@@ -259,6 +269,50 @@ def test_verify_rejects_mutated_machine(corpus):
     )
     report = verify_uniformizer(mutated, lang, lang, depth=5)
     assert not report.ok
+
+
+def test_post_endmark_choices_follow_shortest_paths(corpus, intro_S, abst_S, ann_S):
+    """After the endmark Out must finish the word: a vertex is winning iff
+    ("done",) is reachable, and its move lies on a shortest path there,
+    finishing first and otherwise emitting the least letter."""
+    languages = [(name, lang) for name, lang, _ in corpus]
+    languages += [(name, add_endmarkers(s)) for name, s in (("intro", intro_S), ("abst", abst_S), ("ann", ann_S))]
+    for name, lang in languages:
+        arena = build_arena(lang)
+        region, strategy = solve(arena)
+        for v, moves in arena.moves.items():
+            if v[0] != "out" or v[3] != "post":
+                continue
+            dist = distance_to_done(arena, v)
+            assert (v in region) == (dist is not None), (name, v)
+            if dist is None:
+                continue
+            shortest = [m for m, nxt in moves if distance_to_done(arena, nxt) == dist - 1]
+            want = ("finish",) if ("finish",) in shortest else min(shortest)
+            assert strategy.move_for(v) == want, (name, v)
+
+
+def test_synthesized_machine_is_hash_seed_independent(tmp_path):
+    """`syncsynth synthesize` prints the same bytes under any hash seed, and
+    takes the shorter completion. Under set-order ranks some seeds emitted
+    d e through a longer machine."""
+    lang = {name: lang for name, lang, _ in tiny_instances()}["shortest-completion"]
+    path = tmp_path / "lang.json"
+    path.write_text(serialize.dumps(lang), encoding="utf-8")
+    root = Path(__file__).resolve().parents[1]
+    outputs = set()
+    for seed in ("0", "13", "19", "36"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "syncsynth.cli", "synthesize", str(path)],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    machine = serialize.loads(outputs.pop())
+    produced = run_machine(machine, ("a", END_IN))
+    assert [l.symbol for l in produced] == ["a", END_IN, "f", END_OUT]
 
 
 def test_verify_passes_intro_uniformizer(intro_U, intro_S, intro_T):

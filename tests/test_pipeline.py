@@ -293,3 +293,20 @@ def test_verdict_checks_hold_under_optimize():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [INCONCLUSIVE, INCONCLUSIVE]
 
+
+
+@pytest.mark.parametrize(
+    "procedure, fixtures, cfg, construction",
+    [
+        (decide, ("intro_S", "intro_T"), PipelineConfig(k_override=3, state_cap=3), "canonicalize"),
+        (decide_recognizable, ("intro_S", "intro_T"), PipelineConfig(state_cap=3), "canonicalize_finite_shift"),
+        # abst's canonical reader fits in 200 states, its T_iS at k = 2 does not
+        (decide, ("abst_S", "abst_T"), PipelineConfig(k_override=2, state_cap=200), "build_TiS"),
+    ],
+)
+def test_state_cap_gives_inconclusive(request, procedure, fixtures, cfg, construction):
+    s, t = (request.getfixturevalue(name) for name in fixtures)
+    verdict = procedure(s, t, cfg)
+    assert verdict.answer == INCONCLUSIVE
+    assert verdict.reason.startswith(f"state cap: {construction}: ")
+    assert str(cfg.state_cap) in verdict.reason
