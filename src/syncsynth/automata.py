@@ -1,13 +1,18 @@
 """Finite automata over tagged letters.
 
-States are strings; constructions that create structured states relabel
-them deterministically so emitted artifacts are byte-stable across runs.
-All values are immutable after construction and every operation is pure.
+States are strings. Every derived automaton is built by `explore_nfa`, the
+one place that names constructed states: prefix0, prefix1, ... in the order a
+breadth-first search from the initial state discovers them, trying letters
+in a fixed order (inputs, then outputs, each sorted by symbol) and each
+letter's successors in the order the construction's step returns them. With
+an ordered step the names, and every artifact built from them, are
+byte-stable across runs and hash seeds. All values are immutable after
+construction and every operation is pure.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -66,9 +71,7 @@ class Nfa:
     @cached_property
     def alphabet(self) -> tuple[Letter, ...]:
         """All tagged letters, in deterministic order."""
-        ins = tuple(inp(s) for s in sorted(self.input_alphabet))
-        outs = tuple(out(s) for s in sorted(self.output_alphabet))
-        return ins + outs
+        return tagged_letters(self.input_alphabet, self.output_alphabet)
 
     @cached_property
     def _succ(self) -> dict:
@@ -178,66 +181,28 @@ def accepts(a: Nfa, w: Sequence[Letter]) -> bool:
     return bool(current & a.finals)
 
 
-def relabel(a: Nfa, prefix: str = "s") -> Nfa:
-    """Rename states to prefix0, prefix1, ... in BFS order (sorted edges)."""
-    mapping = _bfs_names(a, prefix)
-    return _apply_relabel(a, mapping)
-
-
-def _bfs_names(a: Nfa, prefix: str) -> dict:
-    order = [a.initial]
-    seen = {a.initial}
-    queue = deque([a.initial])
-    while queue:
-        p = queue.popleft()
-        for letter, q in a.out_edges(p):
-            if q not in seen:
-                seen.add(q)
-                order.append(q)
-                queue.append(q)
-    for q in sorted(a.states - seen, key=repr):  # unreachable stragglers, stable order
-        order.append(q)
-    return {q: f"{prefix}{i}" for i, q in enumerate(order)}
-
-
-def _apply_relabel(a: Nfa, mapping: dict) -> Nfa:
-    return Nfa(
-        input_alphabet=a.input_alphabet,
-        output_alphabet=a.output_alphabet,
-        states=frozenset(mapping.values()),
-        initial=mapping[a.initial],
-        transitions=frozenset((mapping[p], l, mapping[q]) for p, l, q in a.transitions),
-        finals=frozenset(mapping[q] for q in a.finals),
+def tagged_letters(input_alphabet, output_alphabet) -> tuple[Letter, ...]:
+    """Input letters, then output letters, each sorted by symbol."""
+    return tuple(inp(s) for s in sorted(input_alphabet)) + tuple(
+        out(s) for s in sorted(output_alphabet)
     )
 
 
 def determinize(a: Nfa) -> Dfa:
-    """Subset construction with sorted-subset state names."""
+    """Subset construction over the nonempty subsets reachable from {initial}."""
 
-    def name(subset: frozenset) -> str:
-        return "{" + ",".join(sorted(subset)) + "}"
+    def step(subset, letter):
+        nxt = a.step_set(subset, letter)
+        return (nxt,) if nxt else ()
 
-    start = frozenset({a.initial})
-    states = {start}
-    transitions = []
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for letter in a.alphabet:
-            nxt = a.step_set(cur, letter)
-            if not nxt:
-                continue
-            transitions.append((name(cur), letter, name(nxt)))
-            if nxt not in states:
-                states.add(nxt)
-                queue.append(nxt)
-    return Dfa(
-        input_alphabet=a.input_alphabet,
-        output_alphabet=a.output_alphabet,
-        states=frozenset(name(s) for s in states),
-        initial=name(start),
-        transitions=frozenset(transitions),
-        finals=frozenset(name(s) for s in states if s & a.finals),
+    return explore_nfa(
+        frozenset({a.initial}),
+        step,
+        lambda subset: bool(subset & a.finals),
+        a.input_alphabet,
+        a.output_alphabet,
+        prefix="d",
+        build=Dfa,
     )
 
 
@@ -248,9 +213,7 @@ def completed(d: Dfa, extra_inputs: Iterable[str] = (), extra_outputs: Iterable[
     sink = "∅"
     while sink in d.states:
         sink += "'"
-    letters = tuple(inp(s) for s in sorted(input_alphabet)) + tuple(
-        out(s) for s in sorted(output_alphabet)
-    )
+    letters = tagged_letters(input_alphabet, output_alphabet)
     transitions = set(d.transitions)
     defined = {(p, l) for p, l, _ in d.transitions}
     needs_sink = False
@@ -289,51 +252,23 @@ def complement(d: Dfa) -> Dfa:
     )
 
 
-def product(a: Nfa, b: Nfa, mode: str = "intersect") -> Nfa:
-    """Synchronous product. `intersect` on NFAs; `union-over-complete` needs complete DFAs."""
-    if mode not in ("intersect", "union-over-complete"):
-        raise AutomatonError(f"unknown product mode {mode!r}")
-    if mode == "union-over-complete":
-        for m in (a, b):
-            if not isinstance(m, Dfa) or not m.complete:
-                raise AutomatonError("union-over-complete requires complete DFAs")
-        if (a.input_alphabet, a.output_alphabet) != (b.input_alphabet, b.output_alphabet):
-            raise AutomatonError("union-over-complete requires equal alphabets")
-    input_alphabet = a.input_alphabet & b.input_alphabet if mode == "intersect" else a.input_alphabet
-    output_alphabet = (
-        a.output_alphabet & b.output_alphabet if mode == "intersect" else a.output_alphabet
-    )
-    letters = tuple(inp(s) for s in sorted(input_alphabet)) + tuple(
-        out(s) for s in sorted(output_alphabet)
-    )
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue = deque([start])
-    transitions = []
-    while queue:
-        pa, pb = queue.popleft()
-        for letter in letters:
-            for qa in sorted(a.successors(pa, letter)):
-                for qb in sorted(b.successors(pb, letter)):
-                    transitions.append(((pa, pb), letter, (qa, qb)))
-                    if (qa, qb) not in seen:
-                        seen.add((qa, qb))
-                        queue.append((qa, qb))
-    if mode == "intersect":
-        is_final = lambda s: s[0] in a.finals and s[1] in b.finals
-    else:
-        is_final = lambda s: s[0] in a.finals or s[1] in b.finals
+def product(a: Nfa, b: Nfa) -> Nfa:
+    """Synchronous product: the intersection of the two languages."""
 
-    def name(s):
-        return f"({s[0]}|{s[1]})"
+    def step(pair, letter):
+        return [
+            (qa, qb)
+            for qa in sorted(a.successors(pair[0], letter))
+            for qb in sorted(b.successors(pair[1], letter))
+        ]
 
-    return Nfa(
-        input_alphabet=input_alphabet,
-        output_alphabet=output_alphabet,
-        states=frozenset(name(s) for s in seen),
-        initial=name(start),
-        transitions=frozenset((name(p), l, name(q)) for (p, l, q) in transitions),
-        finals=frozenset(name(s) for s in seen if is_final(s)),
+    return explore_nfa(
+        (a.initial, b.initial),
+        step,
+        lambda pair: pair[0] in a.finals and pair[1] in b.finals,
+        a.input_alphabet & b.input_alphabet,
+        a.output_alphabet & b.output_alphabet,
+        prefix="p",
     )
 
 
@@ -389,19 +324,22 @@ def coreachable_states(a: Nfa) -> frozenset:
 
 
 def trim(a: Nfa) -> Nfa:
-    """Keep exactly the reachable-and-co-reachable states (plus the initial state)."""
+    """Keep exactly the reachable-and-co-reachable states (plus the initial
+    state), under their names and in the class of `a`."""
     useful = reachable_states(a) & coreachable_states(a)
     keep = useful | {a.initial}
-    return Nfa(
-        input_alphabet=a.input_alphabet,
-        output_alphabet=a.output_alphabet,
-        states=frozenset(keep),
-        initial=a.initial,
+    fields = dict(
+        states=keep,
         transitions=frozenset(
             (p, l, q) for p, l, q in a.transitions if p in useful and q in useful
         ),
-        finals=frozenset(a.finals & keep),
+        finals=a.finals & keep,
     )
+    if isinstance(a, Dfa):
+        fields["complete"] = a.complete and useful == a.states
+    if isinstance(a, SequentialDfa):
+        fields.update(input_states=a.input_states & keep, output_states=a.output_states & keep)
+    return replace(a, **fields)
 
 
 def inclusion(a: Nfa, b: Nfa) -> tuple[bool, Optional[SyncWord]]:
@@ -510,55 +448,58 @@ def add_endmarkers(a: Nfa) -> Nfa:
     """
     if END_IN in a.input_alphabet or END_OUT in a.output_alphabet:
         raise ReservedSymbolClash("endmarker symbol already in the base alphabet")
-    pre = {q: ("pre", q) for q in a.states}
-    post = {q: ("post", q) for q in a.states}
-    acc = ("acc",)
-    transitions: set = set()
-    for p, letter, q in a.transitions:
-        transitions.add((pre[p], letter, pre[q]))
-        if letter.tape is Tape.OUTPUT:
-            transitions.add((post[p], letter, post[q]))
-    for q in a.states:
-        transitions.add((pre[q], inp(END_IN), post[q]))
-    for q in a.finals:
-        transitions.add((post[q], out(END_OUT), acc))
-    raw = Nfa(
-        input_alphabet=frozenset(a.input_alphabet) | {END_IN},
-        output_alphabet=frozenset(a.output_alphabet) | {END_OUT},
-        states=frozenset(pre.values()) | frozenset(post.values()) | {acc},
-        initial=pre[a.initial],
-        transitions=frozenset(transitions),
-        finals=frozenset({acc}),
+    end_in, end_out = inp(END_IN), out(END_OUT)
+
+    # states: ("pre", q) before the input endmarker, ("post", q) after it,
+    # and ("acc", None) after the output endmarker
+    def step(state, letter):
+        phase, q = state
+        if phase == "pre":
+            nxt = [("pre", q2) for q2 in sorted(a.successors(q, letter))]
+            return nxt + [("post", q)] if letter == end_in else nxt
+        if phase == "post" and letter == end_out:
+            return [("acc", None)] if q in a.finals else []
+        if phase == "post" and letter.tape is Tape.OUTPUT:
+            return [("post", q2) for q2 in sorted(a.successors(q, letter))]
+        return []
+
+    return trim(
+        explore_nfa(
+            ("pre", a.initial),
+            step,
+            lambda state: state[0] == "acc",
+            a.input_alphabet | {END_IN},
+            a.output_alphabet | {END_OUT},
+            prefix="e",
+        )
     )
-    return relabel(trim(raw), prefix="e")
 
 
 def concat(a: Nfa, b: Nfa) -> Nfa:
     """ε-free concatenation of two NFAs."""
-    input_alphabet = a.input_alphabet | b.input_alphabet
-    output_alphabet = a.output_alphabet | b.output_alphabet
-    sa = {q: ("a", q) for q in a.states}
-    sb = {q: ("b", q) for q in b.states}
-    transitions: set = set()
-    for p, l, q in a.transitions:
-        transitions.add((sa[p], l, sa[q]))
-    for p, l, q in b.transitions:
-        transitions.add((sb[p], l, sb[q]))
-    for f in a.finals:
-        for l, q in b.out_edges(b.initial):
-            transitions.add((sa[f], l, sb[q]))
-    finals = set(sb[q] for q in b.finals)
-    if b.initial in b.finals:
-        finals |= {sa[f] for f in a.finals}
-    raw = Nfa(
-        input_alphabet=input_alphabet,
-        output_alphabet=output_alphabet,
-        states=frozenset(sa.values()) | frozenset(sb.values()),
-        initial=sa[a.initial],
-        transitions=frozenset(transitions),
-        finals=frozenset(finals),
+
+    # states: ("a", q) inside a, ("b", q) inside b
+    def step(state, letter):
+        side, q = state
+        nxt = [(side, q2) for q2 in sorted((a if side == "a" else b).successors(q, letter))]
+        if side == "a" and q in a.finals:
+            nxt += [("b", q2) for q2 in sorted(b.successors(b.initial, letter))]
+        return nxt
+
+    def is_final(state):
+        side, q = state
+        if side == "b":
+            return q in b.finals
+        return q in a.finals and b.initial in b.finals
+
+    return explore_nfa(
+        ("a", a.initial),
+        step,
+        is_final,
+        a.input_alphabet | b.input_alphabet,
+        a.output_alphabet | b.output_alphabet,
+        prefix="c",
     )
-    return relabel(raw, prefix="c")
 
 
 class StateCapExceeded(AutomatonError):
@@ -570,23 +511,27 @@ STATE_CAP = 2_000_000  # default state cap of the on-the-fly constructions
 
 def explore_nfa(
     initial,
-    letters: Sequence[Letter],
     step: Callable,
     is_final: Callable,
     input_alphabet,
     output_alphabet,
     prefix: str = "x",
     cap: Optional[int] = None,
+    build: Callable = Nfa,
 ) -> Nfa:
-    """Materialize an NFA from a successor function by BFS from `initial`.
+    """Materialize an automaton from a successor function by BFS from `initial`.
 
-    `step(state, letter)` yields successor states; states may be any
-    hashable values and are renamed prefix0, prefix1, ... in BFS order.
+    `step(state, letter)` returns successor states in a fixed order; states
+    may be any hashable values and are named prefix0, prefix1, ... in the
+    order they are discovered, trying letters in `tagged_letters` order.
+    `build` constructs the result from the automaton's fields: `Dfa` when
+    every step returns at most one successor.
     """
     names = {initial: f"{prefix}0"}
     queue = deque([initial])
     transitions = []
     finals = set()
+    letters = tagged_letters(input_alphabet, output_alphabet)
     while queue:
         state = queue.popleft()
         if is_final(state):
@@ -601,7 +546,7 @@ def explore_nfa(
                     names[nxt] = f"{prefix}{len(names)}"
                     queue.append(nxt)
                 transitions.append((names[state], letter, names[nxt]))
-    return Nfa(
+    return build(
         input_alphabet=frozenset(input_alphabet),
         output_alphabet=frozenset(output_alphabet),
         states=frozenset(names.values()),
@@ -639,7 +584,7 @@ def pair_sync_nfa(
 def pair_in_relation(a: Nfa, u: Sequence[str], v: Sequence[str]) -> bool:
     """Whether (u, v) is a pair of the relation recognized by a's synchronizations."""
     grid = pair_sync_nfa(u, v, a.input_alphabet, a.output_alphabet)
-    empty, _ = is_empty(product(grid, a, mode="intersect"))
+    empty, _ = is_empty(product(grid, a))
     return not empty
 
 

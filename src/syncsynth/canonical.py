@@ -20,7 +20,6 @@ from .automata import (
     explore_nfa,
     inclusion,
     product,
-    relabel,
     trim,
 )
 from .letters import Letter, SyncWord, Tape, inp, out
@@ -72,12 +71,11 @@ class CanonicalDfa:
     dfa: Dfa
 
     @classmethod
-    def from_dfa(cls, d: Dfa, check_shape: bool = True) -> "CanonicalDfa":
-        if check_shape:
-            shape = canonical_shape_dfa(d.input_alphabet, d.output_alphabet)
-            ok, witness = inclusion(d, shape)
-            if not ok:
-                raise AutomatonError(f"not canonical-shaped, e.g. {witness}")
+    def from_dfa(cls, d: Dfa) -> "CanonicalDfa":
+        """Wrap `d` after checking that it reads canonical words only."""
+        ok, witness = inclusion(d, canonical_shape_dfa(d.input_alphabet, d.output_alphabet))
+        if not ok:
+            raise AutomatonError(f"not canonical-shaped, e.g. {witness}")
         return cls(dfa=d)
 
     def run_pair(self, q: Optional[str], x: Sequence[str], y: Sequence[str]) -> Optional[str]:
@@ -100,15 +98,6 @@ def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP
     if not cert.finite:
         raise InvalidCertificate("source has infinite shift")
     s = trim(s)
-    if not s.finals:
-        return Dfa(
-            input_alphabet=s.input_alphabet,
-            output_alphabet=s.output_alphabet,
-            states=frozenset({"e0"}),
-            initial="e0",
-            transitions=frozenset(),
-            finals=frozenset(),
-        )
     max_pairs = cert.bound + 2
 
     def s_step(q, letter):
@@ -119,12 +108,12 @@ def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP
 
     def fold_out(cur, pairs):
         """Positions reachable by crossing completed-output-run boundaries."""
-        results = {(cur, pairs)}
+        results = [(cur, pairs)]
         while pairs and cur == pairs[0][1]:
             pairs = pairs[1:]
             if pairs:
                 cur = pairs[0][0]
-            results.add((cur, pairs))
+            results.append((cur, pairs))
         return results
 
     def step(state, letter: Letter):
@@ -163,22 +152,12 @@ def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP
             return all(a == b for a, b in pairs) and cur in s.finals
         return any(not rem and c in s.finals for c, rem in fold_out(cur, pairs))
 
-    letters = tuple(inp(x) for x in sorted(s.input_alphabet)) + tuple(
-        out(y) for y in sorted(s.output_alphabet)
-    )
     reader = explore_nfa(
-        initial, letters, step, is_final, s.input_alphabet, s.output_alphabet,
-        prefix="f", cap=state_cap,
+        initial, step, is_final, s.input_alphabet, s.output_alphabet, prefix="f", cap=state_cap
     )
-    result = relabel(trim(determinize(trim(reader))), prefix="n")
-    return Dfa(
-        input_alphabet=result.input_alphabet,
-        output_alphabet=result.output_alphabet,
-        states=result.states,
-        initial=result.initial,
-        transitions=result.transitions,
-        finals=result.finals,
-    )
+    # every nonempty subset of a trim automaton's states is co-reachable, so
+    # the subset construction of a trim automaton is trim
+    return determinize(trim(reader))
 
 
 def canonicalize(
@@ -189,16 +168,6 @@ def canonicalize(
     if not cert.is_finite:
         raise InvalidCertificate("source has infinite shiftlag")
     s = trim(s)
-    if not s.finals:
-        empty = Dfa(
-            input_alphabet=s.input_alphabet,
-            output_alphabet=s.output_alphabet,
-            states=frozenset({"e0"}),
-            initial="e0",
-            transitions=frozenset(),
-            finals=frozenset(),
-        )
-        return CanonicalDfa.from_dfa(empty, check_shape=False)
     m = cert.m
     # smallest lag bound that still covers the prefix part
     nu_hat = least_true(lambda nu: lag_blocks_cover(s, nu, m), 0, cert.nu)
@@ -315,29 +284,8 @@ def canonicalize(
             cur = c
         return cur in finals
 
-    letters = tuple(inp(x) for x in sorted(s.input_alphabet)) + tuple(
-        out(y) for y in sorted(s.output_alphabet)
-    )
     reader = explore_nfa(
-        initial,
-        letters,
-        step,
-        is_final,
-        s.input_alphabet,
-        s.output_alphabet,
-        prefix="r",
-        cap=state_cap,
+        initial, step, is_final, s.input_alphabet, s.output_alphabet, prefix="r", cap=state_cap
     )
-    shaped = product(
-        reader, canonical_shape_dfa(s.input_alphabet, s.output_alphabet), mode="intersect"
-    )
-    result = relabel(trim(determinize(trim(shaped))), prefix="n")
-    dfa = Dfa(
-        input_alphabet=result.input_alphabet,
-        output_alphabet=result.output_alphabet,
-        states=result.states,
-        initial=result.initial,
-        transitions=result.transitions,
-        finals=result.finals,
-    )
-    return CanonicalDfa.from_dfa(dfa, check_shape=False)
+    shaped = product(reader, canonical_shape_dfa(s.input_alphabet, s.output_alphabet))
+    return CanonicalDfa(dfa=determinize(trim(shaped)))

@@ -267,14 +267,17 @@ def _verdict_doc(verdict: Verdict) -> dict:
 def _run_decide(args, recognizable: bool) -> int:
     s = load_path(args.source)
     t = load_path(args.target)
-    cap = args.cap
-    cfg = PipelineConfig(
-        k_override=args.bound_k,
-        depth=args.depth,
-        closure_cap=cap or 512,
-        feasible_k_cap=min(cap, 6) if cap else 6,
-    )
-    verdict = decide_recognizable(s, t, cfg) if recognizable else decide(s, t, cfg)
+    if recognizable:
+        verdict = decide_recognizable(s, t, PipelineConfig(depth=args.depth))
+    else:
+        cap = args.cap
+        cfg = PipelineConfig(
+            k_override=args.bound_k,
+            depth=args.depth,
+            closure_cap=cap or 512,
+            feasible_k_cap=min(cap, 6) if cap else 6,
+        )
+        verdict = decide(s, t, cfg)
     doc = _verdict_doc(verdict)
     if args.format == "dot" and verdict.machine is not None:
         _emit(to_dot(verdict.machine, "uniformizer"), args.out)
@@ -316,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("synthesize", "solve the subset-uniformization game", ["language"], ["--format"]),
         ("verify", "verify a candidate uniformizer", ["machine", "source", "target"], ["--depth"]),
         ("decide", "decide target-controlled uniformizability", ["source", "target"], list(options)),
-        ("decide-rec", "decide via the finite-shift fast path", ["source", "target"], list(options)),
+        ("decide-rec", "decide via the finite-shift fast path", ["source", "target"],
+         ["--depth", "--format"]),
     ):
         p = sub.add_parser(name, help=help_)
         for positional in positionals:

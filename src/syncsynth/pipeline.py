@@ -168,7 +168,15 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
     except StateCapExceeded as exc:
         return _capped("build_TiS", exc, stats)
     stats["t_i_s_states"] = len(tis.states)
-    return _play(s, t, tis, cfg.depth, stats, exact=conclusive)
+    caveat = ""
+    if conclusive and tis.refused_caps:
+        conclusive = False
+        caveat = (
+            f"queue cap: build_TiS refused letters at queue length "
+            f"{', '.join(map(str, tis.refused_caps))} (gamma + 1, or gamma + 1 + i*n in "
+            f"the block zone), so T_iS may miss words and a NO is not exact; "
+        )
+    return _play(s, t, tis, cfg.depth, stats, exact=conclusive, caveat=caveat)
 
 
 def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
@@ -197,17 +205,20 @@ def _capped(construction: str, exc: StateCapExceeded, stats: dict) -> Verdict:
     return Verdict(answer=INCONCLUSIVE, reason=f"state cap: {construction}: {exc}", stats=stats)
 
 
-def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, exact: bool) -> Verdict:
+def _play(
+    s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, exact: bool, caveat: str = ""
+) -> Verdict:
     """The shared tail: domain check, endmarking, the game, then a verified
     machine (YES) or a replayed spoiling strategy (NO, or INCONCLUSIVE when
-    the synchronized language `synced` is not exact)."""
+    the synchronized language `synced` is not exact; `caveat` then opens the
+    reason)."""
     miss = NO if exact else INCONCLUSIVE
     ok, witness = inclusion(project_input(s), project_input(synced))
     if not ok:
         return Verdict(
             answer=miss,
             witness=witness,
-            reason="an input of the source relation has no allowed synchronization",
+            reason=caveat + "an input of the source relation has no allowed synchronization",
             stats=stats,
         )
 
@@ -241,7 +252,7 @@ def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, exact: bool) -> 
         )
     return Verdict(
         answer=miss,
-        reason="the input player spoils the game",
+        reason=caveat + "the input player spoils the game",
         witness=tuple(sorted(spoiler.items(), key=repr)[:4]),
         stats=stats,
     )

@@ -21,7 +21,6 @@ from .automata import (
     explore_nfa,
     inclusion,
     product,
-    relabel,
     trim,
 )
 from .canonical import CanonicalDfa
@@ -59,7 +58,7 @@ def build_Ti(t: Nfa, p: ResyncParams) -> Nfa:
         build_lag_bounded(p.gamma, t.input_alphabet, t.output_alphabet),
         build_blocks(p.n, p.i, t.input_alphabet, t.output_alphabet),
     )
-    return relabel(trim(product(t, shape, mode="intersect")), prefix="t")
+    return trim(product(t, shape))
 
 
 # queue kinds: letters that arrived and await canonical consumption, or
@@ -91,14 +90,30 @@ def tape_capacity(a: Nfa, tape: Tape) -> dict:
     return capacity
 
 
-def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optional[int] = STATE_CAP) -> Nfa:
+@dataclass(frozen=True)
+class ResyncNfa(Nfa):
+    """The automaton of `build_TiS`, with the queue caps that refused a letter.
+
+    When `refused_caps` is empty the capped exploration is closed under the
+    uncapped step, so its language is exactly that of the uncapped
+    construction; otherwise words may be missing.
+    """
+
+    refused_caps: tuple = ()
+
+
+def build_TiS(
+    a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optional[int] = STATE_CAP
+) -> ResyncNfa:
     """Words of the constrained target whose pair belongs to the source relation.
 
     Simulates the canonical DFA on the canonical re-interleaving of the word
     read so far. Whichever tape runs ahead is absorbed either by queueing its
     letters or by pre-guessing the other tape (the smaller alphabet is chosen),
     and after the guessed split the remaining output is materialized as an
-    explicit guessed suffix of length at most i*n.
+    explicit guessed suffix of length at most i*n. The queue holds at most
+    gamma + 1 letters in the lag-bounded prefix and gamma + 1 + i*n in the
+    block zone; a letter the cap refuses is recorded in `refused_caps`.
     """
     dfa = a.dfa
     ins = sorted(ti.input_alphabet)
@@ -107,6 +122,7 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optiona
     out_ahead_kind = PEND_OUT if len(outs) <= len(ins) else GUESS_IN
     cap1 = params.gamma + 1
     cap2 = params.gamma + 1 + params.guess_budget
+    refused: set = set()  # queue caps that refused an arriving letter
 
     def astep(q, *letters):
         for letter in letters:
@@ -153,11 +169,12 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optiona
                     results.append((stage, q, queue[1:], kind if len(queue) > 1 else None, tail))
                 return results
             # input side runs ahead
-            if in_ahead_kind == PEND_IN:
-                if (not queue or kind == PEND_IN) and len(queue) < cap:
+            if not queue or kind == in_ahead_kind:
+                if len(queue) >= cap:
+                    refused.add(cap)
+                elif in_ahead_kind == PEND_IN:
                     results.append((stage, q, queue + (sym,), PEND_IN, tail))
-            else:
-                if (not queue or kind == GUESS_OUT) and len(queue) < cap:
+                else:
                     for guess in outs:
                         q2 = pair_step(q, sym, guess)
                         if q2 is not None:
@@ -199,11 +216,12 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optiona
                 results.append((stage, q, queue[1:], kind if len(queue) > 1 else None, tail))
             return results
         # output side runs ahead
-        if out_ahead_kind == PEND_OUT:
-            if (not queue or kind == PEND_OUT) and len(queue) < cap:
+        if not queue or kind == out_ahead_kind:
+            if len(queue) >= cap:
+                refused.add(cap)
+            elif out_ahead_kind == PEND_OUT:
                 results.append((stage, q, queue + (sym,), PEND_OUT, tail))
-        else:
-            if (not queue or kind == GUESS_IN) and len(queue) < cap:
+            else:
                 for guess in ins:
                     q2 = pair_step(q, guess, sym)
                     if q2 is not None:
@@ -221,12 +239,11 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optiona
         return results
 
     def core_step(state, letter: Letter):
-        results = set(consume_arrival(state, letter))
-        stage = state[0]
-        if stage == 1:
-            switched = (2,) + state[1:]
-            results.update(consume_arrival(switched, letter))
-        return results
+        results = consume_arrival(state, letter)
+        if state[0] == 1:
+            results += consume_arrival((2,) + state[1:], letter)
+        # a fixed order: these tuples hold None, whose hash varies between runs
+        return dict.fromkeys(results)
 
     def core_final(state):
         stage, q, queue, kind, tail = state
@@ -240,7 +257,6 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optiona
 
     core_init = (1, dfa.initial, (), None, None)
     initial = (core_init, ti.initial)
-    letters = tuple(inp(s) for s in ins) + tuple(out(s) for s in outs)
     cap_out = tape_capacity(ti, Tape.OUTPUT)
     cap_in = tape_capacity(ti, Tape.INPUT)
 
@@ -269,28 +285,26 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optiona
 
     def step(state, letter):
         core, tstate = state
-        nxt = []
-        for t2 in sorted(ti.successors(tstate, letter)):
-            for c2 in core_step(core, letter):
-                if viable(c2, core, t2):
-                    nxt.append((c2, t2))
-        return nxt
+        targets = sorted(ti.successors(tstate, letter))
+        cores = core_step(core, letter) if targets else ()
+        return [(c2, t2) for t2 in targets for c2 in cores if viable(c2, core, t2)]
 
     def is_final(state):
         core, tstate = state
         return tstate in ti.finals and core_final(core)
 
-    raw = explore_nfa(
-        initial,
-        letters,
-        step,
-        is_final,
-        ti.input_alphabet,
-        ti.output_alphabet,
-        prefix="c",
-        cap=state_cap,
+    return trim(
+        explore_nfa(
+            initial,
+            step,
+            is_final,
+            ti.input_alphabet,
+            ti.output_alphabet,
+            prefix="c",
+            cap=state_cap,
+            build=lambda **fields: ResyncNfa(**fields, refused_caps=tuple(sorted(refused))),
+        )
     )
-    return relabel(trim(raw), prefix="c")
 
 
 def shape_input_then_output(input_alphabet, output_alphabet) -> Dfa:
@@ -357,16 +371,7 @@ def build_Tprime_recognizable(s_can: Dfa, t: Nfa) -> Nfa:
             return s_can.initial in s_can.finals
         return is_final(state)
 
-    letters = tuple(inp(s) for s in sorted(s_can.input_alphabet)) + tuple(
-        out(s) for s in sorted(s_can.output_alphabet)
-    )
     guesser = explore_nfa(
-        "start",
-        letters,
-        fan_step,
-        fan_final,
-        s_can.input_alphabet,
-        s_can.output_alphabet,
-        prefix="g",
+        "start", fan_step, fan_final, s_can.input_alphabet, s_can.output_alphabet, prefix="g"
     )
-    return relabel(trim(product(guesser, t, mode="intersect")), prefix="p")
+    return trim(product(guesser, t))

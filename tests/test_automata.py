@@ -2,6 +2,7 @@ import pytest
 
 from syncsynth.automata import (
     AutomatonError,
+    Dfa,
     EmissionNondeterminism,
     END_IN,
     END_OUT,
@@ -63,7 +64,7 @@ def test_determinize_is_deterministic_and_bounded(intro_S):
     assert len(pairs) == len(set(pairs))
 
 
-def test_determinize_subset_naming():
+def test_determinize_follows_subsets():
     n = mk_nfa(
         {"b"},
         set(),
@@ -72,14 +73,18 @@ def test_determinize_subset_naming():
         [("q0", "i", "b", "q1"), ("q0", "i", "b", "q2"), ("q1", "i", "b", "q2")],
     )
     d = determinize(n)
-    assert d.initial == "{q0}"
-    assert d.delta("{q0}", B) == "{q1,q2}"
+    # subsets {q0} -b-> {q1,q2} -b-> {q2}, the last two final, then no move
+    assert len(d.states) == 3
+    assert d.initial not in d.finals
+    assert d.run((B,)) in d.finals and d.run((B, B)) in d.finals
+    assert len({d.initial, d.run((B,)), d.run((B, B))}) == 3
+    assert d.run((B, B, B)) is None
 
 
 def test_intersection_with_complement_empty(intro_S):
     d = completed(determinize(intro_S))
     comp = complement(d)
-    inter = product(intro_S, comp, mode="intersect")
+    inter = product(intro_S, comp)
     empty, _ = is_empty(inter)
     assert empty
 
@@ -104,6 +109,17 @@ def test_trim_removes_unreachable_final():
     assert set(enumerate_accepted(t, 3)) == set(enumerate_accepted(n, 3))
 
 
+def test_trim_keeps_names_and_class(intro_S, intro_U):
+    d = completed(determinize(intro_S))
+    t = trim(d)
+    # the sink is dropped, so the trimmed DFA is no longer complete
+    assert isinstance(t, Dfa) and not t.complete
+    assert t.states < d.states and t.initial == d.initial
+    assert language_equal(t, d)[0]
+    u = trim(intro_U)
+    assert isinstance(u, SequentialDfa) and u.output_states == intro_U.output_states
+
+
 def test_inclusion_reflexive(intro_S):
     ok, _ = inclusion(intro_S, intro_S)
     assert ok
@@ -126,17 +142,9 @@ def test_inclusion_universal_superset():
 
 
 def test_product_semantics_vs_enumeration(abst_S, abst_T):
-    inter = product(abst_S, abst_T, mode="intersect")
+    inter = product(abst_S, abst_T)
     want = language_upto(abst_S, 5) & language_upto(abst_T, 5)
     assert set(enumerate_accepted(inter, 5)) == want
-
-
-def test_union_over_complete(abst_S, abst_T):
-    da = completed(determinize(abst_S))
-    db = completed(determinize(abst_T))
-    u = product(da, db, mode="union-over-complete")
-    want = language_upto(abst_S, 5) | language_upto(abst_T, 5)
-    assert set(enumerate_accepted(u, 5)) == want
 
 
 def test_project_input_intro(intro_S):
@@ -173,8 +181,11 @@ def test_project_input_vs_enumeration(abst_S):
 def test_make_sequential_check_valid(intro_U):
     assert isinstance(intro_U, SequentialDfa)
     d = determinize(intro_U)  # plain dfa copy
-    seq = make_sequential_check(d, [s for s in d.states if "u1" not in s and "u2" not in s and "u4" not in s], [s for s in d.states if "u1" in s or "u2" in s or "u4" in s])
+    # a state with an output edge is an output state, every other one reads input
+    outs = {s for s in d.states if any(l.tape == 2 for l, _ in d.out_edges(s))}
+    seq = make_sequential_check(d, d.states - outs, outs)
     assert isinstance(seq, SequentialDfa)
+    assert len(seq.output_states) == len(intro_U.output_states)
 
 
 def test_make_sequential_check_vacuous():

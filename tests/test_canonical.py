@@ -91,7 +91,7 @@ def test_canonicalize_tag_shape_soundness(intro_S):
     can = canonicalize(intro_S, cert)
     shape = canonical_shape_dfa(can.dfa.input_alphabet, can.dfa.output_alphabet)
     anti = complement(completed(shape))
-    empty, _ = is_empty(product(can.dfa, anti, mode="intersect"))
+    empty, _ = is_empty(product(can.dfa, anti))
     assert empty
 
 

@@ -240,13 +240,14 @@ REMOVED_FLAGS = (
     + [("resync", "--depth"), ("resync", "--cap")]
     + [("profiles", "--bound-k"), ("profiles", "--depth")]
     + [("verify", "--format"), ("verify", "--cap")]
+    + [("decide-rec", "--bound-k"), ("decide-rec", "--cap")]
 )
 
 
 @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
 def test_subcommand_rejects_flags_it_does_not_read(command, flag, capsys):
     files = {"verify": ["m.json", "s.json", "t.json"], "resync": ["s.json", "t.json"],
-             "profiles": ["s.json", "t.json"]}.get(command, ["l.json"])
+             "profiles": ["s.json", "t.json"], "decide-rec": ["s.json", "t.json"]}.get(command, ["l.json"])
     value = "json" if flag == "--format" else "1"
     assert main([command, *files, flag, value]) == 3
     assert "unrecognized arguments" in capsys.readouterr().err

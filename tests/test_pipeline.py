@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from syncsynth import pipeline
+from syncsynth import pipeline, serialize
+from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
 from syncsynth.automata import END_IN, END_OUT
+from syncsynth.canonical import canonicalize, canonicalize_finite_shift
 from syncsynth.game import VerificationReport
 from syncsynth.letters import decode
 from syncsynth.pipeline import (
@@ -310,3 +312,71 @@ def test_state_cap_gives_inconclusive(request, procedure, fixtures, cfg, constru
     assert verdict.answer == INCONCLUSIVE
     assert verdict.reason.startswith(f"state cap: {construction}: ")
     assert str(cfg.state_cap) in verdict.reason
+
+
+def test_empty_source_takes_the_general_path():
+    """An empty source canonicalizes to one state without finals, and the
+    empty relation is uniformized by a machine that accepts nothing."""
+    s = mk_nfa({"a"}, {"d"}, "q0", set(), [("q0", "i", "a", "q1"), ("q1", "o", "d", "q0")])
+    for can in (
+        canonicalize(s, shiftlag_finiteness(s)).dfa,
+        canonicalize_finite_shift(s, shift_finiteness(s)),
+    ):
+        assert len(can.states) == 1 and not can.finals and not can.transitions
+    verdict = decide_recognizable(s, tag_family("1*2*"), PipelineConfig(depth=4))
+    assert verdict.answer == YES, verdict.reason
+    assert verdict.stats["canonical_source_states"] == 1
+    assert verdict.verification.ok
+
+
+def test_queue_cap_refusal_is_not_an_exact_no(abst_S):
+    """Target ε + a·b + a·a·a*·b·c: (a^n, bc) is in the source relation for
+    every n, but build_TiS's queue holds at most gamma + 1 + i*n letters, so
+    a^20·b·c is missing from T_iS. That gap must not become an exact NO."""
+    late = mk_nfa(
+        {"a"}, {"b", "c"}, "p0", {"p0", "p2", "p5"},
+        [("p0", "i", "a", "p1"), ("p1", "o", "b", "p2"), ("p1", "i", "a", "p3"),
+         ("p3", "i", "a", "p3"), ("p3", "o", "b", "p4"), ("p4", "o", "c", "p5")],
+    )
+    verdict = decide(abst_S, late)
+    assert verdict.answer != NO, verdict.reason
+    if verdict.answer == INCONCLUSIVE:
+        assert verdict.reason.startswith("queue cap: build_TiS")
+
+
+def delay_instance(m: int, d: int):
+    """S relates every input of length at least m to the output letter naming
+    its m-th letter, synchronized as 1^m 2 1*; T lets that output wait for at
+    most d input letters. The answer is YES iff m <= d."""
+    s_edges = [(f"q{j}", "i", x, f"q{j + 1}") for j in range(m - 1) for x in "ab"]
+    for x, y in zip("ab", "no"):
+        s_edges += [(f"q{m - 1}", "i", x, f"r{x}"), (f"r{x}", "o", y, "f"), ("f", "i", x, "f")]
+    t_edges = [(f"p{j}", "i", x, f"p{j + 1}") for j in range(d) for x in "ab"]
+    t_edges += [(f"p{j}", "o", y, "g") for j in range(d + 1) for y in "no"]
+    t_edges += [("g", "i", x, "g") for x in "ab"]
+    return mk_nfa({"a", "b"}, {"n", "o"}, "q0", {"f"}, s_edges), mk_nfa(
+        {"a", "b"}, {"n", "o"}, "p0", {"g"}, t_edges
+    )
+
+
+def test_resync_and_no_witness_are_hash_seed_independent(tmp_path):
+    """`syncsynth resync` and `syncsynth decide` print the same bytes on
+    every run and under every hash seed. Set-ordered successors in build_TiS
+    once renamed its states from run to run, and the NO witness with them."""
+    root = Path(__file__).resolve().parent.parent
+    paths = []
+    for name, a in zip(("s.json", "t.json"), delay_instance(2, 1)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(serialize.dumps(a), encoding="utf-8")
+    for command, code in ((["resync", *map(str, paths), "--bound-k", "2"], 0),
+                          (["decide", *map(str, paths)], 1)):
+        outputs = set()
+        for seed in ("0", "0", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+            done = subprocess.run(
+                [sys.executable, "-m", "syncsynth.cli", *command],
+                cwd=root, env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == code, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, command[0]
