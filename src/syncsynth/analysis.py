@@ -298,14 +298,16 @@ def _find_lag_cycle(t: Nfa, comp: list) -> Optional[tuple[str, SyncWord]]:
         return None
     p, letter, q = bad
     ret = _bfs_word(t, [q], [root], allowed=comp_set)
-    assert ret is not None
+    if ret is None:
+        raise ValueError(f"{q!r} has no path back to {root!r}: not a strongly connected component")
     _, back = ret
     cycle = tree_word[p] + (letter,) + back
     if _net_lag(cycle) != 0:
         return root, cycle
     # same return path without the inconsistent edge flips the net lag off zero
     cycle2 = tree_word[q] + back
-    assert _net_lag(cycle2) != 0
+    if _net_lag(cycle2) == 0:
+        raise RuntimeError(f"lag potentials disagree on {bad!r} but both cycles through it are balanced")
     return root, cycle2
 
 

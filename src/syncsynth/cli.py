@@ -125,6 +125,7 @@ def cmd_resync(args) -> int:
             "t_i_states": len(t_i.states),
             "states": len(tis.states),
             "transitions": len(tis.transitions),
+            "refused_caps": list(tis.refused_caps),
         }
         _print_json(doc, args.out)
     return 0

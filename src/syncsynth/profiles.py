@@ -244,7 +244,8 @@ class _AnnBuilder:
     def build(self, y: tuple, p: str, q: str, i: int, ref_path: tuple) -> LabeledTree:
         ctx = self.ctx
         ref_node = _node_at(self.ref, ref_path)
-        assert ref_node.label == (p, q)
+        if ref_node.label != (p, q):
+            raise ValueError(f"reference node {ref_path} is labeled {ref_node.label}, not {(p, q)}")
         # DP over witness input words: (B state, balanced source state, prefix targets)
         frontier = {(p, q, frozenset())}
         leaf_entries = set()
@@ -346,9 +347,6 @@ class InputProfile:
 
     def tree_for(self, p: str, q: str) -> LabeledTree:
         return dict(self.trees)[(p, q)]
-
-    def public_trees(self) -> dict:
-        return {pq: reduce_tree(_strip(t)) for pq, t in self.trees}
 
     @property
     def is_identity(self) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import _scc, build_blocks, build_lag_bounded, certificate_lag_bound
+from .analysis import _scc, build_blocks, build_lag_bounded
 from .automata import (
     AutomatonError,
     Dfa,
@@ -43,10 +43,6 @@ class ResyncParams:
         if self.n < 0 or self.gamma < 0 or self.i < 0:
             raise ValueError("resync parameters must be non-negative")
 
-    @classmethod
-    def for_target(cls, t: Dfa, n: int, i: int) -> "ResyncParams":
-        return cls(n=n, gamma=certificate_lag_bound(n, len(t.states)), i=i)
-
     @property
     def guess_budget(self) -> int:
         return self.i * self.n
@@ -61,9 +57,11 @@ def build_Ti(t: Nfa, p: ResyncParams) -> Nfa:
     return trim(product(t, shape))
 
 
-# queue kinds: letters that arrived and await canonical consumption, or
-# letters consumed ahead of arrival by guessing (arrivals must match).
-PEND_IN, PEND_OUT, GUESS_IN, GUESS_OUT = "pi", "po", "gi", "go"
+# queue kinds: (PEND, tape) holds letters of `tape` that arrived and await
+# their partners; (GUESS, tape) holds letters of `tape` the canonical DFA
+# consumed ahead of arrival, which arrivals must match
+PEND, GUESS = "pend", "guess"
+PARTNER = {Tape.INPUT: Tape.OUTPUT, Tape.OUTPUT: Tape.INPUT}
 
 
 def tape_capacity(a: Nfa, tape: Tape) -> dict:
@@ -108,18 +106,26 @@ def build_TiS(
     """Words of the constrained target whose pair belongs to the source relation.
 
     Simulates the canonical DFA on the canonical re-interleaving of the word
-    read so far. Whichever tape runs ahead is absorbed either by queueing its
-    letters or by pre-guessing the other tape (the smaller alphabet is chosen),
-    and after the guessed split the remaining output is materialized as an
-    explicit guessed suffix of length at most i*n. The queue holds at most
-    gamma + 1 letters in the lag-bounded prefix and gamma + 1 + i*n in the
-    block zone; a letter the cap refuses is recorded in `refused_caps`.
+    read so far: pairs of one input and one output letter, then a tail on one
+    tape. One arrival rule serves both tapes. A letter on tape x must match
+    the oldest guessed x letter while x letters are guessed. Once a tail has
+    begun, it is read directly if the tail is on x and refused otherwise.
+    Else it pairs with the oldest pending letter of its partner tape y, if
+    there is one. Otherwise x runs ahead, and `ahead[x]` says how: the letter
+    is queued as pending, or every y letter is guessed to pair with it now.
+    The ahead tape is queued unless its alphabet is the larger one, in which
+    case its partner is guessed. In the block zone such a letter may also
+    begin an x tail: pending x letters are flushed into the DFA, and guessed
+    y letters stay owed. The queue holds at most gamma + 1 letters in the
+    lag-bounded prefix and gamma + 1 + i*n in the block zone; a letter the
+    cap refuses is recorded in `refused_caps`.
     """
     dfa = a.dfa
-    ins = sorted(ti.input_alphabet)
-    outs = sorted(ti.output_alphabet)
-    in_ahead_kind = PEND_IN if len(ins) <= len(outs) else GUESS_OUT
-    out_ahead_kind = PEND_OUT if len(outs) <= len(ins) else GUESS_IN
+    alphabet = {Tape.INPUT: sorted(ti.input_alphabet), Tape.OUTPUT: sorted(ti.output_alphabet)}
+    ahead = {
+        x: (PEND, x) if len(alphabet[x]) <= len(alphabet[y]) else (GUESS, y)
+        for x, y in PARTNER.items()
+    }
     cap1 = params.gamma + 1
     cap2 = params.gamma + 1 + params.guess_budget
     refused: set = set()  # queue caps that refused an arriving letter
@@ -131,111 +137,48 @@ def build_TiS(
             q = dfa.delta(q, letter)
         return q
 
-    def pair_step(q, x, y):
-        return astep(q, inp(x), out(y))
+    def pair_step(q, x, sym, partner_sym):
+        """The DFA on one pair: `sym` on tape x, `partner_sym` on its partner."""
+        mine, theirs = Letter(x, sym), Letter(PARTNER[x], partner_sym)
+        return astep(q, mine, theirs) if x is Tape.INPUT else astep(q, theirs, mine)
 
     # core states: (stage, a_state, queue, kind, tail)
     #   stage 1: lag-bounded prefix, no tail commitments
-    #   stage 2: block zone; tail in {None, "in", "out"}
+    #   stage 2: block zone; tail is None or the tape whose tail has begun
     def consume_arrival(state, letter: Letter):
-        """Successor core states for one arriving letter."""
+        """Successor core states for one letter arriving on tape x."""
         stage, q, queue, kind, tail = state
+        x, sym = letter
+        y = PARTNER[x]
+        kind_left = kind if len(queue) > 1 else None  # once the oldest letter goes
+        if queue and kind == (GUESS, x):
+            return [(stage, q, queue[1:], kind_left, tail)] if queue[0] == sym else []
+        if tail is not None:
+            q2 = astep(q, letter) if tail is x else None
+            return [] if q2 is None else [(stage, q2, queue, kind, tail)]
+        if queue and kind == (PEND, y):
+            q2 = pair_step(q, x, sym, queue[0])
+            return [] if q2 is None else [(stage, q2, queue[1:], kind_left, tail)]
+        # x runs ahead; a queue left here holds kind ahead[x], since ahead[y]
+        # is (PEND, y) or (GUESS, x) and both returned above
         results = []
         cap = cap1 if stage == 1 else cap2
-        sym = letter.symbol
-
-        if letter.tape is Tape.INPUT:
-            if tail == "out":
-                if kind == GUESS_IN and queue:
-                    if queue[0] == sym:
-                        results.append((stage, q, queue[1:], kind if len(queue) > 1 else None, tail))
-                return results
-            if tail == "in":
-                if kind == GUESS_IN and queue:
-                    if queue[0] == sym:
-                        results.append((stage, q, queue[1:], kind if len(queue) > 1 else None, tail))
-                    return results
-                q2 = astep(q, inp(sym))
+        if len(queue) >= cap:
+            refused.add(cap)
+        elif ahead[x][0] == PEND:
+            results.append((stage, q, queue + (sym,), ahead[x], tail))
+        else:
+            for g in alphabet[y]:
+                q2 = pair_step(q, x, sym, g)
                 if q2 is not None:
-                    results.append((stage, q2, queue, kind, tail))
-                return results
-            if kind == PEND_OUT and queue:
-                q2 = pair_step(q, sym, queue[0])
-                if q2 is not None:
-                    results.append((stage, q2, queue[1:], kind if len(queue) > 1 else None, tail))
-                return results
-            if kind == GUESS_IN and queue:
-                if queue[0] == sym:
-                    results.append((stage, q, queue[1:], kind if len(queue) > 1 else None, tail))
-                return results
-            # input side runs ahead
-            if not queue or kind == in_ahead_kind:
-                if len(queue) >= cap:
-                    refused.add(cap)
-                elif in_ahead_kind == PEND_IN:
-                    results.append((stage, q, queue + (sym,), PEND_IN, tail))
-                else:
-                    for guess in outs:
-                        q2 = pair_step(q, sym, guess)
-                        if q2 is not None:
-                            results.append((stage, q2, queue + (guess,), GUESS_OUT, tail))
-            if stage == 2 and not (kind == PEND_OUT and queue):
-                # commit to an input tail: the pair part of the word is over
-                base = [(q, queue, kind)]
-                if kind == PEND_IN and queue:
-                    q2 = astep(q, *(inp(x) for x in queue))
-                    base = [(q2, (), None)] if q2 is not None else []
-                for qb, qu, kb in base:
-                    q2 = astep(qb, inp(sym))
-                    if q2 is not None:
-                        results.append((stage, q2, qu, kb, "in"))
-            return results
-
-        # output letter
-        if tail == "in":
-            if kind == GUESS_OUT and queue:
-                if queue[0] == sym:
-                    results.append((stage, q, queue[1:], kind if len(queue) > 1 else None, tail))
-            return results
-        if tail == "out":
-            if kind == GUESS_OUT and queue:
-                if queue[0] == sym:
-                    results.append((stage, q, queue[1:], kind if len(queue) > 1 else None, tail))
-                return results
-            q2 = astep(q, out(sym))
+                    results.append((stage, q2, queue + (g,), ahead[x], tail))
+        if stage == 2:
+            # commit to an x tail: the pair part of the word is over
+            if queue and kind == (PEND, x):
+                q, queue, kind = astep(q, *(Letter(x, s) for s in queue)), (), None
+            q2 = astep(q, letter)
             if q2 is not None:
-                results.append((stage, q2, queue, kind, tail))
-            return results
-        if kind == PEND_IN and queue:
-            q2 = pair_step(q, queue[0], sym)
-            if q2 is not None:
-                results.append((stage, q2, queue[1:], kind if len(queue) > 1 else None, tail))
-            return results
-        if kind == GUESS_OUT and queue:
-            if queue[0] == sym:
-                results.append((stage, q, queue[1:], kind if len(queue) > 1 else None, tail))
-            return results
-        # output side runs ahead
-        if not queue or kind == out_ahead_kind:
-            if len(queue) >= cap:
-                refused.add(cap)
-            elif out_ahead_kind == PEND_OUT:
-                results.append((stage, q, queue + (sym,), PEND_OUT, tail))
-            else:
-                for guess in ins:
-                    q2 = pair_step(q, guess, sym)
-                    if q2 is not None:
-                        results.append((stage, q2, queue + (guess,), GUESS_IN, tail))
-        if stage == 2 and not (kind == GUESS_IN and queue):
-            # commit to an output tail
-            base = [(q, queue, kind)]
-            if kind == PEND_OUT and queue:
-                q2 = astep(q, *(out(y) for y in queue))
-                base = [(q2, (), None)] if q2 is not None else []
-            for qb, qu, kb in base:
-                q2 = astep(qb, out(sym))
-                if q2 is not None:
-                    results.append((stage, q2, qu, kb, "out"))
+                results.append((stage, q2, queue, kind, x))
         return results
 
     def core_step(state, letter: Letter):
@@ -246,42 +189,31 @@ def build_TiS(
         return dict.fromkeys(results)
 
     def core_final(state):
-        stage, q, queue, kind, tail = state
-        if kind in (GUESS_IN, GUESS_OUT) and queue:
-            return False
-        if kind == PEND_IN and queue:
-            q = astep(q, *(inp(x) for x in queue))
-        if kind == PEND_OUT and queue:
-            q = astep(q, *(out(y) for y in queue))
+        _, q, queue, kind, _ = state
+        if queue:
+            role, tape = kind
+            if role == GUESS:
+                return False
+            q = astep(q, *(Letter(tape, s) for s in queue))
         return q is not None and q in dfa.finals
 
     core_init = (1, dfa.initial, (), None, None)
     initial = (core_init, ti.initial)
-    cap_out = tape_capacity(ti, Tape.OUTPUT)
-    cap_in = tape_capacity(ti, Tape.INPUT)
+    capacity = {x: tape_capacity(ti, x) for x in Tape}
 
     def viable(core, before, tstate) -> bool:
         _, _, queue, kind, _ = core
         if not queue:
             return True
-        # guessed letters must still be able to arrive from this target state
-        if kind == GUESS_OUT:
-            limit = cap_out[tstate]
-            if limit is not None and len(queue) > limit:
-                return False
-        if kind == GUESS_IN:
-            limit = cap_in[tstate]
-            if limit is not None and len(queue) > limit:
-                return False
-        # pending letters may only pile up while the other tape can still
+        role, tape = kind
+        if role == GUESS:
+            # guessed letters must still be able to arrive from this target state
+            limit = capacity[tape][tstate]
+            return limit is None or len(queue) <= limit
+        # pending letters may only pile up while the partner tape can still
         # supply pairs; past that point the tail-commitment branch covers
         # the same words without a queue
-        grew = len(queue) > len(before[2])
-        if grew and kind == PEND_OUT and cap_in[tstate] == 0:
-            return False
-        if grew and kind == PEND_IN and cap_out[tstate] == 0:
-            return False
-        return True
+        return len(queue) <= len(before[2]) or capacity[PARTNER[tape]][tstate] != 0
 
     def step(state, letter):
         core, tstate = state

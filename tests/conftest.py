@@ -140,6 +140,16 @@ def abst_T():
 
 
 @pytest.fixture(scope="session")
+def abst_late_T():
+    """A target for abst_S that lets the outputs wait: ε + a·b + a·a·a*·b·c."""
+    return mk_nfa(
+        {"a"}, {"b", "c"}, "p0", {"p0", "p2", "p5"},
+        [("p0", "i", "a", "p1"), ("p1", "o", "b", "p2"), ("p1", "i", "a", "p3"),
+         ("p3", "i", "a", "p3"), ("p3", "o", "b", "p4"), ("p4", "o", "c", "p5")],
+    )
+
+
+@pytest.fixture(scope="session")
 def ann_S():
     """Two-input-letter source of the annotated-tree example (all states accepting)."""
     return mk_nfa(

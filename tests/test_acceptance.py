@@ -155,10 +155,14 @@ def _tis_instances(intro_S, abst_S, abst_T, ann_S, ann_T):
     empty_source = mk_nfa({"a"}, {"b", "c"}, "w0", set(), [])
     out_family = tag_family("1*2*")
     return [
-        ("abst", abst_S, abst_T, ResyncParams.for_target(trim(abst_T), n=2, i=2)),
-        ("ann", ann_S, ann_T, ResyncParams.for_target(trim(ann_T), n=2, i=2)),
-        ("intro-sync", intro_S, sync_target, ResyncParams.for_target(trim(sync_target), n=2, i=2)),
-        ("single-pair", pair_source, out_family, ResyncParams.for_target(trim(out_family), n=3, i=2)),
+        ("abst", abst_S, abst_T,
+         ResyncParams(n=2, gamma=certificate_lag_bound(2, len(trim(abst_T).states)), i=2)),
+        ("ann", ann_S, ann_T,
+         ResyncParams(n=2, gamma=certificate_lag_bound(2, len(trim(ann_T).states)), i=2)),
+        ("intro-sync", intro_S, sync_target,
+         ResyncParams(n=2, gamma=certificate_lag_bound(2, len(trim(sync_target).states)), i=2)),
+        ("single-pair", pair_source, out_family,
+         ResyncParams(n=3, gamma=certificate_lag_bound(3, len(trim(out_family).states)), i=2)),
         ("empty", empty_source, abst_T, ResyncParams(n=2, gamma=4, i=2)),
         ("intro-low-lag", intro_S, sync_target, ResyncParams(n=4, gamma=0, i=3)),
     ]

@@ -1,6 +1,7 @@
 import pytest
 
 from syncsynth.analysis import (
+    _find_lag_cycle,
     build_blocks,
     build_lag_bounded,
     certificate_lag_bound,
@@ -279,3 +280,11 @@ def test_galloping_search_matches_linear_scan(corpus):
             n, gamma, formula, covered = target_parameters(t, determinize(t), cert, k)
             want = _scan(lambda g: lag_blocks_cover(t, g, n), 0, formula)
             assert (gamma, covered) == ((0, False) if want is None else (want, True)), (name, k)
+
+
+def test_lag_cycle_search_rejects_a_non_component():
+    """p → q on both tapes gives q two lag potentials, but q has no way back:
+    {p, q} is not strongly connected, which raises instead of asserting."""
+    t = mk_nfa({"a"}, {"d"}, "p", {"q"}, [("p", "i", "a", "q"), ("p", "o", "d", "q")])
+    with pytest.raises(ValueError, match="strongly connected"):
+        _find_lag_cycle(t, ["p", "q"])

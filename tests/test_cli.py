@@ -149,6 +149,18 @@ def test_resync_emits_stats(tmp_path, capsys, abst_S, abst_T):
     assert doc["stats"]["states"] > 0
 
 
+def test_resync_reports_refused_caps(tmp_path, capsys, abst_S, abst_late_T):
+    """A queue cap that refused letters leaves words out of T_iS; the stats say so."""
+    s_path = tmp_path / "s.json"
+    t_path = tmp_path / "t.json"
+    s_path.write_text(serialize.dumps(abst_S), encoding="utf-8")
+    t_path.write_text(serialize.dumps(abst_late_T), encoding="utf-8")
+    code = main(["resync", str(s_path), str(t_path), "--bound-k", "6"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stats"]["refused_caps"] == [1, 19]
+
+
 def test_decide_rec_cli(tmp_path, capsys):
     s = mk_nfa(
         {"a"}, {"d"}, "s0", {"s1"},

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
 from syncsynth.automata import END_IN, END_OUT
 from syncsynth.canonical import canonicalize, canonicalize_finite_shift
 from syncsynth.game import VerificationReport
-from syncsynth.letters import decode
+from syncsynth.letters import decode, recompose
 from syncsynth.pipeline import (
     INCONCLUSIVE,
     NO,
@@ -329,19 +330,52 @@ def test_empty_source_takes_the_general_path():
     assert verdict.verification.ok
 
 
-def test_queue_cap_refusal_is_not_an_exact_no(abst_S):
+def test_queue_cap_refusal_is_not_an_exact_no(abst_S, abst_late_T):
     """Target ε + a·b + a·a·a*·b·c: (a^n, bc) is in the source relation for
     every n, but build_TiS's queue holds at most gamma + 1 + i*n letters, so
     a^20·b·c is missing from T_iS. That gap must not become an exact NO."""
-    late = mk_nfa(
-        {"a"}, {"b", "c"}, "p0", {"p0", "p2", "p5"},
-        [("p0", "i", "a", "p1"), ("p1", "o", "b", "p2"), ("p1", "i", "a", "p3"),
-         ("p3", "i", "a", "p3"), ("p3", "o", "b", "p4"), ("p4", "o", "c", "p5")],
-    )
-    verdict = decide(abst_S, late)
+    verdict = decide(abst_S, abst_late_T)
     assert verdict.answer != NO, verdict.reason
     if verdict.answer == INCONCLUSIVE:
         assert verdict.reason.startswith("queue cap: build_TiS")
+
+
+def single_pair(inputs: str, outputs: str, u: str, v: str, tags) -> tuple:
+    """S = {(u, v)}, synchronized inputs first, and T = the one word that
+    interleaves (u, v) along `tags` (1 for input, 2 for output). Following
+    that word uniformizes S, so the answer is YES."""
+
+    def linear(prefix, tag_seq):
+        w = recompose(tag_seq, (u, v))
+        edges = [(f"{prefix}{j}", "io"[l.tape - 1], l.symbol, f"{prefix}{j + 1}")
+                 for j, l in enumerate(w)]
+        return mk_nfa(set(inputs), set(outputs), f"{prefix}0", {f"{prefix}{len(w)}"}, edges)
+
+    return linear("s", [1] * len(u) + [2] * len(v)), linear("t", tags)
+
+
+def test_outputs_running_ahead_are_resynchronized():
+    """S = {(a, bbb)}, T = {b·b·a·b}, outputs {b, c}. The larger output
+    alphabet makes build_TiS guess inputs for outputs that run ahead; an
+    output tail must be able to begin while a guessed input is owed, or T_iS
+    is empty and decide answers a wrong exact NO."""
+    verdict = decide(*single_pair("a", "bc", "a", "bbb", (2, 2, 1, 2)))
+    assert verdict.answer == YES, (verdict.reason, verdict.stats)
+    assert verdict.stats["t_i_s_states"] > 1
+
+
+@pytest.mark.parametrize("inputs, outputs", [("a", "bc"), ("bc", "a")])
+def test_single_pair_sweep_answers_yes(inputs, outputs):
+    """Random single-pair relations with |u|, |v| <= 3, in both alphabet
+    orientations, each against one interleaving of its pair."""
+    rng = random.Random(f"single-pair:{inputs}:{outputs}")
+    for _ in range(40):
+        u = "".join(rng.choices(inputs, k=rng.randint(1, 3)))
+        v = "".join(rng.choices(outputs, k=rng.randint(1, 3)))
+        tags = [1] * len(u) + [2] * len(v)
+        rng.shuffle(tags)
+        verdict = decide(*single_pair(inputs, outputs, u, v, tags), PipelineConfig(depth=6))
+        assert verdict.answer == YES, (u, v, tags, verdict.reason)
 
 
 def delay_instance(m: int, d: int):

@@ -5,6 +5,8 @@ import pytest
 from syncsynth.canonical import CanonicalDfa, canonical_sync
 from syncsynth.letters import Tape, inp, out
 from syncsynth.profiles import (
+    _AnnBuilder,
+    _Ctx,
     ClosureCapExceeded,
     InputProfile,
     MixedTapes,
@@ -130,6 +132,15 @@ def test_annotated_output_stt_golden(ann):
     )
     assert got == expected
     assert got.size == 5
+
+
+def test_annotated_builder_rejects_a_foreign_reference(ann):
+    """The reference tree must be rooted at the pair the builder starts from."""
+    a, b = ann
+    ref = reduce_tree(output_stt(("c", "c"), "p0", "q0", 0, a, b))
+    builder = _AnnBuilder(_Ctx(a, b), ref)
+    with pytest.raises(ValueError, match="reference node"):
+        builder.build(("c", "c"), "p1", "q6", 0, ())
 
 
 def test_annotated_projection_matches_reference(ann):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from syncsynth.analysis import shiftlag_finiteness
+from syncsynth.analysis import certificate_lag_bound, shiftlag_finiteness
 from syncsynth.automata import (
     accepts,
     enumerate_accepted,
@@ -83,13 +83,24 @@ def test_build_Ti_output_cap_binds(abst_T):
 
 
 def test_tis_abst_instance(abst_S, abst_T):
-    params = ResyncParams.for_target(abst_T, n=2, i=2)
+    params = ResyncParams(n=2, gamma=certificate_lag_bound(2, len(abst_T.states)), i=2)
     check_tis_instance(abst_S, abst_T, params, 7)
 
 
 def test_tis_ann_instance(ann_S, ann_T):
-    params = ResyncParams.for_target(ann_T, n=2, i=2)
+    params = ResyncParams(n=2, gamma=certificate_lag_bound(2, len(ann_T.states)), i=2)
     check_tis_instance(ann_S, ann_T, params, 7)
+
+
+def test_tis_outputs_ahead_of_a_guessed_input():
+    """S = {(a, bc)}, T = {b·c·a}: c arrives while the input guessed for b
+    is still owed, and may only be read as the start of an output tail."""
+    s = mk_nfa({"a"}, {"b", "c"}, "s0", {"s3"},
+               [("s0", "i", "a", "s1"), ("s1", "o", "b", "s2"), ("s2", "o", "c", "s3")])
+    t = mk_nfa({"a"}, {"b", "c"}, "t0", {"t3"},
+               [("t0", "o", "b", "t1"), ("t1", "o", "c", "t2"), ("t2", "i", "a", "t3")])
+    c, _ = check_tis_instance(s, t, ResyncParams(n=2, gamma=1, i=2), 5)
+    assert c.refused_caps == ()
 
 
 def test_tis_empty_source(abst_T):
@@ -103,7 +114,7 @@ def test_tis_empty_source(abst_T):
 
 
 def test_tis_domain_soundness(abst_S, abst_T):
-    params = ResyncParams.for_target(abst_T, n=2, i=2)
+    params = ResyncParams(n=2, gamma=certificate_lag_bound(2, len(abst_T.states)), i=2)
     c, _ = check_tis_instance(abst_S, abst_T, params, 6)
     dom_c = project_input(c)
     dom_s = project_input(abst_S)
