@@ -384,8 +384,8 @@ def language_equal(a: Nfa, b: Nfa) -> tuple[bool, Optional[SyncWord]]:
     return (True, None) if ok else (False, w)
 
 
-def output_closure(a: Nfa) -> dict:
-    """Per state, the states reachable via pure-output words (reflexive-transitive)."""
+def tape_closure(a: Nfa, tape: Tape) -> dict:
+    """Per state, the states reachable via words of one tape (reflexive-transitive)."""
     closure = {}
     for p in a.states:
         seen = {p}
@@ -393,7 +393,7 @@ def output_closure(a: Nfa) -> dict:
         while queue:
             r = queue.popleft()
             for letter, q in a.out_edges(r):
-                if letter.tape is Tape.OUTPUT and q not in seen:
+                if letter.tape is tape and q not in seen:
                     seen.add(q)
                     queue.append(q)
         closure[p] = frozenset(seen)
@@ -406,7 +406,7 @@ def project_input(a: Nfa) -> Nfa:
     Finals are closed under pure-output reachability so trailing output
     suffixes are not lost.
     """
-    closure = output_closure(a)
+    closure = tape_closure(a, Tape.OUTPUT)
     transitions = set()
     for p in a.states:
         for r in closure[p]:

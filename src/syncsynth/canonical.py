@@ -4,6 +4,12 @@ language of canonical (alternate-then-flush) synchronizations.
 The reader runs one buffered copy of the source on the lag-bounded prefix
 and one copy per pure block, feeding each copy its own letters as they
 arrive in canonical order; guessed hand-off states are verified at the end.
+
+Both readers build only states that can still reach a final one, so the
+pruning leaves `determinize(trim(reader))` unchanged: a guessed hand-off
+state must be reachable on the tape of the run it ends; `canonicalize`'s
+reader tracks the canonical shape, routes no letter the shape forbids, and
+drops a prefix buffer once no tape the shape allows can still drain it.
 """
 from __future__ import annotations
 
@@ -19,10 +25,11 @@ from .automata import (
     determinize,
     explore_nfa,
     inclusion,
-    product,
+    tagged_letters,
+    tape_closure,
     trim,
 )
-from .letters import Letter, SyncWord, Tape, inp, out
+from .letters import PARTNER, Letter, SyncWord, Tape, inp, out
 
 
 class InvalidCertificate(AutomatonError):
@@ -41,26 +48,32 @@ def canonical_sync(u: Sequence[str], v: Sequence[str]) -> SyncWord:
     return tuple(letters)
 
 
+# the canonical shape: tapes alternate input-first, then one tape flushes
+SHAPE = {
+    ("even", Tape.INPUT): "odd",
+    ("odd", Tape.INPUT): "itail",
+    ("itail", Tape.INPUT): "itail",
+    ("odd", Tape.OUTPUT): "even",
+    ("even", Tape.OUTPUT): "otail",
+    ("otail", Tape.OUTPUT): "otail",
+}
+
+
 def canonical_shape_dfa(input_alphabet, output_alphabet) -> Dfa:
     """All words whose tag projection alternates input-first then stays on one tape."""
-    ins = [inp(s) for s in sorted(input_alphabet)]
-    outs = [out(s) for s in sorted(output_alphabet)]
-    transitions = set()
-    for l in ins:
-        transitions.add(("even", l, "odd"))
-        transitions.add(("odd", l, "itail"))
-        transitions.add(("itail", l, "itail"))
-    for l in outs:
-        transitions.add(("odd", l, "even"))
-        transitions.add(("even", l, "otail"))
-        transitions.add(("otail", l, "otail"))
+    shapes = frozenset(p for p, _ in SHAPE)
     return Dfa(
         input_alphabet=frozenset(input_alphabet),
         output_alphabet=frozenset(output_alphabet),
-        states=frozenset({"even", "odd", "itail", "otail"}),
+        states=shapes,
         initial="even",
-        transitions=frozenset(transitions),
-        finals=frozenset({"even", "odd", "itail", "otail"}),
+        transitions=frozenset(
+            (p, l, q)
+            for (p, tape), q in SHAPE.items()
+            for l in tagged_letters(input_alphabet, output_alphabet)
+            if l.tape is tape
+        ),
+        finals=shapes,
     )
 
 
@@ -93,12 +106,15 @@ def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP
 
     Words of the source have boundedly many pure runs; the reader walks the
     input runs against guessed hand-off states and replays the output runs
-    through the same chain, with a free output run at the end.
+    through the same chain, with a free output run at the end. A hand-off
+    state is guessed only among those an output run reaches from the
+    current state, since no other guess is ever crossed.
     """
     if not cert.finite:
         raise InvalidCertificate("source has infinite shift")
     s = trim(s)
     max_pairs = cert.bound + 2
+    out_reach = tape_closure(s, Tape.OUTPUT)
 
     def s_step(q, letter):
         return sorted(s.successors(q, letter))
@@ -126,12 +142,12 @@ def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP
                 if len(pairs) < max_pairs - 1:
                     # cross a boundary first: commit this input run's end and
                     # restart after a guessed output run
-                    for b in sorted(s.states):
+                    for b in sorted(out_reach[cur]):
                         for q2 in s_step(b, letter):
                             nxt.append(("in", q2, pairs + ((cur, b),)))
             else:
                 # switch to the output phase, closing the input part here
-                for b in sorted(s.states):
+                for b in sorted(out_reach[cur]):
                     closed = pairs + ((cur, b),)
                     for c, rem in fold_out(closed[0][0], closed):
                         for q2 in s_step(c, letter):
@@ -164,7 +180,18 @@ def canonicalize(
     s: Nfa, cert: ShiftlagCertificate, state_cap: Optional[int] = STATE_CAP
 ) -> CanonicalDfa:
     """Language-level resynchronization of a finite-shiftlag source onto
-    canonical words; the relation of pairs is preserved exactly."""
+    canonical words; the relation of pairs is preserved exactly.
+
+    The reader tracks the canonical shape DFA's state and builds no state
+    that cannot reach a final one:
+    - a letter the shape forbids has no successor;
+    - a new block guesses its start only among the states that the block
+      just before it in merged order, if already open, reaches from its
+      current state by letters of its own tape;
+    - a state with a nonempty prefix buffer is dropped once every tape the
+      shape still allows has a block open, since the buffer drains only
+      through letters routed to the prefix copy.
+    """
     if not cert.is_finite:
         raise InvalidCertificate("source has infinite shiftlag")
     s = trim(s)
@@ -180,11 +207,14 @@ def canonicalize(
     def s_step(q: str, letter: Letter):
         return sorted(s.successors(q, letter))
 
+    reach = {tape: tape_closure(s, tape) for tape in Tape}
+
     # reader state:
-    #   (q0copy, buf, first_tape, in_blocks, out_blocks)
+    #   (shape, q0copy, buf, first_tape, in_blocks, out_blocks)
+    # shape: state of the canonical shape DFA on the letters read so far
     # buf: letters routed to the prefix copy, arrived but not yet consumed
     # *_blocks: ((guessed_start, current), ...) per opened pure block
-    initial = (s.initial, (), None, (), ())
+    initial = ("even", s.initial, (), None, (), ())
 
     def consumptions(q: str, buf: tuple):
         """All (state, remaining-buffer) pairs after consuming greedily.
@@ -225,40 +255,53 @@ def canonicalize(
         return idx <= m
 
     def step(state, letter: Letter):
-        q0, buf, first, in_blocks, out_blocks = state
+        shape, q0, buf, first, in_blocks, out_blocks = state
         tape = letter.tape
+        shape = SHAPE.get((shape, tape))
+        if shape is None:
+            return []
         nxt = []
-        blocks = in_blocks if tape is Tape.INPUT else out_blocks
+        blocks, others = (in_blocks, out_blocks) if tape is Tape.INPUT else (out_blocks, in_blocks)
+
+        def with_blocks(ft, nb):
+            if tape is Tape.INPUT:
+                return (shape, q0, buf, ft, nb, out_blocks)
+            return (shape, q0, buf, ft, in_blocks, nb)
+
         # (1) route to the prefix copy, if its share of this tape is still open
         if not blocks:
             for q2, rest in consumptions(q0, buf + (letter,)):
-                nxt.append((q2, rest, first, in_blocks, out_blocks))
-        # (2) feed the currently open block of this tape
-        if blocks:
+                nxt.append((shape, q2, rest, first, in_blocks, out_blocks))
+        else:
+            # (2) feed the currently open block of this tape
             g, c = blocks[-1]
             for c2 in s_step(c, letter):
-                nb = blocks[:-1] + ((g, c2),)
-                if tape is Tape.INPUT:
-                    nxt.append((q0, buf, first, nb, out_blocks))
-                else:
-                    nxt.append((q0, buf, first, in_blocks, nb))
+                nxt.append(with_blocks(first, blocks[:-1] + ((g, c2),)))
         # (3) open a new block of this tape
         count = len(blocks) + 1
         firsts = [first] if first is not None else [Tape.INPUT, Tape.OUTPUT]
         for ft in firsts:
             if not block_index_ok(ft, tape, count):
                 continue
-            for g in sorted(s.states):
+            # the merged block just before this one, if already open, must
+            # end where this one starts, and it grows by its own tape only
+            before = count - 1 if ft is tape else count
+            is_open = 0 < before <= len(others)
+            guesses = reach[PARTNER[tape]][others[before - 1][1]] if is_open else s.states
+            for g in sorted(guesses):
                 for c2 in s_step(g, letter):
-                    nb = blocks + ((g, c2),)
-                    if tape is Tape.INPUT:
-                        nxt.append((q0, buf, ft, nb, out_blocks))
-                    else:
-                        nxt.append((q0, buf, ft, in_blocks, nb))
-        return nxt
+                    nxt.append(with_blocks(ft, blocks + ((g, c2),)))
+        return [st for st in nxt if drainable(st)]
+
+    def drainable(state):
+        """A buffer drains only through a letter routed to the prefix copy:
+        one of a tape the shape still allows, with no block open on it."""
+        shape, _, buf, _, in_blocks, out_blocks = state
+        unopened = {Tape.INPUT: not in_blocks, Tape.OUTPUT: not out_blocks}
+        return not buf or any(unopened[t] for p, t in SHAPE if p == shape)
 
     def is_final(state):
-        q0, buf, first, in_blocks, out_blocks = state
+        _, q0, buf, first, in_blocks, out_blocks = state
         if buf:
             return False
         ni, no = len(in_blocks), len(out_blocks)
@@ -287,5 +330,4 @@ def canonicalize(
     reader = explore_nfa(
         initial, step, is_final, s.input_alphabet, s.output_alphabet, prefix="r", cap=state_cap
     )
-    shaped = product(reader, canonical_shape_dfa(s.input_alphabet, s.output_alphabet))
-    return CanonicalDfa(dfa=determinize(trim(shaped)))
+    return CanonicalDfa(dfa=determinize(trim(reader)))

@@ -271,13 +271,7 @@ def _run_decide(args, recognizable: bool) -> int:
     if recognizable:
         verdict = decide_recognizable(s, t, PipelineConfig(depth=args.depth))
     else:
-        cap = args.cap
-        cfg = PipelineConfig(
-            k_override=args.bound_k,
-            depth=args.depth,
-            closure_cap=cap or 512,
-            feasible_k_cap=min(cap, 6) if cap else 6,
-        )
+        cfg = PipelineConfig(k_override=args.bound_k, depth=args.depth, closure_cap=args.cap or 512)
         verdict = decide(s, t, cfg)
     doc = _verdict_doc(verdict)
     if args.format == "dot" and verdict.machine is not None:
@@ -299,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth": dict(type=int, default=8, help="verification enumeration depth"),
         "--format": dict(choices=("json", "dot"), default="json"),
         "--cap": dict(
-            type=int, default=int(env_cap) if env_cap else None, help="closure/size safety cap"
+            type=int, default=int(env_cap) if env_cap else None, help="profile closure cap"
         ),
     }
     files = {

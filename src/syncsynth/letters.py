@@ -15,6 +15,9 @@ class Tape(IntEnum):
     OUTPUT = 2
 
 
+PARTNER = {Tape.INPUT: Tape.OUTPUT, Tape.OUTPUT: Tape.INPUT}
+
+
 class Letter(NamedTuple):
     tape: Tape
     symbol: str

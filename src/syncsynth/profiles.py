@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Optional, Sequence
 
-from .automata import AutomatonError, Dfa
+from .automata import AutomatonError, Dfa, tape_closure
 from .canonical import CanonicalDfa
 from .letters import Letter, Tape, inp, out
 from .trees import LabeledTree, node_ids, reduce_tree, tree
@@ -92,22 +92,12 @@ class _Ctx:
 
     @staticmethod
     def _closure(b: Dfa, tape: Tape) -> dict:
-        step = {p: set() for p in b.states}
-        for (p, letter, q) in b.transitions:
-            if letter.tape is tape:
-                step[p].add(q)
-        closure = {}
-        for p in b.states:
-            seen = set(step[p])
-            frontier = list(seen)
-            while frontier:
-                r = frontier.pop()
-                for q in step[r]:
-                    if q not in seen:
-                        seen.add(q)
-                        frontier.append(q)
-            closure[p] = frozenset(seen)
-        return closure
+        """Per state, the states reachable via nonempty words of one tape."""
+        reach = tape_closure(b, tape)
+        return {
+            p: frozenset(r for letter, q in b.out_edges(p) if letter.tape is tape for r in reach[q])
+            for p in b.states
+        }
 
     def a_tail_run(self, q: Optional[str], syms, flip: bool) -> Optional[str]:
         if q is None:

@@ -24,7 +24,7 @@ from .automata import (
     trim,
 )
 from .canonical import CanonicalDfa
-from .letters import Letter, Tape, inp, out
+from .letters import PARTNER, Letter, Tape, inp, out
 
 
 class ShapeViolation(AutomatonError):
@@ -61,7 +61,6 @@ def build_Ti(t: Nfa, p: ResyncParams) -> Nfa:
 # their partners; (GUESS, tape) holds letters of `tape` the canonical DFA
 # consumed ahead of arrival, which arrivals must match
 PEND, GUESS = "pend", "guess"
-PARTNER = {Tape.INPUT: Tape.OUTPUT, Tape.OUTPUT: Tape.INPUT}
 
 
 def tape_capacity(a: Nfa, tape: Tape) -> dict:

@@ -1,14 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from syncsynth.analysis import shiftlag_finiteness
+from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
 from syncsynth.canonical import (
     CanonicalDfa,
     InvalidCertificate,
     canonical_shape_dfa,
     canonical_sync,
     canonicalize,
+    canonicalize_finite_shift,
 )
 from syncsynth.automata import (
+    StateCapExceeded,
     complement,
     completed,
     enumerate_accepted,
@@ -21,6 +24,7 @@ from syncsynth.automata import (
 from syncsynth.letters import decode, inp, out, tags
 
 from .conftest import mk_nfa, tag_family
+from .test_pipeline import delay_instance
 
 
 def test_canonical_sync_basic():
@@ -122,3 +126,61 @@ def test_run_pair_helper(abst_S):
     q = can.run_pair(can.dfa.initial, ("a",), ("b",))
     assert q is not None
     assert can.accepts_pair(("a",), ("b",))
+
+
+def test_finite_shift_reader_guesses_only_reachable_hand_offs():
+    """A committed pair (a, b) is crossed only once an output run from a
+    reaches b, so the reader guesses b inside a's output closure. Guessing
+    every state of the source explored 74,008 reader states here."""
+    s, _ = delay_instance(4, 4)
+    cert = shift_finiteness(s)
+    assert canonicalize_finite_shift(s, cert, state_cap=1000) == canonicalize_finite_shift(s, cert)
+
+
+def test_canonical_reader_tracks_the_shape(intro_S):
+    """The reader carries the canonical shape and drops dead guesses and
+    undrainable buffers. Unshaped, the intro reader alone had 5,605 states,
+    and its product with the shape DFA 17,975."""
+    can = canonicalize(intro_S, shiftlag_finiteness(intro_S), state_cap=5000)
+    assert CanonicalDfa.from_dfa(can.dfa) == can
+
+
+@st.composite
+def small_sources(draw):
+    """A 2-4-state source over one or two letters per tape."""
+    inputs = draw(st.sampled_from(["a", "ab"]))
+    outputs = draw(st.sampled_from(["d", "de"]))
+    states = [f"q{j}" for j in range(draw(st.integers(min_value=2, max_value=4)))]
+    letters = [("i", x) for x in inputs] + [("o", y) for y in outputs]
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(states), st.sampled_from(letters), st.sampled_from(states)),
+        min_size=1, max_size=8, unique=True,
+    ))
+    finals = draw(st.sets(st.sampled_from(states), min_size=1))
+    return mk_nfa(
+        set(inputs), set(outputs), states[0], finals,
+        [(p, tape, sym, q) for p, (tape, sym), q in edges],
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_sources())
+def test_canonicalizers_keep_the_pairs(s):
+    """Both canonicalizers keep every pair of a random small source, and the
+    canonical DFA passes the shape check."""
+    cert = shift_finiteness(s)
+    if cert.finite:
+        try:
+            d = canonicalize_finite_shift(s, cert, state_cap=2000)
+        except StateCapExceeded:
+            d = None
+        if d is not None:
+            assert pairs_upto(d, 6) == pairs_upto(s, 6)
+    cert = shiftlag_finiteness(s)
+    if cert.is_finite:
+        try:
+            can = canonicalize(s, cert, state_cap=2000)
+        except StateCapExceeded:
+            return
+        assert pairs_upto(can.dfa, 6) == pairs_upto(s, 6)
+        CanonicalDfa.from_dfa(can.dfa)

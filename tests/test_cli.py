@@ -189,6 +189,23 @@ def test_env_cap_mirrors_flag(tmp_path, capsys, monkeypatch, abst_S, abst_T):
     assert code == 2  # closure cannot fit in one profile
 
 
+def test_decide_cap_sets_only_the_closure_cap(files, capsys, monkeypatch):
+    """`decide --cap N` bounds the profile closures and no other cap."""
+    from syncsynth import cli as cli_module
+    from syncsynth.pipeline import PipelineConfig, Verdict
+
+    configs = []
+
+    def captured(s, t, cfg):
+        configs.append(cfg)
+        return Verdict(answer="INCONCLUSIVE", reason="captured")
+
+    monkeypatch.setattr(cli_module, "decide", captured)
+    s_path, t_path = files
+    assert main(["decide", str(s_path), str(t_path), "--cap", "3"]) == 2
+    assert configs == [PipelineConfig(closure_cap=3)]
+
+
 def test_decide_rec_machine_verifies(tmp_path, capsys, ann_S, ann_T):
     """A machine from `decide-rec` is endmarked; `verify` meets it there."""
     s_path = tmp_path / "s.json"
