@@ -206,6 +206,57 @@ def determinize(a: Nfa) -> Dfa:
     )
 
 
+def minimize(d: Dfa) -> Dfa:
+    """The minimal DFA of L(d), by Hopcroft's partition refinement.
+
+    `d` is partial: a missing edge leads to an implicit rejecting sink. The
+    sink is the one block never used as a splitter and never split, so it is
+    never built (as in Valmari & Lehtinen, STACS 2008). The result is trim,
+    and `explore_nfa` names its classes, so equal languages over equal
+    alphabets give byte-identical results; the empty language gives one
+    state without finals.
+    """
+    d = trim(d)
+    preds: dict = {}
+    for p, letter, q in d.transitions:
+        preds.setdefault((q, letter), []).append(p)
+    # after `trim` either every state is useful or d is one dead state
+    blocks = [set(b) for b in (d.finals, d.states - d.finals) if b]
+    block_of = {q: i for i, b in enumerate(blocks) for q in b}
+    pending = [(i, letter) for i in range(len(blocks)) for letter in d.alphabet]
+    while pending:
+        splitter, letter = pending.pop()
+        hit: dict = {}  # block -> its states with a letter-edge into the splitter
+        for q in blocks[splitter]:
+            for p in preds.get((q, letter), ()):
+                hit.setdefault(block_of[p], set()).add(p)
+        for i, inside in hit.items():
+            if len(inside) == len(blocks[i]):
+                continue
+            small, large = sorted((inside, blocks[i] - inside), key=len)
+            blocks[i] = large
+            blocks.append(small)
+            for p in small:
+                block_of[p] = len(blocks) - 1
+            # the smaller half splits everything the two halves would
+            pending.extend((len(blocks) - 1, l) for l in d.alphabet)
+    rep = [min(b) for b in blocks]
+
+    def step(i, letter):
+        q = d.delta(rep[i], letter)
+        return (block_of[q],) if q is not None else ()
+
+    return explore_nfa(
+        block_of[d.initial],
+        step,
+        lambda i: rep[i] in d.finals,
+        d.input_alphabet,
+        d.output_alphabet,
+        prefix="m",
+        build=Dfa,
+    )
+
+
 def completed(d: Dfa, extra_inputs: Iterable[str] = (), extra_outputs: Iterable[str] = ()) -> Dfa:
     """Add an explicit non-accepting sink so every (state, letter) is defined."""
     input_alphabet = frozenset(d.input_alphabet) | frozenset(extra_inputs)
@@ -518,6 +569,7 @@ def explore_nfa(
     prefix: str = "x",
     cap: Optional[int] = None,
     build: Callable = Nfa,
+    name: str = "explore_nfa",
 ) -> Nfa:
     """Materialize an automaton from a successor function by BFS from `initial`.
 
@@ -525,7 +577,8 @@ def explore_nfa(
     may be any hashable values and are named prefix0, prefix1, ... in the
     order they are discovered, trying letters in `tagged_letters` order.
     `build` constructs the result from the automaton's fields: `Dfa` when
-    every step returns at most one successor.
+    every step returns at most one successor. Growing past `cap` states
+    raises `StateCapExceeded`, whose message opens with `name`.
     """
     names = {initial: f"{prefix}0"}
     queue = deque([initial])
@@ -541,7 +594,8 @@ def explore_nfa(
                 if nxt not in names:
                     if cap is not None and len(names) >= cap:
                         raise StateCapExceeded(
-                            f"construction exceeded {cap} states; raise the cap to proceed"
+                            f"{name}: construction exceeded {cap} states; "
+                            "raise the cap to proceed"
                         )
                     names[nxt] = f"{prefix}{len(names)}"
                     queue.append(nxt)

@@ -10,6 +10,7 @@ pruning leaves `determinize(trim(reader))` unchanged: a guessed hand-off
 state must be reachable on the tape of the run it ends; `canonicalize`'s
 reader tracks the canonical shape, routes no letter the shape forbids, and
 drops a prefix buffer once no tape the shape allows can still drain it.
+Both canonicalizers return the minimal DFA of their reader's language.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .automata import (
     determinize,
     explore_nfa,
     inclusion,
+    minimize,
     tagged_letters,
     tape_closure,
     trim,
@@ -169,11 +171,16 @@ def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP
         return any(not rem and c in s.finals for c, rem in fold_out(cur, pairs))
 
     reader = explore_nfa(
-        initial, step, is_final, s.input_alphabet, s.output_alphabet, prefix="f", cap=state_cap
+        initial,
+        step,
+        is_final,
+        s.input_alphabet,
+        s.output_alphabet,
+        prefix="f",
+        cap=state_cap,
+        name="canonicalize_finite_shift",
     )
-    # every nonempty subset of a trim automaton's states is co-reachable, so
-    # the subset construction of a trim automaton is trim
-    return determinize(trim(reader))
+    return minimize(determinize(trim(reader)))
 
 
 def canonicalize(
@@ -328,6 +335,13 @@ def canonicalize(
         return cur in finals
 
     reader = explore_nfa(
-        initial, step, is_final, s.input_alphabet, s.output_alphabet, prefix="r", cap=state_cap
+        initial,
+        step,
+        is_final,
+        s.input_alphabet,
+        s.output_alphabet,
+        prefix="r",
+        cap=state_cap,
+        name="canonicalize",
     )
-    return CanonicalDfa(dfa=determinize(trim(reader)))
+    return CanonicalDfa(dfa=minimize(determinize(trim(reader))))

@@ -17,7 +17,14 @@ from .analysis import (
     shift_finiteness,
     shiftlag_finiteness,
 )
-from .automata import AutomatonError, END_IN, add_endmarkers, determinize, trim
+from .automata import (
+    AutomatonError,
+    END_IN,
+    StateCapExceeded,
+    add_endmarkers,
+    determinize,
+    trim,
+)
 from .canonical import canonicalize
 from .game import build_arena, extract_sdfa, solve, verify_uniformizer
 from .letters import inp
@@ -163,9 +170,8 @@ def cmd_profiles(args) -> int:
     t = trim(t)
     t_dfa = determinize(t)
     n, gamma, _, _ = target_parameters(t, t_dfa, cert_t, None)
-    cap = args.cap or 512
     try:
-        bound = compute_k(n, gamma, can, t_dfa, closure_cap=cap)
+        bound = compute_k(n, gamma, can, t_dfa, closure_cap=args.cap)
     except ClosureCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -271,7 +277,7 @@ def _run_decide(args, recognizable: bool) -> int:
     if recognizable:
         verdict = decide_recognizable(s, t, PipelineConfig(depth=args.depth))
     else:
-        cfg = PipelineConfig(k_override=args.bound_k, depth=args.depth, closure_cap=args.cap or 512)
+        cfg = PipelineConfig(k_override=args.bound_k, depth=args.depth, closure_cap=args.cap)
         verdict = decide(s, t, cfg)
     doc = _verdict_doc(verdict)
     if args.format == "dot" and verdict.machine is not None:
@@ -281,19 +287,34 @@ def _run_decide(args, recognizable: bool) -> int:
     return verdict.exit_code
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"the cap (--cap or SYNCSYNTH_CAP) must be a positive integer, not {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syncsynth",
         description="Decide and synthesize target-controlled uniformizations "
         "of synchronized relations.",
     )
-    env_cap = os.environ.get("SYNCSYNTH_CAP")
     options = {
         "--bound-k": dict(type=int, default=None, help="output-block cap override"),
         "--depth": dict(type=int, default=8, help="verification enumeration depth"),
         "--format": dict(choices=("json", "dot"), default="json"),
+        # argparse converts a string default with `type`, so a bad
+        # SYNCSYNTH_CAP is a usage error like a bad --cap
         "--cap": dict(
-            type=int, default=int(env_cap) if env_cap else None, help="profile closure cap"
+            type=_positive_int,
+            default=os.environ.get("SYNCSYNTH_CAP") or PipelineConfig.closure_cap,
+            help="profile closure cap (default %(default)s; SYNCSYNTH_CAP sets the default)",
         ),
     }
     files = {
@@ -349,6 +370,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except StateCapExceeded as exc:
+        print(f"inconclusive: state cap: {exc}", file=sys.stderr)
+        return 2
     except (AutomatonError, BoundExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

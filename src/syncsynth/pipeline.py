@@ -116,7 +116,7 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
     try:
         can = canonicalize(s, cert_s, state_cap=cfg.state_cap)
     except StateCapExceeded as exc:
-        return _capped("canonicalize", exc, stats)
+        return _capped(exc, stats)
     t_dfa = determinize(t)
     stats["canonical_source_states"] = len(can.dfa.states)
     stats["target_dfa_states"] = len(t_dfa.states)
@@ -166,7 +166,7 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
     try:
         tis = build_TiS(can, t_i, params, state_cap=cfg.state_cap)
     except StateCapExceeded as exc:
-        return _capped("build_TiS", exc, stats)
+        return _capped(exc, stats)
     stats["t_i_s_states"] = len(tis.states)
     caveat = ""
     if conclusive and tis.refused_caps:
@@ -194,15 +194,16 @@ def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) 
     try:
         s12 = canonicalize_finite_shift(s, cert, state_cap=cfg.state_cap)
     except StateCapExceeded as exc:
-        return _capped("canonicalize_finite_shift", exc, stats)
+        return _capped(exc, stats)
     stats["canonical_source_states"] = len(s12.states)
     t_prime = build_Tprime_recognizable(s12, t)
     stats["t_prime_states"] = len(t_prime.states)
     return _play(s, t, t_prime, cfg.depth, stats, exact=True)
 
 
-def _capped(construction: str, exc: StateCapExceeded, stats: dict) -> Verdict:
-    return Verdict(answer=INCONCLUSIVE, reason=f"state cap: {construction}: {exc}", stats=stats)
+def _capped(exc: StateCapExceeded, stats: dict) -> Verdict:
+    """INCONCLUSIVE; the exception's message names the capped construction."""
+    return Verdict(answer=INCONCLUSIVE, reason=f"state cap: {exc}", stats=stats)
 
 
 def _play(

@@ -545,7 +545,7 @@ class ProfileClosure:
 
 
 def profile_closure(
-    n: int, a: CanonicalDfa, b: Dfa, tape: Tape, cap: int = 512
+    n: int, a: CanonicalDfa, b: Dfa, tape: Tape, cap: int
 ) -> ProfileClosure:
     """Breadth-first closure of the profile monoid of one tape, by letter
     extension; returns all profiles plus the longest shortest representative."""
@@ -603,7 +603,7 @@ class KBound:
         return self.r1 + self.r2
 
 
-def compute_k(n: int, gamma: int, a: CanonicalDfa, b: Dfa, closure_cap: int = 512) -> KBound:
+def compute_k(n: int, gamma: int, a: CanonicalDfa, b: Dfa, closure_cap: int) -> KBound:
     """k = r1 + r2: the Ramsey bound over input profiles plus the longest
     shortest representative of output profiles, both clamped above gamma."""
     input_closure = profile_closure(n, a, b, Tape.INPUT, cap=closure_cap)

@@ -233,6 +233,7 @@ def build_TiS(
             ti.output_alphabet,
             prefix="c",
             cap=state_cap,
+            name="build_TiS",
             build=lambda **fields: ResyncNfa(**fields, refused_caps=tuple(sorted(refused))),
         )
     )

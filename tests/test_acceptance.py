@@ -301,7 +301,7 @@ def test_criterion_7_game_determinacy():
 def test_criterion_8_ramsey_at_desk_scale(abst_S, abst_T):
     start = time.monotonic()
     a = CanonicalDfa.from_dfa(abst_S)
-    closure = profile_closure(2, a, abst_T, Tape.INPUT)
+    closure = profile_closure(2, a, abst_T, Tape.INPUT, cap=PipelineConfig.closure_cap)
     colors = len(closure.profiles)
     r1 = ramsey_bound(colors)
     # single input letter: the unique word of each length

@@ -1,5 +1,10 @@
-import pytest
+from dataclasses import replace
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from syncsynth import serialize
 from syncsynth.automata import (
     AutomatonError,
     Dfa,
@@ -18,6 +23,7 @@ from syncsynth.automata import (
     is_empty,
     language_equal,
     make_sequential_check,
+    minimize,
     pair_in_relation,
     product,
     project_input,
@@ -254,3 +260,49 @@ def test_semantics_against_naive_membership(intro_S, abst_S, abst_T, ann_S, ann_
         lang = set(enumerate_accepted(a, 4))
         for w in all_words(a.input_alphabet, a.output_alphabet, 4):
             assert (w in lang) == nfa_accepts_naive(a, w)
+
+
+@st.composite
+def partial_dfas(draw):
+    """A partial 2-6-state DFA over inputs {a, b} and outputs {d, e}."""
+    states = [f"q{j}" for j in range(draw(st.integers(min_value=2, max_value=6)))]
+    keys = [(p, tape, sym) for p in states for tape, sym in
+            (("i", "a"), ("i", "b"), ("o", "d"), ("o", "e"))]
+    edges = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(states)))
+    finals = draw(st.sets(st.sampled_from(states)))
+    return mk_nfa(
+        {"a", "b"}, {"d", "e"}, states[0], finals,
+        [(p, tape, sym, q) for (p, tape, sym), q in edges.items()],
+        cls=Dfa,
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(partial_dfas())
+def test_minimize_is_the_minimal_dfa(d):
+    """Same language, a fixpoint byte for byte, and no two states equivalent;
+    the empty language gives one state without finals."""
+    m = minimize(d)
+    assert language_equal(m, d)[0]
+    if is_empty(d)[0]:
+        assert len(m.states) == 1 and not m.finals
+    assert serialize.dumps(minimize(m)) == serialize.dumps(m)
+    for p, q in combinations(sorted(m.states), 2):
+        assert not language_equal(replace(m, initial=p), replace(m, initial=q))[0], (p, q)
+
+
+def test_minimize_empty_language_is_one_state():
+    for finals, edges in (((), [("q0", "i", "a", "q1")]), (("q2",), [("q0", "i", "a", "q1")])):
+        m = minimize(mk_nfa({"a"}, {"d"}, "q0", finals, edges, cls=Dfa))
+        assert len(m.states) == 1 and not m.finals and not m.transitions
+
+
+def test_minimize_merges_equivalent_states():
+    """Two copies of (a d)* collapse into one two-state cycle."""
+    d = mk_nfa(
+        {"a"}, {"d"}, "q0", {"q0", "q2"},
+        [("q0", "i", "a", "q1"), ("q1", "o", "d", "q2"), ("q2", "i", "a", "q3"),
+         ("q3", "o", "d", "q0")],
+        cls=Dfa,
+    )
+    assert len(minimize(d).states) == 2

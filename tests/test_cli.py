@@ -1,8 +1,14 @@
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from syncsynth import serialize
+from syncsynth.canonical import canonicalize
 from syncsynth.cli import main
 from syncsynth.letters import Tape
 
@@ -204,6 +210,59 @@ def test_decide_cap_sets_only_the_closure_cap(files, capsys, monkeypatch):
     s_path, t_path = files
     assert main(["decide", str(s_path), str(t_path), "--cap", "3"]) == 2
     assert configs == [PipelineConfig(closure_cap=3)]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_cap_must_be_a_positive_integer(files, capsys, monkeypatch, value):
+    """A bad cap, from --cap or SYNCSYNTH_CAP, is a usage error: not a
+    traceback that exits 1 (read as NO), nor a silent default for 0."""
+    s_path, t_path = files
+    assert main(["decide", str(s_path), str(t_path), "--cap", value]) == 3
+    assert "positive integer" in capsys.readouterr().err
+    monkeypatch.setenv("SYNCSYNTH_CAP", value)
+    for command in ("decide", "profiles"):
+        assert main([command, str(s_path), str(t_path)]) == 3
+        assert "positive integer" in capsys.readouterr().err
+
+
+def test_state_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, abst_T):
+    """A state cap hit by canon, resync or profiles exits 2 and names the
+    construction, as it does for decide."""
+    from syncsynth import cli as cli_module
+
+    monkeypatch.setattr(cli_module, "canonicalize", functools.partial(canonicalize, state_cap=10))
+    s_path = tmp_path / "s.json"
+    t_path = tmp_path / "t.json"
+    s_path.write_text(serialize.dumps(abst_S), encoding="utf-8")
+    t_path.write_text(serialize.dumps(abst_T), encoding="utf-8")
+    for command in (
+        ["canon", str(s_path)],
+        ["resync", str(s_path), str(t_path), "--bound-k", "2"],
+        ["profiles", str(s_path), str(t_path)],
+    ):
+        assert main(command) == 2, command[0]
+        assert "state cap: canonicalize: " in capsys.readouterr().err
+
+
+def test_canon_and_decide_are_hash_seed_independent(files):
+    """`canon` prints the minimal canonical DFA, and `decide` its verdict,
+    with the same bytes under every hash seed."""
+    root = Path(__file__).resolve().parent.parent
+    s_path, t_path = files
+    for command in (["canon", str(s_path)],
+                    ["decide", str(s_path), str(t_path), "--bound-k", "3"]):
+        outputs = set()
+        for seed in ("0", "7", "99"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+            done = subprocess.run(
+                [sys.executable, "-m", "syncsynth.cli", *command],
+                cwd=root, env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, command[0]
+        if command[0] == "canon":
+            assert len(serialize.loads(outputs.pop()).states) == 14
 
 
 def test_decide_rec_machine_verifies(tmp_path, capsys, ann_S, ann_T):

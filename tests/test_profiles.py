@@ -4,6 +4,7 @@ import pytest
 
 from syncsynth.canonical import CanonicalDfa, canonical_sync
 from syncsynth.letters import Tape, inp, out
+from syncsynth.pipeline import PipelineConfig
 from syncsynth.profiles import (
     _AnnBuilder,
     _Ctx,
@@ -25,6 +26,8 @@ from syncsynth.profiles import (
     tau,
 )
 from syncsynth.trees import LabeledTree, node_ids, reduce_tree, tree
+
+CAP = PipelineConfig.closure_cap
 
 
 @pytest.fixture(scope="module")
@@ -349,7 +352,7 @@ def test_find_idempotent_factor_abst(abst):
 
 def test_profile_closure_input(abst):
     a, b = abst
-    closure = profile_closure(2, a, b, Tape.INPUT)
+    closure = profile_closure(2, a, b, Tape.INPUT, cap=CAP)
     # cross-check: distinct profiles among enumerated words up to radius + 1
     radius = closure.max_rep_length + 1
     distinct = set()
@@ -360,7 +363,7 @@ def test_profile_closure_input(abst):
 
 def test_profile_closure_output(ann):
     a, b = ann
-    closure = profile_closure(2, a, b, Tape.OUTPUT)
+    closure = profile_closure(2, a, b, Tape.OUTPUT, cap=CAP)
     radius = closure.max_rep_length + 1
     distinct = set()
     for w in words_over(("c",), range(0, radius + 1)):
@@ -382,7 +385,7 @@ def test_ramsey_bound_values():
 
 def test_compute_k(abst):
     a, b = abst
-    bound = compute_k(2, 1, a, b)
+    bound = compute_k(2, 1, a, b, closure_cap=CAP)
     assert bound.r1 > 1 and bound.r2 > 1
     assert bound.k == bound.r1 + bound.r2
 
@@ -398,7 +401,7 @@ def test_compute_k_clamps():
 def test_idempotent_guarantee_short_words(abst):
     """Every sufficiently long input word has an idempotent factor."""
     a, b = abst
-    closure = profile_closure(2, a, b, Tape.INPUT)
+    closure = profile_closure(2, a, b, Tape.INPUT, cap=CAP)
     threshold = (len(closure.profiles) + 1) ** 2
     length = min(threshold, 12)
     word = tuple("a" * length)
@@ -435,7 +438,7 @@ def test_idempotent_guarantee_two_letter_sampled(ann):
     import random
 
     a, b = ann
-    closure = profile_closure(2, a, b, Tape.INPUT)
+    closure = profile_closure(2, a, b, Tape.INPUT, cap=CAP)
     r1 = ramsey_bound(len(closure.profiles))
     rng = random.Random(20260810)
     for _ in range(3):
