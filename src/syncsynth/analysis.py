@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .automata import Dfa, Nfa, concat, inclusion, trim
+from .automata import Dfa, Nfa, concat, inclusion, shortest_word, trim
 from .letters import Letter, SyncWord, Tape, inp, out
 
 
@@ -110,33 +110,15 @@ def _scc(nodes, succ) -> tuple[list[list], dict]:
 
 
 def _bfs_word(a: Nfa, sources, targets, allowed=None) -> Optional[tuple[str, SyncWord]]:
-    """Shortest word from any source to any target; returns (source, word)."""
+    """Shortest word from any source to any target, entering only states in
+    `allowed` when given; returns (source, word)."""
     targets = set(targets)
-    parents: dict = {}
-    queue = deque()
-    for s in sources:
-        parents[s] = None
-        queue.append(s)
-        if s in targets:
-            return s, ()
-    while queue:
-        p = queue.popleft()
-        for letter, q in a.out_edges(p):
-            if allowed is not None and q not in allowed:
-                continue
-            if q in parents:
-                continue
-            parents[q] = (p, letter)
-            if q in targets:
-                wrd = []
-                cur = q
-                while parents[cur] is not None:
-                    prev, l = parents[cur]
-                    wrd.append(l)
-                    cur = prev
-                return cur, tuple(reversed(wrd))
-            queue.append(q)
-    return None
+    found = shortest_word(
+        sources,
+        lambda p: [(l, q) for l, q in a.out_edges(p) if allowed is None or q in allowed],
+        targets.__contains__,
+    )
+    return None if found is None else found[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -200,35 +182,17 @@ def shift_finiteness(a: Nfa) -> ShiftCertificate:
     return ShiftCertificate(finite=True, bound=max(best, default=0))
 
 
-def _enriched_nfa(t: Nfa, edges: dict) -> Nfa:
-    """View the enriched graph as an Nfa for BFS helpers (finals: any tag of finals)."""
-    nodes = set(edges.keys())
-    for lst in edges.values():
-        nodes.update(e[1] for e in lst)
-    name = {n: f"{n[0]}#{n[1]}" for n in nodes}
-    return Nfa(
-        input_alphabet=t.input_alphabet,
-        output_alphabet=t.output_alphabet,
-        states=frozenset(name.values()),
-        initial=name[(t.initial, None)],
-        transitions=frozenset(
-            (name[n], letter, name[nxt]) for n, lst in edges.items() for letter, nxt, _ in lst
-        ),
-        finals=frozenset(name[n] for n in nodes if n[0] in t.finals),
-    )
-
-
 def _shift_witness(t: Nfa, edges: dict, node, letter, nxt) -> ShiftWitness:
-    enriched = _enriched_nfa(t, edges)
+    """Pump the shift edge node -letter-> nxt, which lies on a cycle of the
+    enriched graph `edges`."""
 
-    def nm(n):
-        return f"{n[0]}#{n[1]}"
+    def path(start, is_goal) -> SyncWord:
+        return shortest_word([start], lambda n: [e[:2] for e in edges.get(n, ())], is_goal)[1]
 
-    _, prefix = _bfs_word(enriched, [enriched.initial], [nm(node)])
-    _, back = _bfs_word(enriched, [nm(nxt)], [nm(node)])
-    cycle = (letter,) + back
-    _, suffix = _bfs_word(enriched, [nm(node)], enriched.finals)
-    return ShiftWitness(prefix=prefix, cycle=cycle, suffix=suffix)
+    prefix = path((t.initial, None), node.__eq__)
+    back = path(nxt, node.__eq__)
+    suffix = path(node, lambda n: n[0] in t.finals)
+    return ShiftWitness(prefix=prefix, cycle=(letter,) + back, suffix=suffix)
 
 
 # ---------------------------------------------------------------------------
@@ -378,27 +342,25 @@ def _shiftlag_witness_search(t: Nfa) -> Optional[ShiftlagWitness]:
             if comp_of[p] != comp_of[q]:
                 comp_succ.setdefault(comp_of[p], set()).add(comp_of[q])
     for lag_idx in sorted(lag_comps):
-        seen = {lag_idx}
-        queue = deque([lag_idx])
-        while queue:
-            c = queue.popleft()
-            if c in shift_comps:
-                s1, lag_cycle = lag_comps[lag_idx]
-                s2, shift_cycle = shift_comps[c]
-                _, prefix = _bfs_word(t, [t.initial], [s1])
-                _, mid = _bfs_word(t, [s1], [s2])
-                _, suffix = _bfs_word(t, [s2], t.finals)
-                return ShiftlagWitness(
-                    prefix=prefix,
-                    lag_cycle=lag_cycle,
-                    mid=mid,
-                    shift_cycle=shift_cycle,
-                    suffix=suffix,
-                )
-            for nxt in sorted(comp_succ.get(c, ())):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+        found = shortest_word(
+            [lag_idx],
+            lambda c: [(None, d) for d in sorted(comp_succ.get(c, ()))],
+            shift_comps.__contains__,
+        )
+        if found is None:
+            continue
+        s1, lag_cycle = lag_comps[lag_idx]
+        s2, shift_cycle = shift_comps[found[2]]
+        _, prefix = _bfs_word(t, [t.initial], [s1])
+        _, mid = _bfs_word(t, [s1], [s2])
+        _, suffix = _bfs_word(t, [s2], t.finals)
+        return ShiftlagWitness(
+            prefix=prefix,
+            lag_cycle=lag_cycle,
+            mid=mid,
+            shift_cycle=shift_cycle,
+            suffix=suffix,
+        )
     return None
 
 
@@ -549,28 +511,20 @@ def parikh_injective(a: Nfa, counter_bound: Optional[int] = None) -> tuple[bool,
         tag_edges.setdefault(p, set()).add((int(letter.tape), q))
     if counter_bound is None:
         counter_bound = (len(t.states) ** 2) ** 2
-    start = (t.initial, t.initial, 0, False)
-    parents: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
+    def successors(node):
         p1, p2, d, diff = node
-        if p1 in t.finals and p2 in t.finals and d == 0 and diff:
-            w1, w2 = [], []
-            cur = node
-            while parents[cur] is not None:
-                prev, (t1, t2) = parents[cur]
-                w1.append(t1)
-                w2.append(t2)
-                cur = prev
-            return False, (tuple(reversed(w1)), tuple(reversed(w2)))
         for t1, q1 in sorted(tag_edges.get(p1, ())):
             for t2, q2 in sorted(tag_edges.get(p2, ())):
                 nd = d + (1 if t1 == 1 else 0) - (1 if t2 == 1 else 0)
-                if abs(nd) > counter_bound:
-                    continue
-                nxt = (q1, q2, nd, diff or (t1 != t2))
-                if nxt not in parents:
-                    parents[nxt] = (node, (t1, t2))
-                    queue.append(nxt)
-    return True, None
+                if abs(nd) <= counter_bound:
+                    yield (t1, t2), (q1, q2, nd, diff or (t1 != t2))
+
+    def is_goal(node):
+        p1, p2, d, diff = node
+        return p1 in t.finals and p2 in t.finals and d == 0 and diff
+
+    found = shortest_word([(t.initial, t.initial, 0, False)], successors, is_goal)
+    if found is None:
+        return True, None
+    pairs = found[1]
+    return False, (tuple(t1 for t1, _ in pairs), tuple(t2 for _, t2 in pairs))

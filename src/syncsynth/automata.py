@@ -323,28 +323,45 @@ def product(a: Nfa, b: Nfa) -> Nfa:
     )
 
 
+def shortest_word(starts: Iterable, successors: Callable, is_goal: Callable) -> Optional[tuple]:
+    """Breadth-first search from `starts` to the nearest node with `is_goal`.
+
+    Nodes are any hashable values. `successors(node)` yields (label, next)
+    pairs in a fixed order, and starts are tried in the order given, so the
+    path found, the first shortest one in that order, is the same on every
+    run. Returns (start, labels, goal) for that path, or None when no goal is
+    reachable.
+    """
+    parents: dict = {}
+    queue = deque()
+    for start in starts:
+        if start in parents:
+            continue
+        parents[start] = None
+        if is_goal(start):
+            return start, (), start
+        queue.append(start)
+    while queue:
+        node = queue.popleft()
+        for label, nxt in successors(node):
+            if nxt in parents:
+                continue
+            parents[nxt] = (node, label)
+            if is_goal(nxt):
+                labels = []
+                cur = nxt
+                while parents[cur] is not None:
+                    cur, label = parents[cur]
+                    labels.append(label)
+                return cur, tuple(reversed(labels)), nxt
+            queue.append(nxt)
+    return None
+
+
 def is_empty(a: Nfa) -> tuple[bool, Optional[SyncWord]]:
     """Emptiness with a shortest witness on the non-empty side (BFS, sorted edges)."""
-    if a.initial in a.finals:
-        return False, ()
-    parents: dict = {a.initial: None}
-    queue = deque([a.initial])
-    while queue:
-        p = queue.popleft()
-        for letter, q in a.out_edges(p):
-            if q in parents:
-                continue
-            parents[q] = (p, letter)
-            if q in a.finals:
-                w = []
-                cur = q
-                while parents[cur] is not None:
-                    prev, l = parents[cur]
-                    w.append(l)
-                    cur = prev
-                return False, tuple(reversed(w))
-            queue.append(q)
-    return True, None
+    found = shortest_word([a.initial], a.out_edges, lambda q: q in a.finals)
+    return (True, None) if found is None else (False, found[1])
 
 
 def reachable_states(a: Nfa) -> frozenset:
@@ -399,40 +416,27 @@ def inclusion(a: Nfa, b: Nfa) -> tuple[bool, Optional[SyncWord]]:
     Explores a's states against b's subsets lazily, so b is determinized
     only along words of a.
     """
-    start = (a.initial, frozenset({b.initial}))
-    parents: dict = {start: None}
-    queue = deque([start])
 
-    def witness_for(node) -> SyncWord:
-        w = []
-        cur = node
-        while parents[cur] is not None:
-            prev, letter = parents[cur]
-            w.append(letter)
-            cur = prev
-        return tuple(reversed(w))
-
-    while queue:
-        node = queue.popleft()
+    def successors(node):
         pa, subset = node
-        if pa in a.finals and not (subset & b.finals):
-            return False, witness_for(node)
         for letter in a.alphabet:
-            b_next = b.step_set(subset, letter)
-            for qa in sorted(a.successors(pa, letter)):
-                nxt = (qa, b_next)
-                if nxt not in parents:
-                    parents[nxt] = (node, letter)
-                    queue.append(nxt)
-    return True, None
+            targets = a.successors(pa, letter)
+            if targets:
+                b_next = b.step_set(subset, letter)
+                for qa in sorted(targets):
+                    yield letter, (qa, b_next)
+
+    found = shortest_word(
+        [(a.initial, frozenset({b.initial}))],
+        successors,
+        lambda node: node[0] in a.finals and not (node[1] & b.finals),
+    )
+    return (True, None) if found is None else (False, found[1])
 
 
 def language_equal(a: Nfa, b: Nfa) -> tuple[bool, Optional[SyncWord]]:
     ok, w = inclusion(a, b)
-    if not ok:
-        return False, w
-    ok, w = inclusion(b, a)
-    return (True, None) if ok else (False, w)
+    return inclusion(b, a) if ok else (False, w)
 
 
 def tape_closure(a: Nfa, tape: Tape) -> dict:
@@ -610,36 +614,29 @@ def explore_nfa(
     )
 
 
-def pair_sync_nfa(
-    u: Sequence[str], v: Sequence[str], input_alphabet: Iterable[str], output_alphabet: Iterable[str]
-) -> Nfa:
-    """All synchronizations of the single pair (u, v): a grid automaton."""
-    states = {}
-    for i in range(len(u) + 1):
-        for j in range(len(v) + 1):
-            states[(i, j)] = f"g{i},{j}"
-    transitions = set()
-    for i in range(len(u) + 1):
-        for j in range(len(v) + 1):
-            if i < len(u):
-                transitions.add((states[(i, j)], inp(u[i]), states[(i + 1, j)]))
-            if j < len(v):
-                transitions.add((states[(i, j)], out(v[j]), states[(i, j + 1)]))
-    return Nfa(
-        input_alphabet=frozenset(input_alphabet) | set(u),
-        output_alphabet=frozenset(output_alphabet) | set(v),
-        states=frozenset(states.values()),
-        initial=states[(0, 0)],
-        transitions=frozenset(transitions),
-        finals=frozenset({states[(len(u), len(v))]}),
-    )
-
-
 def pair_in_relation(a: Nfa, u: Sequence[str], v: Sequence[str]) -> bool:
-    """Whether (u, v) is a pair of the relation recognized by a's synchronizations."""
-    grid = pair_sync_nfa(u, v, a.input_alphabet, a.output_alphabet)
-    empty, _ = is_empty(product(grid, a))
-    return not empty
+    """Whether (u, v) is a pair of the relation recognized by a's synchronizations.
+
+    Searches a's runs along the interleavings of u and v lazily, over nodes
+    (input letters read, output letters read, state); no automaton is built.
+    """
+
+    def successors(node):
+        i, j, q = node
+        if i < len(u):
+            letter = inp(u[i])
+            for q2 in a.successors(q, letter):
+                yield letter, (i + 1, j, q2)
+        if j < len(v):
+            letter = out(v[j])
+            for q2 in a.successors(q, letter):
+                yield letter, (i, j + 1, q2)
+
+    done = (len(u), len(v))
+    found = shortest_word(
+        [(0, 0, a.initial)], successors, lambda node: node[:2] == done and node[2] in a.finals
+    )
+    return found is not None
 
 
 def enumerate_accepted(a: Nfa, max_len: int) -> Iterator[SyncWord]:
