@@ -511,6 +511,7 @@ def parikh_injective(a: Nfa, counter_bound: Optional[int] = None) -> tuple[bool,
         tag_edges.setdefault(p, set()).add((int(letter.tape), q))
     if counter_bound is None:
         counter_bound = (len(t.states) ** 2) ** 2
+
     def successors(node):
         p1, p2, d, diff = node
         for t1, q1 in sorted(tag_edges.get(p1, ())):

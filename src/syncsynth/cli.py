@@ -6,6 +6,7 @@ input error (including instances outside the decidable fragment).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -13,6 +14,8 @@ import sys
 from . import serialize
 from .analysis import (
     BoundExhausted,
+    ShiftWitness,
+    ShiftlagWitness,
     parikh_injective,
     shift_finiteness,
     shiftlag_finiteness,
@@ -51,29 +54,24 @@ def _print_json(obj, out_path=None):
     _emit(json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=True) + "\n", out_path)
 
 
+def _witness_doc(witness) -> dict:
+    """A pumpable shift or shiftlag witness: each of its words by field name."""
+    return {f.name: _word_doc(getattr(witness, f.name)) for f in dataclasses.fields(witness)}
+
+
 def _cert_doc(cert) -> dict:
     if hasattr(cert, "verdict"):  # shiftlag
         doc = {"verdict": cert.verdict}
         if cert.is_finite:
             doc.update(m=cert.m, nu=cert.nu)
         else:
-            doc["witness"] = {
-                "prefix": _word_doc(cert.witness.prefix),
-                "lag_cycle": _word_doc(cert.witness.lag_cycle),
-                "mid": _word_doc(cert.witness.mid),
-                "shift_cycle": _word_doc(cert.witness.shift_cycle),
-                "suffix": _word_doc(cert.witness.suffix),
-            }
+            doc["witness"] = _witness_doc(cert.witness)
         return doc
     doc = {"verdict": "finite" if cert.finite else "infinite"}
     if cert.finite:
         doc["bound"] = cert.bound
     else:
-        doc["witness"] = {
-            "prefix": _word_doc(cert.witness.prefix),
-            "cycle": _word_doc(cert.witness.cycle),
-            "suffix": _word_doc(cert.witness.suffix),
-        }
+        doc["witness"] = _witness_doc(cert.witness)
     return doc
 
 
@@ -256,7 +254,9 @@ def _verdict_doc(verdict: Verdict) -> dict:
         },
         "stats": {k: v for k, v in verdict.stats.items()},
     }
-    if verdict.witness is not None:
+    if isinstance(verdict.witness, (ShiftWitness, ShiftlagWitness)):
+        doc["witness"] = _witness_doc(verdict.witness)
+    elif verdict.witness is not None:
         try:
             doc["witness"] = _word_doc(verdict.witness)
         except (TypeError, AttributeError):
@@ -287,16 +287,20 @@ def _run_decide(args, recognizable: bool) -> int:
     return verdict.exit_code
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"the cap (--cap or SYNCSYNTH_CAP) must be a positive integer, not {text!r}"
-        )
-    return value
+def _positive_int(what: str):
+    """An argparse type for a positive integer; `what` names the setting in
+    the usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"{what} must be a positive integer, not {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,12 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     options = {
         "--bound-k": dict(type=int, default=None, help="output-block cap override"),
-        "--depth": dict(type=int, default=8, help="verification enumeration depth"),
+        "--depth": dict(
+            type=_positive_int("the verification depth (--depth)"),
+            default=PipelineConfig.depth,
+            help="verification enumeration depth (default %(default)s)",
+        ),
         "--format": dict(choices=("json", "dot"), default="json"),
         # argparse converts a string default with `type`, so a bad
         # SYNCSYNTH_CAP is a usage error like a bad --cap
         "--cap": dict(
-            type=_positive_int,
+            type=_positive_int("the cap (--cap or SYNCSYNTH_CAP)"),
             default=os.environ.get("SYNCSYNTH_CAP") or PipelineConfig.closure_cap,
             help="profile closure cap (default %(default)s; SYNCSYNTH_CAP sets the default)",
         ),

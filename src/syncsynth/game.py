@@ -18,9 +18,9 @@ from .automata import (
     END_OUT,
     Nfa,
     SequentialDfa,
-    coreachable_states,
     determinize,
     inclusion,
+    minimize,
     project_input,
 )
 from .letters import SyncWord, inp, out
@@ -64,14 +64,14 @@ class Strategy:
 
 
 def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
-    """Arena over the determinization of the endmarked language and of its
-    input projection; the input player advances both, emissions advance the
-    word automaton only."""
+    """Arena over the minimal DFAs of the endmarked language and of its input
+    projection; the input player advances both, emissions advance the word
+    automaton only. Both DFAs are trim, so a missing edge is the only way out
+    of either language."""
     if END_IN not in s_prime.input_alphabet or END_OUT not in s_prime.output_alphabet:
         raise MissingEndmarkers("build_arena expects an endmarked language")
-    p_dfa = determinize(s_prime)
-    d_dfa = determinize(project_input(s_prime))
-    d_alive = coreachable_states(d_dfa)
+    p_dfa = minimize(determinize(s_prime))
+    d_dfa = minimize(determinize(project_input(s_prime)))
     if cap is None:
         cap = len(p_dfa.states) * len(d_dfa.states) + 1
 
@@ -102,7 +102,7 @@ def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
             _, p, d, phase = v
             for a in base_inputs:
                 d2 = d_dfa.delta(d, inp(a))
-                if d2 is None or d2 not in d_alive:
+                if d2 is None:
                     out_moves.append((("play", a), ("win",)))
                     continue
                 p2 = p_dfa.delta(p, inp(a))
@@ -382,12 +382,15 @@ def verify_uniformizer(
     machine: SequentialDfa, s: Nfa, t: Nfa, depth: int = 6
 ) -> VerificationReport:
     """Containment in the target plus, by bounded enumeration, exactly one
-    accepted word per live input with its pair inside the source relation."""
+    accepted word per live input with its pair inside the source relation.
+    Raises ValueError when `depth` is below 1, which would check no input."""
     import itertools
 
     from .automata import pair_in_relation
     from .letters import decode
 
+    if depth < 1:
+        raise ValueError("enumeration depth must be at least 1")
     checks = []
     failures = []
 

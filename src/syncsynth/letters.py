@@ -7,7 +7,7 @@ pair it synchronizes.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class Tape(IntEnum):
@@ -37,18 +37,6 @@ def out(symbol: str) -> Letter:
     return Letter(Tape.OUTPUT, symbol)
 
 
-def word(letters: Iterable[Letter]) -> SyncWord:
-    return tuple(letters)
-
-
-def input_word(symbols: Iterable[str]) -> SyncWord:
-    return tuple(inp(s) for s in symbols)
-
-
-def output_word(symbols: Iterable[str]) -> SyncWord:
-    return tuple(out(s) for s in symbols)
-
-
 def tags(w: Sequence[Letter]) -> tuple[int, ...]:
     """Tape projection of a word, as a sequence over {1, 2}."""
     return tuple(int(l.tape) for l in w)
@@ -67,13 +55,6 @@ def decode(w: Sequence[Letter]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return project_input(w), project_output(w)
 
 
-def convolve(tag_seq: Sequence[int], symbols: Sequence[str]) -> SyncWord:
-    """Rebuild a word from its tape tags and its symbol sequence."""
-    if len(tag_seq) != len(symbols):
-        raise ValueError("tag and symbol sequences differ in length")
-    return tuple(Letter(Tape(t), s) for t, s in zip(tag_seq, symbols))
-
-
 def recompose(tag_seq: Sequence[int], pair: tuple[Sequence[str], Sequence[str]]) -> SyncWord:
     """Interleave a pair of words following the given tag sequence."""
     u, v = list(pair[0]), list(pair[1])
@@ -89,7 +70,3 @@ def recompose(tag_seq: Sequence[int], pair: tuple[Sequence[str], Sequence[str]])
             letters.append(out(v[j]))
             j += 1
     return tuple(letters)
-
-
-def format_word(w: Sequence[Letter]) -> str:
-    return "".join(f"({int(l.tape)},{l.symbol})" for l in w) if w else "ε"

@@ -187,6 +187,7 @@ def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) 
         return Verdict(
             answer=REJECTED,
             reason="source language has infinite shift",
+            witness=cert.witness,
             stats=stats,
         )
     s = trim(s)

@@ -32,7 +32,7 @@ from syncsynth.automata import (
 from syncsynth.letters import decode, inp, out, recompose, tags
 
 from .conftest import mk_nfa, tag_family
-from .oracles import all_words, language_upto, nfa_accepts_naive
+from .oracles import all_words, decode_naive, language_upto, nfa_accepts_naive
 
 A = inp("a")
 B = inp("b")
@@ -306,3 +306,63 @@ def test_minimize_merges_equivalent_states():
         cls=Dfa,
     )
     assert len(minimize(d).states) == 2
+
+
+SEARCH_DEPTH = 4  # brute-force word length; every 2-5-state NFA's shortest word fits
+
+
+@st.composite
+def nfa_pairs(draw):
+    """Two nondeterministic 2-5-state NFAs over inputs {a, b} and outputs {d, e}."""
+    letters = [("i", "a"), ("i", "b"), ("o", "d"), ("o", "e")]
+
+    def nfa():
+        states = [f"q{j}" for j in range(draw(st.integers(min_value=2, max_value=5)))]
+        edges = draw(st.lists(
+            st.tuples(st.sampled_from(states), st.sampled_from(letters), st.sampled_from(states)),
+            max_size=10, unique=True,
+        ))
+        finals = draw(st.sets(st.sampled_from(states)))
+        return mk_nfa(
+            {"a", "b"}, {"d", "e"}, states[0], finals,
+            [(p, tape, sym, q) for p, (tape, sym), q in edges],
+        )
+
+    return nfa(), nfa()
+
+
+def _check_shortest(holds, witness, words, is_word):
+    """A search answer against `words`, every wanted word of at most
+    SEARCH_DEPTH letters: no witness when it holds, else a wanted witness
+    with no shorter wanted word."""
+    if holds:
+        assert witness is None and not words
+        return
+    assert is_word(witness)
+    assert not [w for w in words if len(w) < len(witness)], witness
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    nfa_pairs(),
+    st.lists(
+        st.tuples(st.lists(st.sampled_from("ab"), max_size=2), st.lists(st.sampled_from("de"), max_size=2)),
+        max_size=4,
+    ),
+)
+def test_searches_match_brute_force(pair, queries):
+    """is_empty, inclusion and pair_in_relation on random nondeterministic
+    automata: shortest witnesses and exact pair membership."""
+    a, b = pair
+    lang_a = language_upto(a, SEARCH_DEPTH)
+    lang_b = language_upto(b, SEARCH_DEPTH)
+    empty, w = is_empty(a)
+    _check_shortest(empty, w, lang_a, lambda w: nfa_accepts_naive(a, w))
+    ok, w = inclusion(a, b)
+    _check_shortest(
+        ok, w, lang_a - lang_b, lambda w: nfa_accepts_naive(a, w) and not nfa_accepts_naive(b, w)
+    )
+    for u, v in queries:
+        pair_ = (tuple(u), tuple(v))
+        expected = any(decode_naive(w) == pair_ for w in lang_a if len(w) == len(u) + len(v))
+        assert pair_in_relation(a, *pair_) == expected, pair_

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from syncsynth import serialize
+from syncsynth.automata import SequentialDfa
 from syncsynth.canonical import canonicalize
 from syncsynth.cli import main
 from syncsynth.letters import Tape
@@ -223,6 +224,35 @@ def test_cap_must_be_a_positive_integer(files, capsys, monkeypatch, value):
     for command in ("decide", "profiles"):
         assert main([command, str(s_path), str(t_path)]) == 3
         assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_depth_must_be_a_positive_integer(files, tmp_path, capsys, value):
+    """A depth below 1 would verify no input, so a machine accepting nothing
+    would pass; each command that reads --depth refuses it as a usage error."""
+    s_path, t_path = files
+    empty = mk_nfa({"a", "b", "c"}, {"d", "e"}, "m0", set(), [], cls=SequentialDfa,
+                   input_states={"m0"})
+    machine_path = tmp_path / "machine.json"
+    machine_path.write_text(serialize.dumps(empty), encoding="utf-8")
+    assert main(["verify", str(machine_path), str(s_path), str(t_path), "--depth", "3"]) == 1
+    capsys.readouterr()
+    for argv in (["verify", str(machine_path)], ["decide"], ["decide-rec"]):
+        assert main([*argv, str(s_path), str(t_path), "--depth", value]) == 3, argv
+        assert "--depth" in capsys.readouterr().err
+
+
+def test_rejected_witness_is_structured(tmp_path, capsys, intro_T):
+    """decide prints a REJECTED source's shiftlag witness as classify does,
+    and decide-rec its shift witness."""
+    path = tmp_path / "t.json"
+    path.write_text(serialize.dumps(intro_T), encoding="utf-8")
+    assert main(["classify", str(path)]) == 0
+    classified = json.loads(capsys.readouterr().out)
+    assert main(["decide", str(path), str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["witness"] == classified["shiftlag"]["witness"]
+    assert main(["decide-rec", str(path), str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["witness"] == classified["shift"]["witness"]
 
 
 def test_state_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, abst_T):

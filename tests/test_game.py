@@ -14,6 +14,7 @@ from syncsynth.automata import (
     accepts,
     enumerate_accepted,
     inclusion,
+    minimize,
 )
 from syncsynth.game import (
     MissingEndmarkers,
@@ -318,3 +319,16 @@ def test_synthesized_machine_is_hash_seed_independent(tmp_path):
 def test_verify_passes_intro_uniformizer(intro_U, intro_S, intro_T):
     report = verify_uniformizer(intro_U, intro_S, intro_T, depth=4)
     assert report.ok, report.failures
+
+
+def test_verify_refuses_a_depth_below_one(intro_U, intro_S, intro_T):
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth"):
+            verify_uniformizer(intro_U, intro_S, intro_T, depth=depth)
+
+
+def test_arena_plays_on_minimal_dfas(corpus):
+    for name, lang, _ in corpus:
+        arena = build_arena(lang)
+        for dfa in (arena.p_dfa, arena.d_dfa):
+            assert serialize.dumps(minimize(dfa)) == serialize.dumps(dfa), name
