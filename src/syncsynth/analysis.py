@@ -12,8 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .automata import Dfa, Nfa, concat, inclusion, shortest_word, trim
-from .letters import Letter, SyncWord, Tape, inp, out
+from .automata import Dfa, Nfa, concat, explore_nfa, inclusion, shortest_word, trim
+from .letters import Letter, SyncWord, Tape
 
 
 class BoundExhausted(RuntimeError):
@@ -296,9 +296,10 @@ def _find_shift_cycle(t: Nfa, comp: list) -> Optional[tuple[str, SyncWord]]:
     return p1, (l1,) + w1 + (l2,) + w2
 
 
-def shiftlag_finiteness(a: Nfa, cap: Optional[int] = None) -> ShiftlagCertificate:
+def shiftlag_finiteness(a: Nfa) -> ShiftlagCertificate:
     """Infinite iff the SCC search finds a pumpable witness; otherwise finite,
-    certified by the least m <= cap whose lag bound covers the language.
+    certified by the least m <= (states + 1)² whose lag bound covers the
+    language.
 
     Covering is monotone in m (both the lag bound and the block count grow),
     so a galloping search finds the same m as a scan from 1.
@@ -308,8 +309,7 @@ def shiftlag_finiteness(a: Nfa, cap: Optional[int] = None) -> ShiftlagCertificat
     witness = _shiftlag_witness_search(t)
     if witness is not None:
         return ShiftlagCertificate(verdict="infinite", witness=witness, state_count=n_states)
-    if cap is None:
-        cap = (n_states + 1) ** 2
+    cap = (n_states + 1) ** 2
     m = least_true(lambda m: lag_blocks_cover(t, certificate_lag_bound(m, n_states), m), 1, cap)
     if m is None:
         raise BoundExhausted(f"no shiftlag conclusion within m <= {cap}")
@@ -413,86 +413,49 @@ def least_true(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
 
 
 def build_lag_bounded(nu: int, input_alphabet, output_alphabet) -> Dfa:
-    """Complete DFA of all words whose every prefix is at most nu-lagged."""
-    states = {d: f"l{d}" for d in range(-nu, nu + 1)}
-    sink = "sink"
-    letters = [inp(s) for s in sorted(input_alphabet)] + [out(s) for s in sorted(output_alphabet)]
-    transitions = set()
-    for d, name in states.items():
-        for letter in letters:
-            nd = d + (1 if letter.tape is Tape.INPUT else -1)
-            target = states.get(nd, sink)
-            transitions.add((name, letter, target))
-    for letter in letters:
-        transitions.add((sink, letter, sink))
-    return Dfa(
-        input_alphabet=frozenset(input_alphabet),
-        output_alphabet=frozenset(output_alphabet),
-        states=frozenset(states.values()) | {sink},
-        initial=states[0],
-        transitions=frozenset(transitions),
-        finals=frozenset(states.values()),
-        complete=True,
+    """Complete DFA of all words whose every prefix is at most nu-lagged.
+
+    A state is the prefix imbalance, or "sink" once it exceeds nu."""
+
+    def step(d, letter):
+        if d == "sink":
+            return ("sink",)
+        d += 1 if letter.tape is Tape.INPUT else -1
+        return (d if abs(d) <= nu else "sink",)
+
+    return explore_nfa(
+        0,
+        step,
+        lambda d: d != "sink",
+        input_alphabet,
+        output_alphabet,
+        prefix="l",
+        build=lambda **fields: Dfa(**fields, complete=True),
     )
 
 
 def build_blocks(n: int, output_cap: Optional[int], input_alphabet, output_alphabet) -> Nfa:
     """NFA for at most n blocks, each any input word or an output word of length
-    at most output_cap (None = unbounded)."""
+    at most output_cap (None = unbounded).
+
+    A state is (blocks opened, tape of the open block, output letters in it);
+    a letter continues the open block or opens the next one."""
     if n < 0:
         raise ValueError("block count must be >= 0")
-    start = "b0"
-    states = {start}
-    transitions = set()
-    ins = [inp(s) for s in sorted(input_alphabet)]
-    outs = [out(s) for s in sorted(output_alphabet)]
 
-    def in_state(j):
-        return f"b{j}i"
+    def step(state, letter):
+        used, tape, filled = state
+        # output letters are counted only against a cap
+        grow = int(letter.tape is Tape.OUTPUT and output_cap is not None)
+        nxt = []
+        if letter.tape is tape and (not grow or filled < output_cap):
+            nxt.append((used, tape, filled + grow))
+        if used < n and (not grow or output_cap >= 1):
+            nxt.append((used + 1, letter.tape, grow))
+        return nxt
 
-    def out_state(j, c):
-        return f"b{j}o{c}" if output_cap is not None else f"b{j}o"
-
-    sources: dict = {start: 0}  # state -> blocks used when control sits there
-    # input-block states
-    for j in range(1, n + 1):
-        states.add(in_state(j))
-        sources[in_state(j)] = j
-        for letter in ins:
-            transitions.add((in_state(j), letter, in_state(j)))
-    # output-block states
-    if output_cap is None:
-        for j in range(1, n + 1):
-            states.add(out_state(j, 1))
-            sources[out_state(j, 1)] = j
-            for letter in outs:
-                transitions.add((out_state(j, 1), letter, out_state(j, 1)))
-    else:
-        for j in range(1, n + 1):
-            for c in range(1, output_cap + 1):
-                states.add(out_state(j, c))
-                sources[out_state(j, c)] = j
-                if c < output_cap:
-                    for letter in outs:
-                        transitions.add((out_state(j, c), letter, out_state(j, c + 1)))
-    # block openings
-    for state, used in sources.items():
-        for j in range(used + 1, n + 1):
-            for letter in ins:
-                transitions.add((state, letter, in_state(j)))
-            if output_cap is None:
-                for letter in outs:
-                    transitions.add((state, letter, out_state(j, 1)))
-            elif output_cap >= 1:
-                for letter in outs:
-                    transitions.add((state, letter, out_state(j, 1)))
-    return Nfa(
-        input_alphabet=frozenset(input_alphabet),
-        output_alphabet=frozenset(output_alphabet),
-        states=frozenset(states),
-        initial=start,
-        transitions=frozenset(transitions),
-        finals=frozenset(states),
+    return explore_nfa(
+        (0, None, 0), step, lambda state: True, input_alphabet, output_alphabet, prefix="b"
     )
 
 
@@ -500,17 +463,17 @@ def build_blocks(n: int, output_cap: Optional[int], input_alphabet, output_alpha
 # Parikh injectivity
 
 
-def parikh_injective(a: Nfa, counter_bound: Optional[int] = None) -> tuple[bool, Optional[tuple]]:
+def parikh_injective(a: Nfa) -> tuple[bool, Optional[tuple]]:
     """Whether no two distinct tag words of the language share a Parikh image.
 
-    Searches the same-length self-product with a bounded running #1 difference.
+    Searches the same-length self-product with its running #1 difference
+    bounded by (states²)².
     """
     t = trim(a)
     tag_edges: dict = {}
     for p, letter, q in t.transitions:
         tag_edges.setdefault(p, set()).add((int(letter.tape), q))
-    if counter_bound is None:
-        counter_bound = (len(t.states) ** 2) ** 2
+    counter_bound = (len(t.states) ** 2) ** 2
 
     def successors(node):
         p1, p2, d, diff = node

@@ -614,6 +614,19 @@ def explore_nfa(
     )
 
 
+def tape_table_dfa(table: dict, initial, input_alphabet, output_alphabet) -> Dfa:
+    """All words along which `table`, mapping (state, tape) to the next
+    state, moves from `initial` by each letter's tape; every state accepts."""
+
+    def step(state, letter):
+        nxt = table.get((state, letter.tape))
+        return () if nxt is None else (nxt,)
+
+    return explore_nfa(
+        initial, step, lambda state: True, input_alphabet, output_alphabet, prefix="s", build=Dfa
+    )
+
+
 def pair_in_relation(a: Nfa, u: Sequence[str], v: Sequence[str]) -> bool:
     """Whether (u, v) is a pair of the relation recognized by a's synchronizations.
 

@@ -27,8 +27,8 @@ from .automata import (
     explore_nfa,
     inclusion,
     minimize,
-    tagged_letters,
     tape_closure,
+    tape_table_dfa,
     trim,
 )
 from .letters import PARTNER, Letter, SyncWord, Tape, inp, out
@@ -61,24 +61,6 @@ SHAPE = {
 }
 
 
-def canonical_shape_dfa(input_alphabet, output_alphabet) -> Dfa:
-    """All words whose tag projection alternates input-first then stays on one tape."""
-    shapes = frozenset(p for p, _ in SHAPE)
-    return Dfa(
-        input_alphabet=frozenset(input_alphabet),
-        output_alphabet=frozenset(output_alphabet),
-        states=shapes,
-        initial="even",
-        transitions=frozenset(
-            (p, l, q)
-            for (p, tape), q in SHAPE.items()
-            for l in tagged_letters(input_alphabet, output_alphabet)
-            if l.tape is tape
-        ),
-        finals=shapes,
-    )
-
-
 @dataclass(frozen=True)
 class CanonicalDfa:
     """A DFA whose language consists of canonical synchronizations only."""
@@ -88,7 +70,8 @@ class CanonicalDfa:
     @classmethod
     def from_dfa(cls, d: Dfa) -> "CanonicalDfa":
         """Wrap `d` after checking that it reads canonical words only."""
-        ok, witness = inclusion(d, canonical_shape_dfa(d.input_alphabet, d.output_alphabet))
+        shape = tape_table_dfa(SHAPE, "even", d.input_alphabet, d.output_alphabet)
+        ok, witness = inclusion(d, shape)
         if not ok:
             raise AutomatonError(f"not canonical-shaped, e.g. {witness}")
         return cls(dfa=d)

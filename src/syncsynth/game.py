@@ -7,6 +7,7 @@ capped so stalling is never a winning option.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -21,9 +22,10 @@ from .automata import (
     determinize,
     inclusion,
     minimize,
+    pair_in_relation,
     project_input,
 )
-from .letters import SyncWord, inp, out
+from .letters import SyncWord, decode, inp, out
 
 
 class MissingEndmarkers(AutomatonError):
@@ -378,17 +380,10 @@ def run_machine(machine: SequentialDfa, input_syms) -> Optional[SyncWord]:
     return tuple(word)
 
 
-def verify_uniformizer(
-    machine: SequentialDfa, s: Nfa, t: Nfa, depth: int = 6
-) -> VerificationReport:
+def verify_uniformizer(machine: SequentialDfa, s: Nfa, t: Nfa, depth: int) -> VerificationReport:
     """Containment in the target plus, by bounded enumeration, exactly one
     accepted word per live input with its pair inside the source relation.
     Raises ValueError when `depth` is below 1, which would check no input."""
-    import itertools
-
-    from .automata import pair_in_relation
-    from .letters import decode
-
     if depth < 1:
         raise ValueError("enumeration depth must be at least 1")
     checks = []

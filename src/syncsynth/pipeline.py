@@ -46,6 +46,7 @@ from .resync import ResyncParams, build_Ti, build_TiS, build_Tprime_recognizable
 
 YES, NO, INCONCLUSIVE, REJECTED = "YES", "NO", "INCONCLUSIVE", "REJECTED"
 EXIT_CODES = {YES: 0, NO: 1, INCONCLUSIVE: 2, REJECTED: 3}
+FEASIBLE_K_CAP = 6  # largest computed block cap the pipeline builds T_i at
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,11 @@ class PipelineConfig:
     depth: int = 8
     closure_cap: int = 512
     state_cap: int = STATE_CAP
-    feasible_k_cap: int = 6
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("enumeration depth must be at least 1")
-        if self.closure_cap <= 0 or self.state_cap <= 0 or self.feasible_k_cap <= 0:
+        if self.closure_cap <= 0 or self.state_cap <= 0:
             raise ValueError("caps must be positive")
 
 
@@ -144,8 +144,8 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
         stats["k_computed"] = bound.k
         stats["r1"] = bound.r1
         stats["r2"] = bound.r2
-        if bound.k > cfg.feasible_k_cap:
-            k_used = cfg.feasible_k_cap
+        if bound.k > FEASIBLE_K_CAP:
+            k_used = FEASIBLE_K_CAP
             stats["k_source"] = "capped"
             conclusive = False
         else:

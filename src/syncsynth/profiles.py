@@ -335,9 +335,6 @@ class InputProfile:
     rep: tuple = field(compare=False)
     ctx: object = field(compare=False, repr=False)
 
-    def tree_for(self, p: str, q: str) -> LabeledTree:
-        return dict(self.trees)[(p, q)]
-
     @property
     def is_identity(self) -> bool:
         qb = sorted(self.ctx.b.states)
@@ -358,12 +355,6 @@ class OutputProfile:
     ann_trees: tuple  # sorted ((p, q), reduced public annotated tree)
     rep: tuple = field(compare=False)
     ctx: object = field(compare=False, repr=False)
-
-    def tree_for(self, p: str, q: str) -> LabeledTree:
-        return dict(self.trees)[(p, q)]
-
-    def ann_tree_for(self, p: str, q: str) -> LabeledTree:
-        return dict(self.ann_trees)[(p, q)]
 
     @property
     def is_identity(self) -> bool:

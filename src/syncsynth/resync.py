@@ -21,10 +21,11 @@ from .automata import (
     explore_nfa,
     inclusion,
     product,
+    tape_table_dfa,
     trim,
 )
 from .canonical import CanonicalDfa
-from .letters import PARTNER, Letter, Tape, inp, out
+from .letters import PARTNER, Letter, Tape
 
 
 class ShapeViolation(AutomatonError):
@@ -239,22 +240,12 @@ def build_TiS(
     )
 
 
-def shape_input_then_output(input_alphabet, output_alphabet) -> Dfa:
-    """All words whose inputs strictly precede their outputs."""
-    transitions = set()
-    for s in sorted(input_alphabet):
-        transitions.add(("in", inp(s), "in"))
-    for s in sorted(output_alphabet):
-        transitions.add(("in", out(s), "out"))
-        transitions.add(("out", out(s), "out"))
-    return Dfa(
-        input_alphabet=frozenset(input_alphabet),
-        output_alphabet=frozenset(output_alphabet),
-        states=frozenset({"in", "out"}),
-        initial="in",
-        transitions=frozenset(transitions),
-        finals=frozenset({"in", "out"}),
-    )
+# inputs strictly precede outputs
+INPUT_THEN_OUTPUT = {
+    ("in", Tape.INPUT): "in",
+    ("in", Tape.OUTPUT): "out",
+    ("out", Tape.OUTPUT): "out",
+}
 
 
 def build_Tprime_recognizable(s_can: Dfa, t: Nfa) -> Nfa:
@@ -263,7 +254,7 @@ def build_Tprime_recognizable(s_can: Dfa, t: Nfa) -> Nfa:
     The source must be in input-then-output form; the construction guesses
     the hand-off state between the input run and the output run.
     """
-    shape = shape_input_then_output(s_can.input_alphabet, s_can.output_alphabet)
+    shape = tape_table_dfa(INPUT_THEN_OUTPUT, "in", s_can.input_alphabet, s_can.output_alphabet)
     ok, witness = inclusion(s_can, shape)
     if not ok:
         raise ShapeViolation(f"source is not input-then-output controlled, e.g. {witness}")

@@ -184,6 +184,11 @@ def test_build_blocks_vs_naive():
         b = build_blocks(n, cap, {"a"}, {"d"})
         for w in all_words({"a"}, {"d"}, 6):
             assert accepts(b, w) == blocks_member_naive(to_tags(w), n, cap), (n, cap, w)
+    # two letters per tape: a block holds any mix of its tape's letters
+    for n, cap in ((0, None), (1, 0), (2, 0), (3, None), (3, 1), (4, 2)):
+        b = build_blocks(n, cap, {"a", "b"}, {"d", "e"})
+        for w in all_words({"a", "b"}, {"d", "e"}, 5):
+            assert accepts(b, w) == blocks_member_naive(to_tags(w), n, cap), (n, cap, w)
 
 
 def test_parikh_injective_families(families):

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
 from syncsynth.canonical import (
     CanonicalDfa,
+    SHAPE,
     InvalidCertificate,
-    canonical_shape_dfa,
     canonical_sync,
     canonicalize,
     canonicalize_finite_shift,
@@ -19,6 +19,7 @@ from syncsynth.automata import (
     is_empty,
     language_equal,
     product,
+    tape_table_dfa,
     trim,
 )
 from syncsynth.letters import decode, inp, out, tags
@@ -45,7 +46,7 @@ def test_canonical_sync_fixes_canonical_words():
 
 
 def test_shape_dfa():
-    d = canonical_shape_dfa({"a"}, {"d"})
+    d = tape_table_dfa(SHAPE, "even", {"a"}, {"d"})
     assert d.accepts_word(canonical_sync(("a", "a", "a"), ("d",)))
     assert d.accepts_word(())
     assert not d.accepts_word((inp("a"), inp("a"), out("d")))
@@ -93,7 +94,7 @@ def test_canonicalize_pair_preservation(intro_S, ann_S):
 def test_canonicalize_tag_shape_soundness(intro_S):
     cert = shiftlag_finiteness(intro_S)
     can = canonicalize(intro_S, cert)
-    shape = canonical_shape_dfa(can.dfa.input_alphabet, can.dfa.output_alphabet)
+    shape = tape_table_dfa(SHAPE, "even", can.dfa.input_alphabet, can.dfa.output_alphabet)
     anti = complement(completed(shape))
     empty, _ = is_empty(product(can.dfa, anti))
     assert empty

@@ -275,12 +275,14 @@ def test_state_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, abs
 
 
 def test_canon_and_decide_are_hash_seed_independent(files):
-    """`canon` prints the minimal canonical DFA, and `decide` its verdict,
-    with the same bytes under every hash seed."""
+    """`canon` prints the minimal canonical DFA, `decide` its verdict and
+    `resync` T_iS, with the same bytes under every hash seed. A block opens
+    only as the next block, which keeps T_iS at 135 states."""
     root = Path(__file__).resolve().parent.parent
     s_path, t_path = files
     for command in (["canon", str(s_path)],
-                    ["decide", str(s_path), str(t_path), "--bound-k", "3"]):
+                    ["decide", str(s_path), str(t_path), "--bound-k", "3"],
+                    ["resync", str(s_path), str(t_path), "--bound-k", "3"]):
         outputs = set()
         for seed in ("0", "7", "99"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
@@ -293,6 +295,8 @@ def test_canon_and_decide_are_hash_seed_independent(files):
         assert len(outputs) == 1, command[0]
         if command[0] == "canon":
             assert len(serialize.loads(outputs.pop()).states) == 14
+        if command[0] == "resync":
+            assert json.loads(outputs.pop())["stats"]["states"] == 135
 
 
 def test_decide_rec_machine_verifies(tmp_path, capsys, ann_S, ann_T):

@@ -9,16 +9,17 @@ from syncsynth.automata import (
     inclusion,
     pair_in_relation,
     project_input,
+    tape_table_dfa,
 )
 from syncsynth.canonical import canonicalize
 from syncsynth.letters import Tape, decode, inp, out
 from syncsynth.resync import (
+    INPUT_THEN_OUTPUT,
     ResyncParams,
     ShapeViolation,
     build_Ti,
     build_TiS,
     build_Tprime_recognizable,
-    shape_input_then_output,
     tape_capacity,
 )
 
@@ -160,7 +161,7 @@ def test_tprime_shape_violation(abst_S):
 
 
 def test_shape_input_then_output():
-    d = shape_input_then_output({"a"}, {"d"})
+    d = tape_table_dfa(INPUT_THEN_OUTPUT, "in", {"a"}, {"d"})
     assert d.accepts_word((inp("a"), out("d"), out("d")))
     assert not d.accepts_word((out("d"), inp("a")))
 
