@@ -48,8 +48,7 @@ from .canonical import (
 )
 from .resync import ResyncParams, build_Ti, build_TiS, build_Tprime_recognizable
 from .profiles import (
-    InputProfile,
-    OutputProfile,
+    Profile,
     StateTransformationFn,
     annotated_output_stt,
     compute_k,

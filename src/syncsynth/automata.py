@@ -78,7 +78,7 @@ class Nfa:
         succ: dict = {}
         for p, letter, q in self.transitions:
             succ.setdefault((p, letter), set()).add(q)
-        return succ
+        return {key: tuple(sorted(targets)) for key, targets in succ.items()}
 
     @cached_property
     def _out_edges(self) -> dict:
@@ -89,13 +89,14 @@ class Nfa:
             edges[p].sort()
         return edges
 
-    def successors(self, state: str, letter: Letter) -> frozenset:
-        return frozenset(self._succ.get((state, letter), ()))
+    def successors(self, state: str, letter: Letter) -> tuple:
+        """The states one letter leads to, sorted."""
+        return self._succ.get((state, letter), ())
 
     def step_set(self, states: frozenset, letter: Letter) -> frozenset:
         nxt: set = set()
         for p in states:
-            nxt |= self._succ.get((p, letter), set())
+            nxt.update(self._succ.get((p, letter), ()))
         return frozenset(nxt)
 
     def out_edges(self, state: str) -> list[tuple[Letter, str]]:
@@ -309,8 +310,8 @@ def product(a: Nfa, b: Nfa) -> Nfa:
     def step(pair, letter):
         return [
             (qa, qb)
-            for qa in sorted(a.successors(pair[0], letter))
-            for qb in sorted(b.successors(pair[1], letter))
+            for qa in a.successors(pair[0], letter)
+            for qb in b.successors(pair[1], letter)
         ]
 
     return explore_nfa(
@@ -423,7 +424,7 @@ def inclusion(a: Nfa, b: Nfa) -> tuple[bool, Optional[SyncWord]]:
             targets = a.successors(pa, letter)
             if targets:
                 b_next = b.step_set(subset, letter)
-                for qa in sorted(targets):
+                for qa in targets:
                     yield letter, (qa, b_next)
 
     found = shortest_word(
@@ -510,12 +511,12 @@ def add_endmarkers(a: Nfa) -> Nfa:
     def step(state, letter):
         phase, q = state
         if phase == "pre":
-            nxt = [("pre", q2) for q2 in sorted(a.successors(q, letter))]
+            nxt = [("pre", q2) for q2 in a.successors(q, letter)]
             return nxt + [("post", q)] if letter == end_in else nxt
         if phase == "post" and letter == end_out:
             return [("acc", None)] if q in a.finals else []
         if phase == "post" and letter.tape is Tape.OUTPUT:
-            return [("post", q2) for q2 in sorted(a.successors(q, letter))]
+            return [("post", q2) for q2 in a.successors(q, letter)]
         return []
 
     return trim(
@@ -536,9 +537,9 @@ def concat(a: Nfa, b: Nfa) -> Nfa:
     # states: ("a", q) inside a, ("b", q) inside b
     def step(state, letter):
         side, q = state
-        nxt = [(side, q2) for q2 in sorted((a if side == "a" else b).successors(q, letter))]
+        nxt = [(side, q2) for q2 in (a if side == "a" else b).successors(q, letter)]
         if side == "a" and q in a.finals:
-            nxt += [("b", q2) for q2 in sorted(b.successors(b.initial, letter))]
+            nxt += [("b", q2) for q2 in b.successors(b.initial, letter)]
         return nxt
 
     def is_final(state):

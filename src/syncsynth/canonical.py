@@ -101,9 +101,6 @@ def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP
     max_pairs = cert.bound + 2
     out_reach = tape_closure(s, Tape.OUTPUT)
 
-    def s_step(q, letter):
-        return sorted(s.successors(q, letter))
-
     # states: ("in", cur, committed pairs) then ("out", cur, remaining pairs)
     initial = ("in", s.initial, ())
 
@@ -122,26 +119,26 @@ def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP
         nxt = []
         if phase == "in":
             if letter.tape is Tape.INPUT:
-                for q2 in s_step(cur, letter):
+                for q2 in s.successors(cur, letter):
                     nxt.append(("in", q2, pairs))
                 if len(pairs) < max_pairs - 1:
                     # cross a boundary first: commit this input run's end and
                     # restart after a guessed output run
                     for b in sorted(out_reach[cur]):
-                        for q2 in s_step(b, letter):
+                        for q2 in s.successors(b, letter):
                             nxt.append(("in", q2, pairs + ((cur, b),)))
             else:
                 # switch to the output phase, closing the input part here
                 for b in sorted(out_reach[cur]):
                     closed = pairs + ((cur, b),)
                     for c, rem in fold_out(closed[0][0], closed):
-                        for q2 in s_step(c, letter):
+                        for q2 in s.successors(c, letter):
                             for c2, rem2 in fold_out(q2, rem):
                                 nxt.append(("out", c2, rem2))
             return nxt
         if letter.tape is not Tape.OUTPUT:
             return []
-        for q2 in s_step(cur, letter):
+        for q2 in s.successors(cur, letter):
             for c2, rem2 in fold_out(q2, pairs):
                 nxt.append(("out", c2, rem2))
         return nxt
@@ -194,9 +191,6 @@ def canonicalize(
 
     finals = s.finals
 
-    def s_step(q: str, letter: Letter):
-        return sorted(s.successors(q, letter))
-
     reach = {tape: tape_closure(s, tape) for tape in Tape}
 
     # reader state:
@@ -229,10 +223,10 @@ def canonicalize(
                 if len(rest) <= buf_cap:
                     results.add((state, rest))
             if rest_in:
-                for q2 in s_step(state, rest_in[0]):
+                for q2 in s.successors(state, rest_in[0]):
                     stack.append((q2, i + 1, j))
             if rest_out:
-                for q2 in s_step(state, rest_out[0]):
+                for q2 in s.successors(state, rest_out[0]):
                     stack.append((q2, i, j + 1))
         return sorted(results, key=repr)
 
@@ -265,7 +259,7 @@ def canonicalize(
         else:
             # (2) feed the currently open block of this tape
             g, c = blocks[-1]
-            for c2 in s_step(c, letter):
+            for c2 in s.successors(c, letter):
                 nxt.append(with_blocks(first, blocks[:-1] + ((g, c2),)))
         # (3) open a new block of this tape
         count = len(blocks) + 1
@@ -279,7 +273,7 @@ def canonicalize(
             is_open = 0 < before <= len(others)
             guesses = reach[PARTNER[tape]][others[before - 1][1]] if is_open else s.states
             for g in sorted(guesses):
-                for c2 in s_step(g, letter):
+                for c2 in s.successors(g, letter):
                     nxt.append(with_blocks(ft, blocks + ((g, c2),)))
         return [st for st in nxt if drainable(st)]
 

@@ -177,7 +177,7 @@ def cmd_profiles(args) -> int:
     if args.format == "dot":
         word = max(inputs.reps, key=len)
         anchor = t_dfa.run(tuple(inp(x) for x in word)) or t_dfa.initial
-        tree_ = input_stt(word, anchor, can.dfa.initial, (n + 1) // 2, can, t_dfa)
+        tree_ = input_stt(word, anchor, can.dfa.initial, inputs.profiles[0].depth, can, t_dfa)
         _emit(_tree_dot(tree_, f"stt_{''.join(word)}"), args.out)
         return 0
     _print_json(
@@ -287,17 +287,18 @@ def _run_decide(args, recognizable: bool) -> int:
     return verdict.exit_code
 
 
-def _positive_int(what: str):
-    """An argparse type for a positive integer; `what` names the setting in
-    the usage error."""
+def _int_at_least(least: int, what: str):
+    """An argparse type for an integer of at least `least` (0 or 1); `what`
+    names the setting in the usage error."""
+    kind = "non-negative" if least == 0 else "positive"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = 0
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{what} must be a positive integer, not {text!r}")
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{what} must be a {kind} integer, not {text!r}")
         return value
 
     return parse
@@ -310,9 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
         "of synchronized relations.",
     )
     options = {
-        "--bound-k": dict(type=int, default=None, help="output-block cap override"),
+        "--bound-k": dict(
+            type=_int_at_least(0, "the block cap (--bound-k)"),
+            default=None,
+            help="output-block cap override",
+        ),
         "--depth": dict(
-            type=_positive_int("the verification depth (--depth)"),
+            type=_int_at_least(1, "the verification depth (--depth)"),
             default=PipelineConfig.depth,
             help="verification enumeration depth (default %(default)s)",
         ),
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         # argparse converts a string default with `type`, so a bad
         # SYNCSYNTH_CAP is a usage error like a bad --cap
         "--cap": dict(
-            type=_positive_int("the cap (--cap or SYNCSYNTH_CAP)"),
+            type=_int_at_least(1, "the cap (--cap or SYNCSYNTH_CAP)"),
             default=os.environ.get("SYNCSYNTH_CAP") or PipelineConfig.closure_cap,
             help="profile closure cap (default %(default)s; SYNCSYNTH_CAP sets the default)",
         ),

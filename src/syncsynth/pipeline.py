@@ -59,6 +59,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("enumeration depth must be at least 1")
+        if self.k_override is not None and self.k_override < 0:
+            raise ValueError("the block cap override must be non-negative")
         if self.closure_cap <= 0 or self.state_cap <= 0:
             raise ValueError("caps must be positive")
 

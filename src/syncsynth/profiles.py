@@ -1,11 +1,13 @@
 """Profiles: finite abstractions of the tape segment that runs ahead.
 
-An input segment's state transformation tree records how counterpart
-output blocks of the same or smaller length, with a bounded number of
-intermediate input blocks, can consume it while jointly transforming the
-target automaton and the canonical source automaton. Profiles bundle the
-reduced trees for every state pair with the plain transformation function
-and form finite monoids under concatenation.
+A segment's state transformation tree records how counterpart blocks of the
+partner tape, of the same or smaller length and with a bounded number of
+intermediate blocks of the segment's own tape, can consume it while jointly
+transforming the target automaton and the canonical source automaton. One
+`Profile` type serves both tapes: it bundles the reduced trees for every
+state pair with the plain transformation functions, and output profiles also
+carry annotated trees. Profiles of one tape form a finite monoid under
+concatenation.
 
 Tree nodes internally carry bookkeeping (how a leaf consumed the segment:
 exactly, or with a trailing one-tape run; plus the pure-run transforms)
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .automata import AutomatonError, Dfa, tape_closure
 from .canonical import CanonicalDfa
-from .letters import Letter, Tape, inp, out
+from .letters import PARTNER, Letter, Tape, inp, out
 from .trees import LabeledTree, node_ids, reduce_tree, tree
 
 
@@ -65,11 +67,15 @@ class StateTransformationFn:
 
 
 def tau(w: Sequence[Letter], b: Dfa) -> StateTransformationFn:
-    """The target automaton's transformation induced by a pure one-tape word."""
+    """The automaton's transformation induced by a pure one-tape word."""
     tapes = {l.tape for l in w}
     if len(tapes) > 1:
         raise MixedTapes("state transformation functions need a single-tape word")
     return StateTransformationFn.from_dict({p: b.run(w, start=p) for p in sorted(b.states)})
+
+
+def _letters(word: Sequence[str], tape: Tape) -> tuple:
+    return tuple(Letter(tape, s) for s in word)
 
 
 # ---------------------------------------------------------------------------
@@ -84,81 +90,53 @@ class _Ctx:
     def __init__(self, a: CanonicalDfa, b: Dfa):
         self.a = a.dfa if isinstance(a, CanonicalDfa) else a
         self.b = b
-        self.in_syms = sorted(set(self.a.input_alphabet) | set(b.input_alphabet))
-        self.out_syms = sorted(set(self.a.output_alphabet) | set(b.output_alphabet))
-        self.b_in_closure = self._closure(b, Tape.INPUT)
-        self.b_out_closure = self._closure(b, Tape.OUTPUT)
+        self.syms = {
+            Tape.INPUT: sorted(set(self.a.input_alphabet) | set(b.input_alphabet)),
+            Tape.OUTPUT: sorted(set(self.a.output_alphabet) | set(b.output_alphabet)),
+        }
+        # per tape and state, the target states reachable via nonempty words of that tape
+        self.closure = {}
+        for tape in Tape:
+            reach = tape_closure(b, tape)
+            self.closure[tape] = {
+                p: frozenset(r for letter, q in b.out_edges(p) if letter.tape is tape for r in reach[q])
+                for p in b.states
+            }
         self._mid_cache: dict = {}
 
-    @staticmethod
-    def _closure(b: Dfa, tape: Tape) -> dict:
-        """Per state, the states reachable via nonempty words of one tape."""
-        reach = tape_closure(b, tape)
-        return {
-            p: frozenset(r for letter, q in b.out_edges(p) if letter.tape is tape for r in reach[q])
-            for p in b.states
-        }
-
-    def a_tail_run(self, q: Optional[str], syms, flip: bool) -> Optional[str]:
-        if q is None:
-            return None
-        letters = tuple((out(s) if flip else inp(s)) for s in syms)
-        return self.a.run(letters, start=q)
-
-    def alpha(self, syms) -> StateTransformationFn:
-        """Pure-input transform of the canonical source automaton."""
-        return StateTransformationFn.from_dict(
-            {q: self.a.run(tuple(inp(s) for s in syms), start=q) for q in sorted(self.a.states)}
-        )
-
-    def beta(self, syms) -> StateTransformationFn:
-        """Pure-output transform of the canonical source automaton."""
-        return StateTransformationFn.from_dict(
-            {q: self.a.run(tuple(out(s) for s in syms), start=q) for q in sorted(self.a.states)}
-        )
-
-    def pair_frontiers(self, x: tuple, p: str, q: str, flip: bool) -> list:
+    def pair_frontiers(self, x: tuple, p: str, q: str, tape: Tape) -> list:
         """Sets of (target state, source state) after t interleaved rounds.
 
-        flip=False: rounds pair x's inputs with enumerated output symbols
-        that both automata accept; flip=True swaps the roles.
+        Round t pairs x's t-th letter with a partner-tape symbol that both
+        automata accept; the target reads only the partner letter, the
+        source reads the round input letter first.
         """
+        partner = PARTNER[tape]
+        others = [Letter(partner, s) for s in self.syms[partner]]
         frontiers = [{(p, q)}]
-        cur = {(p, q)}
-        for t in range(len(x)):
+        for sym in x:
+            own = Letter(tape, sym)
             nxt = set()
-            for (pb, qa) in cur:
-                if not flip:
-                    q1 = self.a.delta(qa, inp(x[t]))
-                    if q1 is None:
+            for (pb, qa) in frontiers[-1]:
+                for other in others:
+                    p2 = self.b.delta(pb, other)
+                    if p2 is None:
                         continue
-                    for o in self.out_syms:
-                        q2 = self.a.delta(q1, out(o))
-                        p2 = self.b.delta(pb, out(o))
-                        if q2 is not None and p2 is not None:
-                            nxt.add((p2, q2))
-                else:
-                    for s in self.in_syms:
-                        q1 = self.a.delta(qa, inp(s))
-                        p2 = self.b.delta(pb, inp(s))
-                        if q1 is None or p2 is None:
-                            continue
-                        q2 = self.a.delta(q1, out(x[t]))
-                        if q2 is not None:
-                            nxt.add((p2, q2))
+                    q2 = self.a.run((own, other) if tape is Tape.INPUT else (other, own), start=qa)
+                    if q2 is not None:
+                        nxt.add((p2, q2))
             frontiers.append(nxt)
-            cur = nxt
         return frontiers
 
-    def stt_enriched(self, x: tuple, p: str, q: str, i: int, flip: bool) -> LabeledTree:
-        frontiers = self.pair_frontiers(x, p, q, flip)
+    def stt_enriched(self, x: tuple, p: str, q: str, i: int, tape: Tape) -> LabeledTree:
+        frontiers = self.pair_frontiers(x, p, q, tape)
         leaves: dict = {}
         for t in range(1, len(x) + 1):
             for (pb, qa) in frontiers[t]:
                 if t == len(x):
                     leaves.setdefault((pb, qa), [False, False])[0] = True
                 else:
-                    q_tail = self.a_tail_run(qa, x[t:], flip)
+                    q_tail = self.a.run(_letters(x[t:], tape), start=qa)
                     if q_tail is not None:
                         leaves.setdefault((pb, q_tail), [False, False])[1] = True
         children = [
@@ -168,18 +146,17 @@ class _Ctx:
         if i > 0:
             for t in range(1, len(x)):
                 for (pb, qa) in sorted(frontiers[t]):
-                    children.append(self.mid_enriched(x[t:], pb, qa, i, flip))
+                    children.append(self.mid_enriched(x[t:], pb, qa, i, tape))
         return tree((ROOT, p, q), children)
 
-    def mid_enriched(self, rest: tuple, pb: str, qa: str, i: int, flip: bool) -> LabeledTree:
+    def mid_enriched(self, rest: tuple, pb: str, qa: str, i: int, tape: Tape) -> LabeledTree:
         """One split entry: the partial-block node with its intermediate-block
         children, each rooting the tree of the remaining segment at budget i-1."""
-        key = (rest, pb, qa, i, flip)
+        key = (rest, pb, qa, i, tape)
         if key not in self._mid_cache:
-            closure = self.b_out_closure if flip else self.b_in_closure
             block_kids = []
-            for p2 in sorted(closure[pb]):
-                sub = self.stt_enriched(rest, p2, qa, i - 1, flip)
+            for p2 in sorted(self.closure[tape][pb]):
+                sub = self.stt_enriched(rest, p2, qa, i - 1, tape)
                 block_kids.append(tree((BLOCK, p2, qa), sub.children))
             self._mid_cache[key] = tree((MID, pb, qa), block_kids)
         return self._mid_cache[key]
@@ -192,12 +169,12 @@ def _strip(t: LabeledTree) -> LabeledTree:
 def input_stt(x, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> LabeledTree:
     """Tree of joint state transformations of an input segment against output
     counterparts built from at most i+1 output blocks."""
-    return _strip(_Ctx(a, b).stt_enriched(tuple(x), p, q, i, flip=False))
+    return _strip(_Ctx(a, b).stt_enriched(tuple(x), p, q, i, Tape.INPUT))
 
 
 def output_stt(y, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> LabeledTree:
     """Dual tree for an output segment against input counterparts."""
-    return _strip(_Ctx(a, b).stt_enriched(tuple(y), p, q, i, flip=True))
+    return _strip(_Ctx(a, b).stt_enriched(tuple(y), p, q, i, Tape.OUTPUT))
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +187,8 @@ def _node_at(t: LabeledTree, path: tuple) -> LabeledTree:
     return t
 
 
-def _child_index_by_subtree(node: LabeledTree, expected: LabeledTree) -> Optional[int]:
-    for k, child in enumerate(node.children):
-        if child == expected:
-            return k
-    return None
+def _child_index(node: LabeledTree, matches: Callable[[LabeledTree], bool]) -> Optional[int]:
+    return next((k for k, child in enumerate(node.children) if matches(child)), None)
 
 
 class _AnnBuilder:
@@ -224,12 +198,6 @@ class _AnnBuilder:
         self.ctx = ctx
         self.ref = ref
         self.ids = node_ids(ref)
-
-    def leaf_expected(self, pb: str, q_leaf: str) -> LabeledTree:
-        return tree((pb, q_leaf))
-
-    def mid_expected(self, rest: tuple, pb: str, qa: str, i: int) -> LabeledTree:
-        return reduce_tree(_strip(self.ctx.mid_enriched(rest, pb, qa, i, flip=True)))
 
     def build(self, y: tuple, p: str, q: str, i: int, ref_path: tuple) -> LabeledTree:
         ctx = self.ctx
@@ -243,36 +211,33 @@ class _AnnBuilder:
         for t in range(1, len(y) + 1):
             nxt = set()
             for (pb, qa, targets) in frontier:
-                for s in ctx.in_syms:
+                for s in ctx.syms[Tape.INPUT]:
                     pb2 = ctx.b.delta(pb, inp(s))
-                    q1 = ctx.a.delta(qa, inp(s))
-                    qa2 = ctx.a.delta(q1, out(y[t - 1])) if q1 is not None else None
+                    qa2 = ctx.a.run((inp(s), out(y[t - 1])), start=qa)
                     if pb2 is None or qa2 is None:
                         continue
                     new_targets = set(targets)
                     # this prefix as a full traversal of y (output tail included)
-                    q_leaf = ctx.a_tail_run(qa2, y[t:], flip=True)
+                    q_leaf = ctx.a.run(_letters(y[t:], Tape.OUTPUT), start=qa2)
                     leaf_idx = None
                     if q_leaf is not None:
-                        leaf_idx = _child_index_by_subtree(
-                            ref_node, self.leaf_expected(pb2, q_leaf)
-                        )
+                        expected = tree((pb2, q_leaf))
+                        leaf_idx = _child_index(ref_node, lambda c: c == expected)
                         if leaf_idx is not None:
                             new_targets.add(self.ids[ref_path + (leaf_idx,)])
                     # this prefix as a balanced split (more blocks to come)
                     mid_idx = None
                     if i > 0 and t < len(y):
-                        mid_idx = _child_index_by_subtree(
-                            ref_node, self.mid_expected(y[t:], pb2, qa2, i)
-                        )
+                        mid = ctx.mid_enriched(y[t:], pb2, qa2, i, Tape.OUTPUT)
+                        expected = reduce_tree(_strip(mid))
+                        mid_idx = _child_index(ref_node, lambda c: c == expected)
                         if mid_idx is not None:
                             new_targets.add(self.ids[ref_path + (mid_idx,)])
                     fro = frozenset(new_targets)
                     if leaf_idx is not None:
                         leaf_entries.add((pb2, q_leaf, self.ids[ref_path + (leaf_idx,)], fro))
-                    if i > 0 and t < len(y) and mid_idx is not None:
-                        key = (y[t:], pb2, qa2, ref_path + (mid_idx,), fro)
-                        mid_entries[key] = True
+                    if mid_idx is not None:
+                        mid_entries[(y[t:], pb2, qa2, ref_path + (mid_idx,), fro)] = True
                     nxt.add((pb2, qa2, fro))
             frontier = nxt
         children = [
@@ -282,8 +247,8 @@ class _AnnBuilder:
         for (rest, pb, qa, mid_path, targets) in sorted(mid_entries, key=repr):
             mid_node = _node_at(self.ref, mid_path)
             block_kids = []
-            for p2 in sorted(ctx.b_out_closure[pb]):
-                idx = _child_index_by_subtree_label(mid_node, (p2, qa))
+            for p2 in sorted(ctx.closure[Tape.OUTPUT][pb]):
+                idx = _child_index(mid_node, lambda c: c.label == (p2, qa))
                 if idx is None:
                     continue
                 block_kids.append(self.build(rest, p2, qa, i - 1, mid_path + (idx,)))
@@ -293,23 +258,11 @@ class _AnnBuilder:
         return tree((ROOT, p, q, self.ids[ref_path]), tuple(children))
 
 
-def _child_index_by_subtree_label(node: LabeledTree, label) -> Optional[int]:
-    for k, child in enumerate(node.children):
-        if child.label == label:
-            return k
-    return None
-
-
-def _strip_ann(t: LabeledTree) -> LabeledTree:
-    def conv(node: LabeledTree) -> LabeledTree:
-        lab = node.label
-        if lab[0] == ROOT:
-            new = (lab[1], lab[2], lab[3])
-        else:
-            new = (lab[1], lab[2], lab[3], lab[4])
-        return LabeledTree(new, tuple(conv(c) for c in node.children))
-
-    return conv(t)
+def _annotated(ctx: _Ctx, enriched: LabeledTree, y: tuple, p: str, q: str, i: int) -> LabeledTree:
+    """The public annotated tree of y at (p, q), over the reduced public form
+    of its enriched tree; the kind tag leaves every label."""
+    builder = _AnnBuilder(ctx, reduce_tree(_strip(enriched)))
+    return builder.build(y, p, q, i, ()).map_labels(lambda lab: lab[1:])
 
 
 def annotated_output_stt(y, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> LabeledTree:
@@ -317,9 +270,7 @@ def annotated_output_stt(y, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> 
     the set of reference nodes reached by prefixes of the witness input."""
     ctx = _Ctx(a, b)
     y = tuple(y)
-    ref = reduce_tree(_strip(ctx.stt_enriched(y, p, q, i, flip=True)))
-    builder = _AnnBuilder(ctx, ref)
-    return _strip_ann(builder.build(y, p, q, i, ()))
+    return _annotated(ctx, ctx.stt_enriched(y, p, q, i, Tape.OUTPUT), y, p, q, i)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +278,13 @@ def annotated_output_stt(y, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> 
 
 
 @dataclass(frozen=True)
-class InputProfile:
+class Profile:
+    tape: Tape
     depth: int
-    tf: StateTransformationFn
-    pure: StateTransformationFn  # source automaton's pure-input transform
+    tf: StateTransformationFn  # the target automaton's transform
+    pure: StateTransformationFn  # the source automaton's pure one-tape transform
     trees: tuple  # sorted ((p, q), enriched reduced tree)
+    ann_trees: tuple  # sorted ((p, q), reduced public annotated tree); () for input words
     rep: tuple = field(compare=False)
     ctx: object = field(compare=False, repr=False)
 
@@ -346,66 +299,36 @@ class InputProfile:
         )
 
 
-@dataclass(frozen=True)
-class OutputProfile:
-    depth: int
-    tf: StateTransformationFn
-    pure: StateTransformationFn  # source automaton's pure-output transform
-    trees: tuple
-    ann_trees: tuple  # sorted ((p, q), reduced public annotated tree)
-    rep: tuple = field(compare=False)
-    ctx: object = field(compare=False, repr=False)
-
-    @property
-    def is_identity(self) -> bool:
-        qb = sorted(self.ctx.b.states)
-        qa = sorted(self.ctx.a.states)
-        return (
-            self.tf == StateTransformationFn.identity(qb)
-            and self.pure == StateTransformationFn.identity(qa)
-            and all(not t.children for _, t in self.trees)
-        )
-
-
-def _depth_for(n: int) -> int:
-    return (n + 1) // 2
-
-
-def input_profile(x, n: int, a: CanonicalDfa, b: Dfa, ctx: Optional[_Ctx] = None) -> InputProfile:
-    ctx = ctx or _Ctx(a, b)
-    x = tuple(x)
-    m = _depth_for(n)
-    trees = tuple(
-        ((p, q), reduce_tree(ctx.stt_enriched(x, p, q, m, flip=False)))
-        for p in sorted(ctx.b.states)
-        for q in sorted(ctx.a.states)
-    )
-    tf = StateTransformationFn.from_dict(
-        {p: ctx.b.run(tuple(inp(s) for s in x), start=p) for p in sorted(ctx.b.states)}
-    )
-    return InputProfile(depth=m, tf=tf, pure=ctx.alpha(x), trees=trees, rep=x, ctx=ctx)
-
-
-def output_profile(y, n: int, a: CanonicalDfa, b: Dfa, ctx: Optional[_Ctx] = None) -> OutputProfile:
-    ctx = ctx or _Ctx(a, b)
-    y = tuple(y)
-    m = _depth_for(n)
+def _profile(word, n: int, ctx: _Ctx, tape: Tape) -> Profile:
+    word = tuple(word)
+    m = (n + 1) // 2
     trees = []
     ann_trees = []
     for p in sorted(ctx.b.states):
         for q in sorted(ctx.a.states):
-            enr = ctx.stt_enriched(y, p, q, m, flip=True)
+            enr = ctx.stt_enriched(word, p, q, m, tape)
             trees.append(((p, q), reduce_tree(enr)))
-            ref = reduce_tree(_strip(enr))
-            builder = _AnnBuilder(ctx, ref)
-            ann = _strip_ann(builder.build(y, p, q, m, ()))
-            ann_trees.append(((p, q), reduce_tree(ann)))
-    tf = StateTransformationFn.from_dict(
-        {p: ctx.b.run(tuple(out(s) for s in y), start=p) for p in sorted(ctx.b.states)}
+            if tape is Tape.OUTPUT:
+                ann_trees.append(((p, q), reduce_tree(_annotated(ctx, enr, word, p, q, m))))
+    letters = _letters(word, tape)
+    return Profile(
+        tape=tape,
+        depth=m,
+        tf=tau(letters, ctx.b),
+        pure=tau(letters, ctx.a),
+        trees=tuple(trees),
+        ann_trees=tuple(ann_trees),
+        rep=word,
+        ctx=ctx,
     )
-    return OutputProfile(
-        depth=m, tf=tf, pure=ctx.beta(y), trees=tuple(trees), ann_trees=tuple(ann_trees), rep=y, ctx=ctx
-    )
+
+
+def input_profile(x, n: int, a: CanonicalDfa, b: Dfa, ctx: Optional[_Ctx] = None) -> Profile:
+    return _profile(x, n, ctx or _Ctx(a, b), Tape.INPUT)
+
+
+def output_profile(y, n: int, a: CanonicalDfa, b: Dfa, ctx: Optional[_Ctx] = None) -> Profile:
+    return _profile(y, n, ctx or _Ctx(a, b), Tape.OUTPUT)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +367,7 @@ def _trunc_children(children, blocks: int) -> tuple:
     return tuple(out)
 
 
-def _splice_children(children, blocks: int, p2: InputProfile, ctx: _Ctx) -> tuple:
+def _splice_children(children, blocks: int, p2: Profile, ctx: _Ctx) -> tuple:
     p2trees = dict(p2.trees)
     out = []
     for v in children:
@@ -460,7 +383,7 @@ def _splice_children(children, blocks: int, p2: InputProfile, ctx: _Ctx) -> tupl
                 # or start a fresh input block, then consume the second word
                 if blocks >= 2:
                     block_kids = []
-                    for p3 in sorted(ctx.b_in_closure[p]):
+                    for p3 in sorted(ctx.closure[Tape.INPUT][p]):
                         block_kids.append(
                             tree(
                                 (BLOCK, p3, q),
@@ -477,29 +400,31 @@ def _splice_children(children, blocks: int, p2: InputProfile, ctx: _Ctx) -> tupl
     return _merge_leaf_children(out)
 
 
-def concat_profiles(p1, p2):
+def concat_profiles(p1: Profile, p2: Profile) -> Profile:
     """Profile of any concatenation of representatives, computed from the
     profiles themselves (for input profiles, by the leaf-splice; for output
     profiles, by direct recomputation on concatenated representatives)."""
-    if type(p1) is not type(p2) or p1.depth != p2.depth or p1.ctx.a != p2.ctx.a or p1.ctx.b != p2.ctx.b:
+    if p1.tape is not p2.tape or p1.depth != p2.depth or p1.ctx.a != p2.ctx.a or p1.ctx.b != p2.ctx.b:
         raise ParameterMismatch("profiles come from different settings")
     if p1.is_identity:
         return p2
     if p2.is_identity:
         return p1
     ctx = p1.ctx
-    if isinstance(p1, OutputProfile):
-        return output_profile(p1.rep + p2.rep, 2 * p1.depth - 1, None, None, ctx=ctx)
+    if p1.tape is Tape.OUTPUT:
+        return _profile(p1.rep + p2.rep, 2 * p1.depth - 1, ctx, Tape.OUTPUT)
     m = p1.depth
     trees = []
     for (pq, t) in p1.trees:
         spliced = _splice_children(t.children, m + 1, p2, ctx)
         trees.append((pq, reduce_tree(tree((ROOT,) + pq, spliced))))
-    return InputProfile(
+    return Profile(
+        tape=Tape.INPUT,
         depth=m,
         tf=p1.tf.then(p2.tf),
         pure=p1.pure.then(p2.pure),
         trees=tuple(trees),
+        ann_trees=(),
         rep=p1.rep + p2.rep,
         ctx=ctx,
     )
@@ -541,12 +466,8 @@ def profile_closure(
     """Breadth-first closure of the profile monoid of one tape, by letter
     extension; returns all profiles plus the longest shortest representative."""
     ctx = _Ctx(a, b)
-    if tape is Tape.INPUT:
-        symbols = ctx.in_syms
-        make = lambda w: input_profile(w, n, a, b, ctx=ctx)
-    else:
-        symbols = ctx.out_syms
-        make = lambda w: output_profile(w, n, a, b, ctx=ctx)
+    symbols = ctx.syms[tape]
+    make = lambda w: _profile(w, n, ctx, tape)
     start = make(())
     seen = {start: ()}
     queue = [()]

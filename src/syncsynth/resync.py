@@ -217,7 +217,7 @@ def build_TiS(
 
     def step(state, letter):
         core, tstate = state
-        targets = sorted(ti.successors(tstate, letter))
+        targets = ti.successors(tstate, letter)
         cores = core_step(core, letter) if targets else ()
         return [(c2, t2) for t2 in targets for c2 in cores if viable(c2, core, t2)]
 

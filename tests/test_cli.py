@@ -12,6 +12,7 @@ from syncsynth.automata import SequentialDfa
 from syncsynth.canonical import canonicalize
 from syncsynth.cli import main
 from syncsynth.letters import Tape
+from syncsynth.pipeline import PipelineConfig
 
 from .conftest import mk_nfa, tag_family
 
@@ -199,7 +200,7 @@ def test_env_cap_mirrors_flag(tmp_path, capsys, monkeypatch, abst_S, abst_T):
 def test_decide_cap_sets_only_the_closure_cap(files, capsys, monkeypatch):
     """`decide --cap N` bounds the profile closures and no other cap."""
     from syncsynth import cli as cli_module
-    from syncsynth.pipeline import PipelineConfig, Verdict
+    from syncsynth.pipeline import Verdict
 
     configs = []
 
@@ -229,7 +230,9 @@ def test_cap_must_be_a_positive_integer(files, capsys, monkeypatch, value):
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_depth_must_be_a_positive_integer(files, tmp_path, capsys, value):
     """A depth below 1 would verify no input, so a machine accepting nothing
-    would pass; each command that reads --depth refuses it as a usage error."""
+    would pass; each command that reads --depth refuses it as a usage error.
+    A block cap below 0 is refused the same way, before any work (a cap of 0
+    is one block and stays valid)."""
     s_path, t_path = files
     empty = mk_nfa({"a", "b", "c"}, {"d", "e"}, "m0", set(), [], cls=SequentialDfa,
                    input_states={"m0"})
@@ -240,6 +243,12 @@ def test_depth_must_be_a_positive_integer(files, tmp_path, capsys, value):
     for argv in (["verify", str(machine_path)], ["decide"], ["decide-rec"]):
         assert main([*argv, str(s_path), str(t_path), "--depth", value]) == 3, argv
         assert "--depth" in capsys.readouterr().err
+    if value == "-1":
+        for command in ("decide", "resync"):
+            assert main([command, str(s_path), str(t_path), "--bound-k", value]) == 3, command
+            assert "--bound-k" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="block cap"):
+            PipelineConfig(k_override=-1)
 
 
 def test_rejected_witness_is_structured(tmp_path, capsys, intro_T):
@@ -274,15 +283,22 @@ def test_state_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, abs
         assert "state cap: canonicalize: " in capsys.readouterr().err
 
 
-def test_canon_and_decide_are_hash_seed_independent(files):
-    """`canon` prints the minimal canonical DFA, `decide` its verdict and
-    `resync` T_iS, with the same bytes under every hash seed. A block opens
-    only as the next block, which keeps T_iS at 135 states."""
+def test_canon_and_decide_are_hash_seed_independent(files, tmp_path, abst_S, abst_T):
+    """`canon` prints the minimal canonical DFA, `decide` its verdict,
+    `resync` T_iS and `profiles` its counts and tree, with the same bytes
+    under every hash seed. A block opens only as the next block, which keeps
+    T_iS at 135 states."""
     root = Path(__file__).resolve().parent.parent
     s_path, t_path = files
+    # the intro target has infinite shiftlag, which `profiles` refuses
+    abst_s_path, abst_t_path = tmp_path / "abst_s.json", tmp_path / "abst_t.json"
+    abst_s_path.write_text(serialize.dumps(abst_S), encoding="utf-8")
+    abst_t_path.write_text(serialize.dumps(abst_T), encoding="utf-8")
     for command in (["canon", str(s_path)],
                     ["decide", str(s_path), str(t_path), "--bound-k", "3"],
-                    ["resync", str(s_path), str(t_path), "--bound-k", "3"]):
+                    ["resync", str(s_path), str(t_path), "--bound-k", "3"],
+                    ["profiles", str(abst_s_path), str(abst_t_path)],
+                    ["profiles", str(abst_s_path), str(abst_t_path), "--format", "dot"]):
         outputs = set()
         for seed in ("0", "7", "99"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
@@ -292,7 +308,7 @@ def test_canon_and_decide_are_hash_seed_independent(files):
             )
             assert done.returncode == 0, done.stderr
             outputs.add(done.stdout)
-        assert len(outputs) == 1, command[0]
+        assert len(outputs) == 1, command
         if command[0] == "canon":
             assert len(serialize.loads(outputs.pop()).states) == 14
         if command[0] == "resync":
@@ -318,7 +334,7 @@ def test_decide_rec_machine_verifies(tmp_path, capsys, ann_S, ann_T):
 
 
 def test_block_cap_zero_is_one_block_everywhere(files, capsys, intro_S, intro_T):
-    from syncsynth.pipeline import PipelineConfig, decide
+    from syncsynth.pipeline import decide
 
     s_path, t_path = files
     code = main(["resync", str(s_path), str(t_path), "--bound-k", "0"])

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -297,6 +298,17 @@ def test_verdict_checks_hold_under_optimize():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [INCONCLUSIVE, INCONCLUSIVE]
 
+
+def test_program_has_no_assert_statements():
+    """No guarantee may rest on `assert`, which `python -O` removes."""
+    package = Path(pipeline.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
 
 
 @pytest.mark.parametrize(

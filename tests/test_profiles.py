@@ -9,9 +9,9 @@ from syncsynth.profiles import (
     _AnnBuilder,
     _Ctx,
     ClosureCapExceeded,
-    InputProfile,
     MixedTapes,
     ParameterMismatch,
+    Profile,
     StateTransformationFn,
     annotated_output_stt,
     compute_k,
@@ -264,6 +264,10 @@ def test_empty_profile_is_identity(abst):
     assert p.is_identity
     q = output_profile((), 2, a, b)
     assert q.is_identity
+    # one profile type; only output words carry annotated trees
+    assert isinstance(p, Profile) and isinstance(q, Profile)
+    assert (p.tape, q.tape) == (Tape.INPUT, Tape.OUTPUT)
+    assert p.ann_trees == () and len(q.ann_trees) == len(q.trees)
 
 
 def test_concat_identity_laws(abst):
@@ -319,15 +323,30 @@ def test_associativity(abst):
 
 def test_output_concat(ann):
     a, b = ann
-    p1 = output_profile(("c",), 2, a, b)
-    p2 = output_profile(("c",), 2, a, b)
-    assert concat_profiles(p1, p2) == output_profile(("c", "c"), 2, a, b)
+    e = output_profile((), 2, a, b)
+    words = [w for w in words_over(sorted(b.output_alphabet), range(1, 4))]
+    for y1 in words:
+        p1 = output_profile(y1, 2, a, b)
+        assert concat_profiles(e, p1) == p1
+        assert concat_profiles(p1, e) == p1
+        for y2 in words:
+            if len(y1) + len(y2) > 4:
+                continue
+            direct = output_profile(y1 + y2, 2, a, b)
+            assert concat_profiles(p1, output_profile(y2, 2, a, b)) == direct, (y1, y2)
 
 
 def test_parameter_mismatch(abst):
     a, b = abst
     with pytest.raises(ParameterMismatch):
         concat_profiles(input_profile(("a",), 2, a, b), input_profile(("a",), 4, a, b))
+    # profiles of the two tapes never concatenate, not even the identities
+    for x, y in ((("a",), ("b",)), ((), ("b",)), (("a",), ())):
+        p_in, p_out = input_profile(x, 2, a, b), output_profile(y, 2, a, b)
+        with pytest.raises(ParameterMismatch):
+            concat_profiles(p_in, p_out)
+        with pytest.raises(ParameterMismatch):
+            concat_profiles(p_out, p_in)
 
 
 # ---------------------------------------------------------------------------
