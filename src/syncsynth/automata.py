@@ -456,6 +456,15 @@ def tape_closure(a: Nfa, tape: Tape) -> dict:
     return closure
 
 
+def strict_tape_closure(a: Nfa, tape: Tape) -> dict:
+    """Per state, the states reachable via nonempty words of one tape."""
+    reach = tape_closure(a, tape)
+    return {
+        p: frozenset(r for letter, q in a.out_edges(p) if letter.tape is tape for r in reach[q])
+        for p in a.states
+    }
+
+
 def project_input(a: Nfa) -> Nfa:
     """Automaton for the input projections of L(a), over pure-input letters.
 

@@ -5,16 +5,19 @@ The reader runs one buffered copy of the source on the lag-bounded prefix
 and one copy per pure block, feeding each copy its own letters as they
 arrive in canonical order; guessed hand-off states are verified at the end.
 
-Both readers build only states that can still reach a final one, so the
-pruning leaves `determinize(trim(reader))` unchanged: a guessed hand-off
-state must be reachable on the tape of the run it ends; `canonicalize`'s
-reader tracks the canonical shape, routes no letter the shape forbids, and
-drops a prefix buffer once no tape the shape allows can still drain it.
+Both readers drop states that fail a necessary condition for reaching a
+final state, so the pruning leaves `determinize(trim(reader))` unchanged;
+states that pass may still be dead. `canonicalize_finite_shift` guesses a
+hand-off state only where the run it ends can reach it. `canonicalize`'s
+reader tracks the canonical shape and routes no letter the shape forbids;
+it keeps a state only if the prefix copy can still drain its buffer and the
+chain of guessed blocks can still connect from where that copy may end.
 Both canonicalizers return the minimal DFA of their reader's language.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 from .analysis import ShiftlagCertificate, lag_blocks_cover, least_true
@@ -27,6 +30,7 @@ from .automata import (
     explore_nfa,
     inclusion,
     minimize,
+    strict_tape_closure,
     tape_closure,
     tape_table_dfa,
     trim,
@@ -169,15 +173,20 @@ def canonicalize(
     """Language-level resynchronization of a finite-shiftlag source onto
     canonical words; the relation of pairs is preserved exactly.
 
-    The reader tracks the canonical shape DFA's state and builds no state
-    that cannot reach a final one:
-    - a letter the shape forbids has no successor;
-    - a new block guesses its start only among the states that the block
-      just before it in merged order, if already open, reaches from its
-      current state by letters of its own tape;
-    - a state with a nonempty prefix buffer is dropped once every tape the
-      shape still allows has a block open, since the buffer drains only
-      through letters routed to the prefix copy.
+    The reader tracks the canonical shape DFA's state, so a letter the shape
+    forbids has no successor, and keeps a state only while two conditions
+    hold that every state on a path to a final one meets:
+    - drain: some run of the prefix copy reads its whole buffer, in order,
+      with letters of the tapes that may still reach it (tapes the shape
+      allows with no block open) interleaved; a buffer is consumed only
+      when such a letter arrives;
+    - chain: walking the blocks in merged order from the states that run
+      may end in, each guessed start lies among the states the chain can
+      stand at there. An open block may still grow by its own tape only if
+      it is the last of that tape and the shape allows the tape, and a
+      block still missing between two open ones must read a letter.
+    Guesses, blocks and the shape only narrow the future, so a dropped
+    state has no accepting continuation.
     """
     if not cert.is_finite:
         raise InvalidCertificate("source has infinite shiftlag")
@@ -192,6 +201,7 @@ def canonicalize(
     finals = s.finals
 
     reach = {tape: tape_closure(s, tape) for tape in Tape}
+    reach_plus = {tape: strict_tape_closure(s, tape) for tape in Tape}
 
     # reader state:
     #   (shape, q0copy, buf, first_tape, in_blocks, out_blocks)
@@ -245,7 +255,7 @@ def canonicalize(
         if shape is None:
             return []
         nxt = []
-        blocks, others = (in_blocks, out_blocks) if tape is Tape.INPUT else (out_blocks, in_blocks)
+        blocks = in_blocks if tape is Tape.INPUT else out_blocks
 
         def with_blocks(ft, nb):
             if tape is Tape.INPUT:
@@ -267,48 +277,73 @@ def canonicalize(
         for ft in firsts:
             if not block_index_ok(ft, tape, count):
                 continue
-            # the merged block just before this one, if already open, must
-            # end where this one starts, and it grows by its own tape only
-            before = count - 1 if ft is tape else count
-            is_open = 0 < before <= len(others)
-            guesses = reach[PARTNER[tape]][others[before - 1][1]] if is_open else s.states
-            for g in sorted(guesses):
+            for g in sorted(s.states):
                 for c2 in s.successors(g, letter):
                     nxt.append(with_blocks(ft, blocks + ((g, c2),)))
-        return [st for st in nxt if drainable(st)]
+        return [st for st in nxt if viable(st)]
 
-    def drainable(state):
-        """A buffer drains only through a letter routed to the prefix copy:
-        one of a tape the shape still allows, with no block open on it."""
-        shape, _, buf, _, in_blocks, out_blocks = state
-        unopened = {Tape.INPUT: not in_blocks, Tape.OUTPUT: not out_blocks}
-        return not buf or any(unopened[t] for p, t in SHAPE if p == shape)
+    @cache
+    def drain_set(q0, buf: tuple, tapes: frozenset) -> frozenset:
+        """Where the prefix copy can end: the states reached from q0 by
+        reading `buf` in order with letters of `tapes` interleaved anywhere.
+        Letters reach the prefix copy only on those tapes, and its buffer
+        is consumed only when one arrives."""
+        if not tapes:
+            return frozenset() if buf else frozenset({q0})
+        seen = {(q0, 0)}
+        stack = [(q0, 0)]
+        while stack:
+            q, i = stack.pop()
+            for letter, q2 in s.out_edges(q):
+                nodes = [(q2, i)] if letter.tape in tapes else []
+                if i < len(buf) and letter == buf[i]:
+                    nodes.append((q2, i + 1))
+                for node in nodes:
+                    if node not in seen:
+                        seen.add(node)
+                        stack.append(node)
+        return frozenset(q for q, i in seen if i == len(buf))
+
+    def merged_order(first, blocks: dict) -> list:
+        """(tape, index) of each block in the merged order `is_final` chains
+        them, up to the last open block; an index past its tape's open
+        blocks is a block that must still open."""
+        if first is None:
+            return []
+        tapes = (first, PARTNER[first])
+        order = [(t, k) for k in range(max(map(len, blocks.values()))) for t in tapes]
+        while order[-1][1] >= len(blocks[order[-1][0]]):
+            order.pop()
+        return order
+
+    def viable(state):
+        """The drain and chain conditions above."""
+        shape, q0, buf, first, in_blocks, out_blocks = state
+        blocks = {Tape.INPUT: in_blocks, Tape.OUTPUT: out_blocks}
+        allowed = {t for p, t in SHAPE if p == shape}
+        current = drain_set(q0, buf, frozenset(t for t in allowed if not blocks[t]))
+        for t, k in merged_order(first, blocks):
+            if k < len(blocks[t]):
+                g, c = blocks[t][k]
+                if g not in current:
+                    return False
+                current = reach[t][c] if k == len(blocks[t]) - 1 and t in allowed else {c}
+            elif t in allowed:
+                current = set().union(*(reach_plus[t][q] for q in current))
+            else:
+                return False
+        return bool(current)
 
     def is_final(state):
         _, q0, buf, first, in_blocks, out_blocks = state
         if buf:
             return False
-        ni, no = len(in_blocks), len(out_blocks)
-        if ni == no == 0:
-            return q0 in finals
-        if abs(ni - no) > 1:
-            return False
-        if ni > no and first is not Tape.INPUT:
-            return False
-        if no > ni and first is not Tape.OUTPUT:
-            return False
-        merged = []
-        a, b = (in_blocks, out_blocks) if first is Tape.INPUT else (out_blocks, in_blocks)
-        for k in range(max(ni, no)):
-            if k < len(a):
-                merged.append(a[k])
-            if k < len(b):
-                merged.append(b[k])
+        blocks = {Tape.INPUT: in_blocks, Tape.OUTPUT: out_blocks}
         cur = q0
-        for g, c in merged:
-            if g != cur:
+        for t, k in merged_order(first, blocks):
+            if k >= len(blocks[t]) or blocks[t][k][0] != cur:
                 return False
-            cur = c
+            cur = blocks[t][k][1]
         return cur in finals
 
     reader = explore_nfa(

@@ -133,11 +133,11 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
             stats=stats,
         )
 
-    conclusive = covered
+    inexact_k = ""  # why the block cap may be too small for an exact NO
     if cfg.k_override is not None:
         k_used = cfg.k_override
         stats["k_source"] = "override"
-        conclusive = False
+        inexact_k = f"k = {k_used} is an override, not a computed bound"
     else:
         try:
             bound = compute_k(n, gamma, can, t_dfa, closure_cap=cfg.closure_cap)
@@ -149,11 +149,12 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
         if bound.k > FEASIBLE_K_CAP:
             k_used = FEASIBLE_K_CAP
             stats["k_source"] = "capped"
-            conclusive = False
+            inexact_k = f"computed k = {bound.k} capped at FEASIBLE_K_CAP = {FEASIBLE_K_CAP}"
         else:
             k_used = bound.k
             stats["k_source"] = "computed"
     stats["k_used"] = k_used
+    conclusive = covered and not inexact_k
 
     params = ResyncParams(n=n, gamma=gamma, i=k_used)
     t_i = build_Ti(t, params)
@@ -171,9 +172,11 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
         return _capped(exc, stats)
     stats["t_i_s_states"] = len(tis.states)
     caveat = ""
-    if conclusive and tis.refused_caps:
+    if not conclusive:
+        caveat = f"block cap: {inexact_k}, so T_i may miss words and a NO is not exact; "
+    if tis.refused_caps:
         conclusive = False
-        caveat = (
+        caveat += (
             f"queue cap: build_TiS refused letters at queue length "
             f"{', '.join(map(str, tis.refused_caps))} (gamma + 1, or gamma + 1 + i*n in "
             f"the block zone), so T_iS may miss words and a NO is not exact; "

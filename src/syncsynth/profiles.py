@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Optional, Sequence
 
-from .automata import AutomatonError, Dfa, tape_closure
+from .automata import AutomatonError, Dfa, strict_tape_closure
 from .canonical import CanonicalDfa
 from .letters import PARTNER, Letter, Tape, inp, out
 from .trees import LabeledTree, node_ids, reduce_tree, tree
@@ -95,13 +95,7 @@ class _Ctx:
             Tape.OUTPUT: sorted(set(self.a.output_alphabet) | set(b.output_alphabet)),
         }
         # per tape and state, the target states reachable via nonempty words of that tape
-        self.closure = {}
-        for tape in Tape:
-            reach = tape_closure(b, tape)
-            self.closure[tape] = {
-                p: frozenset(r for letter, q in b.out_edges(p) if letter.tape is tape for r in reach[q])
-                for p in b.states
-            }
+        self.closure = {tape: strict_tape_closure(b, tape) for tape in Tape}
         self._mid_cache: dict = {}
 
     def pair_frontiers(self, x: tuple, p: str, q: str, tape: Tape) -> list:

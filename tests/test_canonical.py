@@ -146,6 +146,50 @@ def test_canonical_reader_tracks_the_shape(intro_S):
     assert CanonicalDfa.from_dfa(can.dfa) == can
 
 
+def test_canonical_reader_drops_broken_chains():
+    """A 4-state source (shiftlag m = 6, nu = 62) whose reader ran past
+    200,000 states while it dropped only undrainable buffers. Keeping just
+    the states whose prefix copy can drain and whose chain of blocks can
+    still connect, it explores 675 states."""
+    s = mk_nfa(
+        {"a", "b", "c"}, {"d"}, "q0", {"q1", "q3"},
+        [
+            ("q0", "i", "a", "q2"), ("q0", "i", "b", "q0"), ("q1", "i", "a", "q3"),
+            ("q1", "o", "d", "q1"), ("q1", "o", "d", "q3"), ("q2", "i", "c", "q1"),
+            ("q2", "o", "d", "q2"), ("q2", "o", "d", "q3"), ("q3", "o", "d", "q3"),
+        ],
+    )
+    can = canonicalize(s, shiftlag_finiteness(s), state_cap=2000)
+    assert len(can.dfa.states) == 16
+    assert pairs_upto(can.dfa, 6) == pairs_upto(s, 6)
+
+
+def test_canonical_reader_lets_the_last_block_grow():
+    """In e*·d·b+·e*, (bbbb, ede) is read with the input block still growing
+    while the output block after it is already open; the chain prune must
+    check that block's guess against all the input block can still reach."""
+    s = mk_nfa(
+        {"b"}, {"d", "e"}, "q0", {"q1"},
+        [
+            ("q0", "o", "e", "q0"), ("q0", "o", "d", "q2"), ("q2", "i", "b", "q2"),
+            ("q2", "i", "b", "q1"), ("q1", "o", "e", "q1"),
+        ],
+    )
+    can = canonicalize(s, shiftlag_finiteness(s))
+    assert can.accepts_pair(tuple("bbbb"), tuple("ede"))
+    assert pairs_upto(can.dfa, 7) == pairs_upto(s, 7)
+
+
+@pytest.mark.parametrize("source, cap", [("intro", 1000), ("ann", 100), ("delay-3-3", 300)])
+def test_canonical_reader_budget(request, source, cap):
+    """The reader fits a cap well below what it explored before it dropped
+    broken chains (intro 4,163, ann 664, delay m = 3 2,923 states; now 347,
+    42 and 110), and the result equals the default-cap one."""
+    s = delay_instance(3, 3)[0] if source == "delay-3-3" else request.getfixturevalue(f"{source}_S")
+    cert = shiftlag_finiteness(s)
+    assert canonicalize(s, cert, state_cap=cap) == canonicalize(s, cert)
+
+
 def test_canonical_dfas_are_minimal(intro_S):
     """Both canonicalizers return the minimal DFA of their language; the
     subset constructions alone had 346, 41 and 20 states here."""
@@ -157,14 +201,14 @@ def test_canonical_dfas_are_minimal(intro_S):
 
 @st.composite
 def small_sources(draw):
-    """A 2-4-state source over one or two letters per tape."""
+    """A 2-5-state source over one or two letters per tape."""
     inputs = draw(st.sampled_from(["a", "ab"]))
     outputs = draw(st.sampled_from(["d", "de"]))
-    states = [f"q{j}" for j in range(draw(st.integers(min_value=2, max_value=4)))]
+    states = [f"q{j}" for j in range(draw(st.integers(min_value=2, max_value=5)))]
     letters = [("i", x) for x in inputs] + [("o", y) for y in outputs]
     edges = draw(st.lists(
         st.tuples(st.sampled_from(states), st.sampled_from(letters), st.sampled_from(states)),
-        min_size=1, max_size=8, unique=True,
+        min_size=1, max_size=10, unique=True,
     ))
     finals = draw(st.sets(st.sampled_from(states), min_size=1))
     return mk_nfa(

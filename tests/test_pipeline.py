@@ -353,6 +353,25 @@ def test_queue_cap_refusal_is_not_an_exact_no(abst_S, abst_late_T):
         assert verdict.reason.startswith("queue cap: build_TiS")
 
 
+@pytest.mark.parametrize(
+    "cfg, why",
+    [
+        (PipelineConfig(), "computed k = 70 capped at FEASIBLE_K_CAP = 6"),
+        (PipelineConfig(k_override=2), "k = 2 is an override, not a computed bound"),
+    ],
+)
+def test_inexact_block_cap_opens_the_reason(abst_S, abst_T, cfg, why):
+    """abst's computed block cap is far above FEASIBLE_K_CAP, and T_i is not
+    T at the block cap used, so a NO would not be exact. An INCONCLUSIVE
+    says so first; the queue cap of build_TiS follows."""
+    verdict = decide(abst_S, abst_T, cfg)
+    assert verdict.answer != NO, verdict.reason
+    if verdict.answer == INCONCLUSIVE:
+        assert verdict.reason.startswith(
+            f"block cap: {why}, so T_i may miss words and a NO is not exact; queue cap: build_TiS"
+        ), verdict.reason
+
+
 def single_pair(inputs: str, outputs: str, u: str, v: str, tags) -> tuple:
     """S = {(u, v)}, synchronized inputs first, and T = the one word that
     interleaves (u, v) along `tags` (1 for input, 2 for output). Following
