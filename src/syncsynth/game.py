@@ -67,13 +67,13 @@ class Strategy:
 
 def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
     """Arena over the minimal DFAs of the endmarked language and of its input
-    projection; the input player advances both, emissions advance the word
-    automaton only. Both DFAs are trim, so a missing edge is the only way out
-    of either language."""
+    projection, which is read off the first; the input player advances both,
+    emissions advance the word automaton only. Both DFAs are trim, so a
+    missing edge is the only way out of either language."""
     if END_IN not in s_prime.input_alphabet or END_OUT not in s_prime.output_alphabet:
         raise MissingEndmarkers("build_arena expects an endmarked language")
     p_dfa = minimize(determinize(s_prime))
-    d_dfa = minimize(determinize(project_input(s_prime)))
+    d_dfa = minimize(determinize(project_input(p_dfa)))
     if cap is None:
         cap = len(p_dfa.states) * len(d_dfa.states) + 1
 

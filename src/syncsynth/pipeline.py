@@ -29,6 +29,7 @@ from .automata import (
     determinize,
     inclusion,
     language_equal,
+    minimize,
     project_input,
     trim,
 )
@@ -215,26 +216,28 @@ def _capped(exc: StateCapExceeded, stats: dict) -> Verdict:
 def _play(
     s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, exact: bool, caveat: str = ""
 ) -> Verdict:
-    """The shared tail: domain check, endmarking, the game, then a verified
+    """The shared tail: the arena on the endmarked minimal DFA of `synced`, a
+    domain check against the arena's input DFA, the game, then a verified
     machine (YES) or a replayed spoiling strategy (NO, or INCONCLUSIVE when
-    the synchronized language `synced` is not exact; `caveat` then opens the
-    reason)."""
+    `synced` is not exact; `caveat` then opens the reason). Only the minimal
+    DFA and the source are ever projected."""
     miss = NO if exact else INCONCLUSIVE
-    ok, witness = inclusion(project_input(s), project_input(synced))
+    arena = build_arena(add_endmarkers(minimize(determinize(synced))))
+    s_end = add_endmarkers(s)
+    ok, witness = inclusion(project_input(s_end), arena.d_dfa)
     if not ok:
         return Verdict(
             answer=miss,
-            witness=witness,
+            witness=witness[:-1],  # drop the input endmarker
             reason=caveat + "an input of the source relation has no allowed synchronization",
             stats=stats,
         )
 
-    arena = build_arena(add_endmarkers(synced))
     stats["arena_vertices"] = len(arena.vertices)
     region, strategy = solve(arena)
     if arena.initial in region:
         machine = extract_sdfa(arena, strategy)
-        report = verify_uniformizer(machine, add_endmarkers(s), add_endmarkers(t), depth=depth)
+        report = verify_uniformizer(machine, s_end, add_endmarkers(t), depth=depth)
         stats["machine_states"] = len(machine.states)
         if not report.ok:
             return Verdict(

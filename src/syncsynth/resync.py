@@ -3,7 +3,7 @@
 build_Ti restricts a target language so that output blocks after the
 lag-bounded prefix are capped; build_TiS reads such words and simulates the
 canonical source automaton on the pair they encode, re-interleaving on the
-fly through a bounded queue of pending or pre-guessed letters.
+fly through a bounded queue of guessed letters.
 """
 from __future__ import annotations
 
@@ -58,12 +58,6 @@ def build_Ti(t: Nfa, p: ResyncParams) -> Nfa:
     return trim(product(t, shape))
 
 
-# queue kinds: (PEND, tape) holds letters of `tape` that arrived and await
-# their partners; (GUESS, tape) holds letters of `tape` the canonical DFA
-# consumed ahead of arrival, which arrivals must match
-PEND, GUESS = "pend", "guess"
-
-
 def tape_capacity(a: Nfa, tape: Tape) -> dict:
     """Per state: max number of `tape` letters on any accepting path from it
     (None = unbounded). Dead states get 0."""
@@ -107,25 +101,18 @@ def build_TiS(
 
     Simulates the canonical DFA on the canonical re-interleaving of the word
     read so far: pairs of one input and one output letter, then a tail on one
-    tape. One arrival rule serves both tapes. A letter on tape x must match
-    the oldest guessed x letter while x letters are guessed. Once a tail has
-    begun, it is read directly if the tail is on x and refused otherwise.
-    Else it pairs with the oldest pending letter of its partner tape y, if
-    there is one. Otherwise x runs ahead, and `ahead[x]` says how: the letter
-    is queued as pending, or every y letter is guessed to pair with it now.
-    The ahead tape is queued unless its alphabet is the larger one, in which
-    case its partner is guessed. In the block zone such a letter may also
-    begin an x tail: pending x letters are flushed into the DFA, and guessed
-    y letters stay owed. The queue holds at most gamma + 1 letters in the
-    lag-bounded prefix and gamma + 1 + i*n in the block zone; a letter the
-    cap refuses is recorded in `refused_caps`.
+    tape. The queue holds guessed letters, all on one tape. A letter on tape x
+    must match the oldest queued letter while the queue holds x letters. Once
+    a tail has begun, it is read directly if the tail is on x and refused
+    otherwise. Else x runs ahead: a letter of its partner tape y is guessed
+    and the DFA reads the pair at once, and later y letters must match the
+    guesses. In the block zone such a letter may instead begin an x tail,
+    while guessed y letters stay owed. The queue holds at most gamma + 1
+    letters in the lag-bounded prefix and gamma + 1 + i*n in the block zone;
+    a letter the cap refuses is recorded in `refused_caps`.
     """
     dfa = a.dfa
     alphabet = {Tape.INPUT: sorted(ti.input_alphabet), Tape.OUTPUT: sorted(ti.output_alphabet)}
-    ahead = {
-        x: (PEND, x) if len(alphabet[x]) <= len(alphabet[y]) else (GUESS, y)
-        for x, y in PARTNER.items()
-    }
     cap1 = params.gamma + 1
     cap2 = params.gamma + 1 + params.guess_budget
     refused: set = set()  # queue caps that refused an arriving letter
@@ -137,48 +124,35 @@ def build_TiS(
             q = dfa.delta(q, letter)
         return q
 
-    def pair_step(q, x, sym, partner_sym):
-        """The DFA on one pair: `sym` on tape x, `partner_sym` on its partner."""
-        mine, theirs = Letter(x, sym), Letter(PARTNER[x], partner_sym)
-        return astep(q, mine, theirs) if x is Tape.INPUT else astep(q, theirs, mine)
-
-    # core states: (stage, a_state, queue, kind, tail)
+    # core states: (stage, a_state, queue, tail)
     #   stage 1: lag-bounded prefix, no tail commitments
     #   stage 2: block zone; tail is None or the tape whose tail has begun
+    #   queue: guessed letters, all on one tape, that arrivals must match
     def consume_arrival(state, letter: Letter):
         """Successor core states for one letter arriving on tape x."""
-        stage, q, queue, kind, tail = state
-        x, sym = letter
+        stage, q, queue, tail = state
+        x = letter.tape
         y = PARTNER[x]
-        kind_left = kind if len(queue) > 1 else None  # once the oldest letter goes
-        if queue and kind == (GUESS, x):
-            return [(stage, q, queue[1:], kind_left, tail)] if queue[0] == sym else []
+        if queue and queue[0].tape is x:
+            return [(stage, q, queue[1:], tail)] if queue[0] == letter else []
         if tail is not None:
             q2 = astep(q, letter) if tail is x else None
-            return [] if q2 is None else [(stage, q2, queue, kind, tail)]
-        if queue and kind == (PEND, y):
-            q2 = pair_step(q, x, sym, queue[0])
-            return [] if q2 is None else [(stage, q2, queue[1:], kind_left, tail)]
-        # x runs ahead; a queue left here holds kind ahead[x], since ahead[y]
-        # is (PEND, y) or (GUESS, x) and both returned above
+            return [] if q2 is None else [(stage, q2, queue, tail)]
+        # x runs ahead: guess its y partner, or in the block zone begin an x tail
         results = []
         cap = cap1 if stage == 1 else cap2
         if len(queue) >= cap:
             refused.add(cap)
-        elif ahead[x][0] == PEND:
-            results.append((stage, q, queue + (sym,), ahead[x], tail))
         else:
             for g in alphabet[y]:
-                q2 = pair_step(q, x, sym, g)
+                guess = Letter(y, g)
+                q2 = astep(q, *((letter, guess) if x is Tape.INPUT else (guess, letter)))
                 if q2 is not None:
-                    results.append((stage, q2, queue + (g,), ahead[x], tail))
+                    results.append((stage, q2, queue + (guess,), tail))
         if stage == 2:
-            # commit to an x tail: the pair part of the word is over
-            if queue and kind == (PEND, x):
-                q, queue, kind = astep(q, *(Letter(x, s) for s in queue)), (), None
             q2 = astep(q, letter)
             if q2 is not None:
-                results.append((stage, q2, queue, kind, x))
+                results.append((stage, q2, queue, x))
         return results
 
     def core_step(state, letter: Letter):
@@ -189,37 +163,26 @@ def build_TiS(
         return dict.fromkeys(results)
 
     def core_final(state):
-        _, q, queue, kind, _ = state
-        if queue:
-            role, tape = kind
-            if role == GUESS:
-                return False
-            q = astep(q, *(Letter(tape, s) for s in queue))
-        return q is not None and q in dfa.finals
+        _, q, queue, _ = state
+        return not queue and q in dfa.finals
 
-    core_init = (1, dfa.initial, (), None, None)
+    core_init = (1, dfa.initial, (), None)
     initial = (core_init, ti.initial)
     capacity = {x: tape_capacity(ti, x) for x in Tape}
 
-    def viable(core, before, tstate) -> bool:
-        _, _, queue, kind, _ = core
+    def viable(core, tstate) -> bool:
+        queue = core[2]
         if not queue:
             return True
-        role, tape = kind
-        if role == GUESS:
-            # guessed letters must still be able to arrive from this target state
-            limit = capacity[tape][tstate]
-            return limit is None or len(queue) <= limit
-        # pending letters may only pile up while the partner tape can still
-        # supply pairs; past that point the tail-commitment branch covers
-        # the same words without a queue
-        return len(queue) <= len(before[2]) or capacity[PARTNER[tape]][tstate] != 0
+        # guessed letters must still be able to arrive from this target state
+        limit = capacity[queue[0].tape][tstate]
+        return limit is None or len(queue) <= limit
 
     def step(state, letter):
         core, tstate = state
         targets = ti.successors(tstate, letter)
         cores = core_step(core, letter) if targets else ()
-        return [(c2, t2) for t2 in targets for c2 in cores if viable(c2, core, t2)]
+        return [(c2, t2) for t2 in targets for c2 in cores if viable(c2, t2)]
 
     def is_final(state):
         core, tstate = state

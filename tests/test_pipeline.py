@@ -1,6 +1,8 @@
 import ast
+import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -353,6 +355,16 @@ def test_queue_cap_refusal_is_not_an_exact_no(abst_S, abst_late_T):
         assert verdict.reason.startswith("queue cap: build_TiS")
 
 
+@pytest.mark.parametrize("target", ["abst_T", "abst_late_T"])
+def test_abst_answers_yes(request, abst_S, target):
+    """abst's outputs may wait for any number of inputs. build_TiS guesses
+    them and lets an input tail begin while they are owed, so no queue cap
+    refuses a word of T and the default configuration answers YES."""
+    verdict = decide(abst_S, request.getfixturevalue(target))
+    assert verdict.answer == YES, (verdict.reason, verdict.stats)
+    assert verdict.verification.ok, verdict.verification.failures
+
+
 @pytest.mark.parametrize(
     "cfg, why",
     [
@@ -370,6 +382,43 @@ def test_inexact_block_cap_opens_the_reason(abst_S, abst_T, cfg, why):
         assert verdict.reason.startswith(
             f"block cap: {why}, so T_i may miss words and a NO is not exact; queue cap: build_TiS"
         ), verdict.reason
+
+
+def late_letter_decides():
+    """S = {(a^n b, d^m), (a^n c, e^m) : m >= 1}, T = 1*·2*·1: the outputs must
+    come before the last input, which decides them, so the answer is NO. Output
+    blocks are unbounded in T, so T_i misses words at every block cap."""
+    s = mk_nfa(
+        {"a", "b", "c"}, {"d", "e"}, "s0", {"sd", "se"},
+        [("s0", "i", "a", "s0"), ("s0", "i", "b", "s1"), ("s0", "i", "c", "s2"),
+         ("s1", "o", "d", "sd"), ("sd", "o", "d", "sd"), ("s2", "o", "e", "se"),
+         ("se", "o", "e", "se")],
+    )
+    t = mk_nfa(
+        {"a", "b", "c"}, {"d", "e"}, "t0", {"t2"},
+        [("t0", "i", x, "t0") for x in "abc"] + [("t0", "o", y, "t1") for y in "de"]
+        + [("t1", "o", y, "t1") for y in "de"] + [("t1", "i", x, "t2") for x in "abc"],
+    )
+    return s, t
+
+
+@pytest.mark.parametrize(
+    "cfg, why",
+    [
+        (PipelineConfig(depth=5), r"computed k = \d+ capped at FEASIBLE_K_CAP = 6"),
+        (PipelineConfig(k_override=1, depth=5), r"k = 1 is an override, not a computed bound"),
+    ],
+)
+def test_lost_game_at_an_inexact_block_cap_is_inconclusive(cfg, why):
+    """The input player spoils the game on T_i, but T_i is not T at the block
+    cap used, so the would-be NO is INCONCLUSIVE and its reason says why."""
+    verdict = decide(*late_letter_decides(), cfg)
+    assert verdict.answer == INCONCLUSIVE, verdict.reason
+    pattern = (
+        f"block cap: {why}, so T_i may miss words and a NO is not exact; "
+        ".*the input player spoils the game"
+    )
+    assert re.fullmatch(pattern, verdict.reason), verdict.reason
 
 
 def single_pair(inputs: str, outputs: str, u: str, v: str, tags) -> tuple:
@@ -446,3 +495,14 @@ def test_resync_and_no_witness_are_hash_seed_independent(tmp_path):
             assert done.returncode == code, done.stderr
             outputs.add(done.stdout)
         assert len(outputs) == 1, command[0]
+
+
+def test_benchmark_layer_names_resolve_on_the_pipeline():
+    """decidebench's tracer looks up each of its layer names on
+    syncsynth.pipeline with getattr; an import cleanup there must keep them."""
+    path = Path(__file__).resolve().parent.parent / "decidebench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("decidebench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [name for name in layers.LAYERS if not callable(getattr(pipeline, name, None))]
+    assert not missing, missing

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syncsynth.analysis import certificate_lag_bound, shiftlag_finiteness
 from syncsynth.automata import (
+    StateCapExceeded,
     accepts,
     enumerate_accepted,
     inclusion,
@@ -25,6 +27,7 @@ from syncsynth.resync import (
 
 from .conftest import mk_nfa, tag_family
 from .oracles import tape_count_naive
+from .test_canonical import small_sources
 
 
 def ti_oracle(t_i, s, max_len):
@@ -102,6 +105,58 @@ def test_tis_outputs_ahead_of_a_guessed_input():
                [("t0", "o", "b", "t1"), ("t1", "o", "c", "t2"), ("t2", "i", "a", "t3")])
     c, _ = check_tis_instance(s, t, ResyncParams(n=2, gamma=1, i=2), 5)
     assert c.refused_caps == ()
+
+
+def test_tis_reads_late_outputs_through_guesses(abst_S, abst_late_T):
+    """Target ε + a·b + a·a·a*·b·c: the outputs wait for any number of inputs.
+    The third a begins an input tail while the guessed b·c are still owed, so
+    a^20·b·c needs a queue of two letters. The parameters are the ones decide
+    uses (n = 3 and gamma = 0 from the target, i = FEASIBLE_K_CAP = 6); only
+    the lag-bounded prefix's cap refuses a letter."""
+    params = ResyncParams(n=3, gamma=0, i=6)
+    can = canonicalize(abst_S, shiftlag_finiteness(abst_S))
+    c = build_TiS(can, build_Ti(abst_late_T, params), params)
+    assert accepts(c, (inp("a"),) * 20 + (out("b"), out("c")))
+    assert c.refused_caps == (1,)
+
+
+@st.composite
+def small_targets(draw, inputs, outputs):
+    """A 1-3-state target over the given letters."""
+    states = [f"t{j}" for j in range(draw(st.integers(min_value=1, max_value=3)))]
+    letters = [("i", x) for x in sorted(inputs)] + [("o", y) for y in sorted(outputs)]
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(states), st.sampled_from(letters), st.sampled_from(states)),
+        min_size=1, max_size=8, unique=True,
+    ))
+    finals = draw(st.sets(st.sampled_from(states), min_size=1))
+    return mk_nfa(inputs, outputs, states[0], finals,
+                  [(p, tape, sym, q) for p, (tape, sym), q in edges])
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_tis_matches_the_oracle_on_random_instances(data):
+    """On random finite-shiftlag sources and small targets, T_iS holds exactly
+    the words of T_i whose pair is in the source relation, up to length 6.
+    A queue cap that refused a letter may only leave words out."""
+    s = data.draw(small_sources())
+    cert = shiftlag_finiteness(s)
+    if not cert.is_finite:
+        return
+    t = data.draw(small_targets(s.input_alphabet, s.output_alphabet))
+    params = ResyncParams(*(data.draw(st.integers(min_value=0, max_value=2)) for _ in range(3)))
+    t_i = build_Ti(t, params)
+    try:
+        c = build_TiS(canonicalize(s, cert, state_cap=2000), t_i, params, state_cap=20000)
+    except StateCapExceeded:
+        return
+    got = set(enumerate_accepted(c, 6))
+    want = ti_oracle(t_i, s, 6)
+    if c.refused_caps:
+        assert got <= want
+    else:
+        assert got == want
 
 
 def test_tis_empty_source(abst_T):
