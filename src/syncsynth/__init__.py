@@ -34,6 +34,7 @@ from .analysis import (
     SyncMeasures,
     build_blocks,
     build_lag_bounded,
+    least_lag_bound,
     measures,
     parikh_injective,
     shift_finiteness,

@@ -310,7 +310,9 @@ def shiftlag_finiteness(a: Nfa) -> ShiftlagCertificate:
     if witness is not None:
         return ShiftlagCertificate(verdict="infinite", witness=witness, state_count=n_states)
     cap = (n_states + 1) ** 2
-    m = least_true(lambda m: lag_blocks_cover(t, certificate_lag_bound(m, n_states), m), 1, cap)
+    m = least_true(
+        lambda m: least_lag_bound(t, m, certificate_lag_bound(m, n_states)) is not None, 1, cap
+    )
     if m is None:
         raise BoundExhausted(f"no shiftlag conclusion within m <= {cap}")
     return ShiftlagCertificate(
@@ -371,13 +373,70 @@ def certificate_lag_bound(m: int, state_count: int) -> int:
 
 def lag_blocks_cover(a: Nfa, nu: int, m: int) -> bool:
     """Whether every word of `a` is a ≤nu-lagged prefix followed by at most m
-    pure blocks. Monotone in nu and in m."""
+    pure blocks. Monotone in nu and in m. The definition by inclusion;
+    `least_lag_bound` answers the same question without automata."""
     right = concat(
         build_lag_bounded(nu, a.input_alphabet, a.output_alphabet),
         build_blocks(m, None, a.input_alphabet, a.output_alphabet),
     )
     ok, _ = inclusion(a, right)
     return ok
+
+
+def least_lag_bound(a: Nfa, m: int, hi: int) -> Optional[int]:
+    """Least nu in [0, hi] with lag_blocks_cover(a, nu, m), or None; builds no
+    automaton.
+
+    A suffix is at most m blocks exactly when it has at most m runs (maximal
+    one-tape segments), so a word's earliest split is the start of its m-th
+    last run, and the word needs the largest |imbalance| of a prefix with at
+    least m run starts after it. `best[q, tape]` is the most run starts,
+    capped at m, of an accepting continuation from q after a letter of `tape`
+    (None: no letter yet). A search over (state, imbalance) that enters a
+    state by a letter of `tape` only when best >= m reaches exactly the
+    prefixes that bound the lag: that condition is prefix-closed along every
+    path.
+    """
+    if m < 0:
+        raise ValueError("block count must be >= 0")
+    if hi < 0:
+        return None
+    tapes = (None, Tape.INPUT, Tape.OUTPUT)
+    succ: dict = {}
+    pred: dict = {}
+    for p, letter, q in a.transitions:
+        succ.setdefault(p, set()).add((letter.tape, q))
+        pred.setdefault((q, letter.tape), set()).add(p)
+    # backward pass: a fixpoint over the edges, values only grow
+    best = {(q, t): 0 if q in a.finals else -1 for q in a.states for t in tapes}
+    stack = [(q, t) for q in a.finals for t in Tape]
+    while stack:
+        q, tape = stack.pop()
+        for p in pred.get((q, tape), ()):
+            for t in tapes:
+                runs = min(m, best[q, tape] + (t is not tape))
+                if runs > best[p, t]:
+                    best[p, t] = runs
+                    if t is not None:
+                        stack.append((p, t))
+    # forward search; when the start does not qualify, nothing past it does,
+    # and every word fits at lag 0
+    if best[a.initial, None] < m:
+        return 0
+    seen = {(a.initial, 0)}
+    stack = [(a.initial, 0)]
+    worst = 0
+    while stack:
+        p, d = stack.pop()
+        for tape, q in succ.get(p, ()):
+            node = (q, d + (1 if tape is Tape.INPUT else -1))
+            if best[q, tape] >= m and node not in seen:
+                if abs(node[1]) > hi:
+                    return None
+                worst = max(worst, abs(node[1]))
+                seen.add(node)
+                stack.append(node)
+    return worst
 
 
 def least_true(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Optional, Sequence
 
-from .analysis import ShiftlagCertificate, lag_blocks_cover, least_true
+from .analysis import ShiftlagCertificate, least_lag_bound
 from .automata import (
     AutomatonError,
     Dfa,
@@ -193,7 +193,7 @@ def canonicalize(
     s = trim(s)
     m = cert.m
     # smallest lag bound that still covers the prefix part
-    nu_hat = least_true(lambda nu: lag_blocks_cover(s, nu, m), 0, cert.nu)
+    nu_hat = least_lag_bound(s, m, cert.nu)
     if nu_hat is None:
         raise InvalidCertificate("certificate inclusion fails on this source")
     buf_cap = nu_hat + 1
@@ -202,6 +202,14 @@ def canonicalize(
 
     reach = {tape: tape_closure(s, tape) for tape in Tape}
     reach_plus = {tape: strict_tape_closure(s, tape) for tape in Tape}
+    # per letter, the blocks it may open: (guessed start, state after it)
+    openers: dict = {}
+    for g in sorted(s.states):
+        for letter, c2 in s.out_edges(g):
+            openers.setdefault(letter, []).append((g, c2))
+    allowed_tapes: dict = {}
+    for p, t in SHAPE:
+        allowed_tapes.setdefault(p, set()).add(t)
 
     # reader state:
     #   (shape, q0copy, buf, first_tape, in_blocks, out_blocks)
@@ -277,9 +285,8 @@ def canonicalize(
         for ft in firsts:
             if not block_index_ok(ft, tape, count):
                 continue
-            for g in sorted(s.states):
-                for c2 in s.successors(g, letter):
-                    nxt.append(with_blocks(ft, blocks + ((g, c2),)))
+            for g, c2 in openers.get(letter, ()):
+                nxt.append(with_blocks(ft, blocks + ((g, c2),)))
         return [st for st in nxt if viable(st)]
 
     @cache
@@ -320,7 +327,7 @@ def canonicalize(
         """The drain and chain conditions above."""
         shape, q0, buf, first, in_blocks, out_blocks = state
         blocks = {Tape.INPUT: in_blocks, Tape.OUTPUT: out_blocks}
-        allowed = {t for p, t in SHAPE if p == shape}
+        allowed = allowed_tapes[shape]
         current = drain_set(q0, buf, frozenset(t for t in allowed if not blocks[t]))
         for t, k in merged_order(first, blocks):
             if k < len(blocks[t]):

@@ -352,21 +352,27 @@ class VerificationReport:
 
 
 def run_machine(machine: SequentialDfa, input_syms) -> Optional[SyncWord]:
-    """Feed an input stream (with its endmarker) and collect the full word."""
+    """Feed an input stream (with its endmarker) and collect the full word;
+    None if the machine rejects it or loops through its output states, since
+    more consecutive emissions than output states close an output cycle."""
     word = []
     state = machine.initial
     pending = list(input_syms)
-    fuel = len(machine.states) * (len(pending) + 2) + len(pending) + 4
-    while fuel > 0:
-        fuel -= 1
+    out_limit = len(machine.output_states)
+    emitted = 0  # consecutive output steps
+    while True:
         if state in machine.output_states:
             edges = machine.out_edges(state)
             if not edges:
                 break
+            emitted += 1
+            if emitted > out_limit:
+                return None
             letter, nxt = edges[0]
             word.append(letter)
             state = nxt
         else:
+            emitted = 0
             if not pending:
                 break
             sym = pending.pop(0)

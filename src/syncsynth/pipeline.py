@@ -14,8 +14,7 @@ from typing import Optional
 from .analysis import (
     ShiftlagCertificate,
     certificate_lag_bound,
-    lag_blocks_cover,
-    least_true,
+    least_lag_bound,
     shift_finiteness,
     shiftlag_finiteness,
 )
@@ -88,7 +87,7 @@ def target_parameters(
     whether the target is covered. An infinite-shiftlag target needs k_override."""
     n = cert.m + 1 if cert.is_finite else k_override + 1
     gamma_formula = certificate_lag_bound(n, len(t_dfa.states))
-    gamma = least_true(lambda g: lag_blocks_cover(t, g, n), 0, gamma_formula)
+    gamma = least_lag_bound(t, n, gamma_formula)
     if gamma is None:
         return n, 0, gamma_formula, False
     return n, gamma, gamma_formula, True
@@ -179,8 +178,8 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
         conclusive = False
         caveat += (
             f"queue cap: build_TiS refused letters at queue length "
-            f"{', '.join(map(str, tis.refused_caps))} (gamma + 1, or gamma + 1 + i*n in "
-            f"the block zone), so T_iS may miss words and a NO is not exact; "
+            f"{', '.join(map(str, tis.refused_caps))} (gamma + 1 + i*n), so T_iS may "
+            f"miss words and a NO is not exact; "
         )
     return _play(s, t, tis, cfg.depth, stats, exact=conclusive, caveat=caveat)
 

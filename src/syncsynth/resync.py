@@ -106,15 +106,13 @@ def build_TiS(
     a tail has begun, it is read directly if the tail is on x and refused
     otherwise. Else x runs ahead: a letter of its partner tape y is guessed
     and the DFA reads the pair at once, and later y letters must match the
-    guesses. In the block zone such a letter may instead begin an x tail,
-    while guessed y letters stay owed. The queue holds at most gamma + 1
-    letters in the lag-bounded prefix and gamma + 1 + i*n in the block zone;
-    a letter the cap refuses is recorded in `refused_caps`.
+    guesses. Such a letter may instead begin an x tail, while guessed y
+    letters stay owed. The queue holds at most gamma + 1 + i*n letters; a
+    letter the cap refuses is recorded in `refused_caps`.
     """
     dfa = a.dfa
     alphabet = {Tape.INPUT: sorted(ti.input_alphabet), Tape.OUTPUT: sorted(ti.output_alphabet)}
-    cap1 = params.gamma + 1
-    cap2 = params.gamma + 1 + params.guess_budget
+    cap = params.gamma + 1 + params.guess_budget
     refused: set = set()  # queue caps that refused an arriving letter
 
     def astep(q, *letters):
@@ -124,23 +122,21 @@ def build_TiS(
             q = dfa.delta(q, letter)
         return q
 
-    # core states: (stage, a_state, queue, tail)
-    #   stage 1: lag-bounded prefix, no tail commitments
-    #   stage 2: block zone; tail is None or the tape whose tail has begun
+    # core states: (a_state, queue, tail)
     #   queue: guessed letters, all on one tape, that arrivals must match
-    def consume_arrival(state, letter: Letter):
+    #   tail: None, or the tape whose tail has begun
+    def core_step(state, letter: Letter):
         """Successor core states for one letter arriving on tape x."""
-        stage, q, queue, tail = state
+        q, queue, tail = state
         x = letter.tape
         y = PARTNER[x]
         if queue and queue[0].tape is x:
-            return [(stage, q, queue[1:], tail)] if queue[0] == letter else []
+            return [(q, queue[1:], tail)] if queue[0] == letter else []
         if tail is not None:
             q2 = astep(q, letter) if tail is x else None
-            return [] if q2 is None else [(stage, q2, queue, tail)]
-        # x runs ahead: guess its y partner, or in the block zone begin an x tail
+            return [] if q2 is None else [(q2, queue, tail)]
+        # x runs ahead: guess its y partner, or begin an x tail
         results = []
-        cap = cap1 if stage == 1 else cap2
         if len(queue) >= cap:
             refused.add(cap)
         else:
@@ -148,30 +144,22 @@ def build_TiS(
                 guess = Letter(y, g)
                 q2 = astep(q, *((letter, guess) if x is Tape.INPUT else (guess, letter)))
                 if q2 is not None:
-                    results.append((stage, q2, queue + (guess,), tail))
-        if stage == 2:
-            q2 = astep(q, letter)
-            if q2 is not None:
-                results.append((stage, q2, queue, x))
+                    results.append((q2, queue + (guess,), tail))
+        q2 = astep(q, letter)
+        if q2 is not None:
+            results.append((q2, queue, x))
         return results
 
-    def core_step(state, letter: Letter):
-        results = consume_arrival(state, letter)
-        if state[0] == 1:
-            results += consume_arrival((2,) + state[1:], letter)
-        # a fixed order: these tuples hold None, whose hash varies between runs
-        return dict.fromkeys(results)
-
     def core_final(state):
-        _, q, queue, _ = state
+        q, queue, _ = state
         return not queue and q in dfa.finals
 
-    core_init = (1, dfa.initial, (), None)
+    core_init = (dfa.initial, (), None)
     initial = (core_init, ti.initial)
     capacity = {x: tape_capacity(ti, x) for x in Tape}
 
     def viable(core, tstate) -> bool:
-        queue = core[2]
+        queue = core[1]
         if not queue:
             return True
         # guessed letters must still be able to arrive from this target state

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from syncsynth.analysis import (
@@ -6,13 +8,22 @@ from syncsynth.analysis import (
     build_lag_bounded,
     certificate_lag_bound,
     lag_blocks_cover,
+    least_lag_bound,
     least_true,
     measures,
     parikh_injective,
     shift_finiteness,
     shiftlag_finiteness,
 )
-from syncsynth.automata import accepts, concat, determinize, enumerate_accepted, inclusion, trim
+from syncsynth.automata import (
+    Nfa,
+    accepts,
+    concat,
+    determinize,
+    enumerate_accepted,
+    inclusion,
+    trim,
+)
 from syncsynth.letters import inp, out
 from syncsynth.pipeline import target_parameters
 
@@ -273,18 +284,51 @@ def test_covering_search_finds_no_m_on_infinite_shiftlag(corpus):
 
 
 def test_galloping_search_matches_linear_scan(corpus):
-    """m of the shiftlag certificate, canonicalization's nu-hat and gamma."""
+    """m of the shiftlag certificate, canonicalization's nu-hat, gamma, and
+    least_lag_bound at small block counts, all against a scan of the
+    lag·blocks inclusion."""
     for name, a in corpus.items():
         t = trim(a)
         cert = shiftlag_finiteness(a)
         if cert.is_finite:
             assert cert.m == _scan(_covers_with_certificate_bound(t), 1, (len(t.states) + 1) ** 2)
             covers = lambda nu: lag_blocks_cover(t, nu, cert.m)
-            assert least_true(covers, 0, cert.nu) == _scan(covers, 0, cert.nu), name
+            assert least_lag_bound(t, cert.m, cert.nu) == _scan(covers, 0, cert.nu), name
+        for m in range(5):
+            want = _scan(lambda nu: lag_blocks_cover(t, nu, m), 0, 6)
+            assert least_lag_bound(t, m, 6) == least_lag_bound(a, m, 6) == want, (name, m)
         for k in (None,) if cert.is_finite else (0, 1, 2):
             n, gamma, formula, covered = target_parameters(t, determinize(t), cert, k)
             want = _scan(lambda g: lag_blocks_cover(t, g, n), 0, formula)
             assert (gamma, covered) == ((0, False) if want is None else (want, True)), (name, k)
+
+
+def test_least_lag_bound_matches_scan_on_random_nfas():
+    """Random 1-5-state NFAs, half of them untrimmed (dead and unreachable
+    states, possibly an empty language), against a scan of the inclusion."""
+    rng = random.Random(14)
+    letters = [inp("a"), inp("b"), out("d"), out("e")]
+    outcomes = set()
+    for _ in range(150):
+        states = [f"s{j}" for j in range(rng.randint(1, 5))]
+        edges = {(rng.choice(states), rng.choice(letters), rng.choice(states))
+                 for _ in range(rng.randint(0, 3 * len(states)))}
+        finals = {q for q in states if rng.random() < 0.4}
+        a = Nfa({"a", "b"}, {"d", "e"}, states, states[0], edges, finals)
+        if rng.random() < 0.5:
+            a = trim(a)
+        for m in range(6):
+            hi = rng.randint(0, 8)
+            got = least_lag_bound(a, m, hi)
+            assert got == _scan(lambda nu: lag_blocks_cover(a, nu, m), 0, hi), (a, m, hi)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_least_lag_bound_refuses_a_negative_block_count():
+    with pytest.raises(ValueError, match="block count"):
+        least_lag_bound(tag_family("1*2*"), -1, 3)
+    assert least_lag_bound(tag_family("1*2*"), 1, -1) is None
 
 
 def test_lag_cycle_search_rejects_a_non_component():

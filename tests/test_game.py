@@ -10,6 +10,7 @@ from syncsynth.automata import (
     END_IN,
     END_OUT,
     Nfa,
+    SequentialDfa,
     add_endmarkers,
     accepts,
     enumerate_accepted,
@@ -255,8 +256,6 @@ def test_verify_rejects_mutated_machine(corpus):
     assert swapped is not None
     p0, l0, q0 = swapped
     mutated_edges = set(machine.transitions) - {swapped} | {(p0, out("e"), q0)}
-    from syncsynth.automata import SequentialDfa
-
     mutated = SequentialDfa(
         input_alphabet=machine.input_alphabet,
         output_alphabet=machine.output_alphabet,
@@ -319,6 +318,26 @@ def test_synthesized_machine_is_hash_seed_independent(tmp_path):
 def test_verify_passes_intro_uniformizer(intro_U, intro_S, intro_T):
     report = verify_uniformizer(intro_U, intro_S, intro_T, depth=4)
     assert report.ok, report.failures
+
+
+def test_verify_rejects_an_endless_output_run():
+    """S = {(a, d^n) : n >= 1}, T = a·d*. After a the machine emits d
+    forever, so it outputs nothing for a; a run cut off after a budget of
+    steps would have returned a·d·d… and passed."""
+    s = mk_nfa({"a"}, {"d"}, "s0", {"s2"},
+               [("s0", "i", "a", "s1"), ("s1", "o", "d", "s2"), ("s2", "o", "d", "s2")])
+    t = mk_nfa({"a"}, {"d"}, "t0", {"t1"}, [("t0", "i", "a", "t1"), ("t1", "o", "d", "t1")])
+    machine = mk_nfa(
+        {"a"}, {"d"}, "m0", {"m2"},
+        [("m0", "i", "a", "m1"), ("m1", "o", "d", "m2"), ("m2", "o", "d", "m2")],
+        cls=SequentialDfa,
+        input_states=frozenset({"m0"}),
+        output_states=frozenset({"m1", "m2"}),
+    )
+    assert run_machine(machine, ("a",)) is None
+    report = verify_uniformizer(machine, s, t, depth=3)
+    assert not report.ok
+    assert report.failures == ("no output for domain input ('a',)",)
 
 
 def test_verify_refuses_a_depth_below_one(intro_U, intro_S, intro_T):

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from syncsynth.automata import END_IN, END_OUT
 from syncsynth.canonical import canonicalize, canonicalize_finite_shift
 from syncsynth.game import VerificationReport
 from syncsynth.letters import decode, recompose
+from syncsynth.resync import build_TiS
 from syncsynth.pipeline import (
     INCONCLUSIVE,
     NO,
@@ -345,14 +347,27 @@ def test_empty_source_takes_the_general_path():
     assert verdict.verification.ok
 
 
-def test_queue_cap_refusal_is_not_an_exact_no(abst_S, abst_late_T):
-    """Target ε + a·b + a·a·a*·b·c: (a^n, bc) is in the source relation for
-    every n, but build_TiS's queue holds at most gamma + 1 + i*n letters, so
-    a^20·b·c is missing from T_iS. That gap must not become an exact NO."""
-    verdict = decide(abst_S, abst_late_T)
-    assert verdict.answer != NO, verdict.reason
-    if verdict.answer == INCONCLUSIVE:
-        assert verdict.reason.startswith("queue cap: build_TiS")
+def _refusing_tis(**changes):
+    """A stand-in for build_TiS: the real automaton, marked as refused at
+    queue length 19 and with `changes` applied."""
+
+    def build(*args, **kwargs):
+        return replace(build_TiS(*args, **kwargs), refused_caps=(19,), **changes)
+
+    return build
+
+
+def test_queue_cap_refusal_is_not_an_exact_no(monkeypatch):
+    """early_choice is an exact NO (T_i = T). Had build_TiS's queue cap
+    refused a letter, T_iS might miss words, and the NO must become an
+    INCONCLUSIVE whose reason names the queue cap."""
+    monkeypatch.setattr(pipeline, "build_TiS", _refusing_tis())
+    verdict = decide(*early_choice(), PipelineConfig(depth=5))
+    assert verdict.answer == INCONCLUSIVE
+    assert verdict.reason == (
+        "queue cap: build_TiS refused letters at queue length 19 (gamma + 1 + i*n), "
+        "so T_iS may miss words and a NO is not exact; the input player spoils the game"
+    )
 
 
 @pytest.mark.parametrize("target", ["abst_T", "abst_late_T"])
@@ -372,16 +387,18 @@ def test_abst_answers_yes(request, abst_S, target):
         (PipelineConfig(k_override=2), "k = 2 is an override, not a computed bound"),
     ],
 )
-def test_inexact_block_cap_opens_the_reason(abst_S, abst_T, cfg, why):
+def test_inexact_block_cap_opens_the_reason(monkeypatch, abst_S, abst_T, cfg, why):
     """abst's computed block cap is far above FEASIBLE_K_CAP, and T_i is not
-    T at the block cap used, so a NO would not be exact. An INCONCLUSIVE
-    says so first; the queue cap of build_TiS follows."""
+    T at the block cap used, so a NO would not be exact. With a T_iS whose
+    queue cap refused letters and that kept no word, the domain check fails
+    and the INCONCLUSIVE says so: the block cap first, the queue cap next."""
+    monkeypatch.setattr(pipeline, "build_TiS", _refusing_tis(finals=frozenset()))
     verdict = decide(abst_S, abst_T, cfg)
-    assert verdict.answer != NO, verdict.reason
-    if verdict.answer == INCONCLUSIVE:
-        assert verdict.reason.startswith(
-            f"block cap: {why}, so T_i may miss words and a NO is not exact; queue cap: build_TiS"
-        ), verdict.reason
+    assert verdict.answer == INCONCLUSIVE
+    assert verdict.reason.startswith(
+        f"block cap: {why}, so T_i may miss words and a NO is not exact; queue cap: build_TiS"
+    ), verdict.reason
+    assert verdict.reason.endswith("an input of the source relation has no allowed synchronization")
 
 
 def late_letter_decides():

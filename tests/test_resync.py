@@ -111,13 +111,26 @@ def test_tis_reads_late_outputs_through_guesses(abst_S, abst_late_T):
     """Target ε + a·b + a·a·a*·b·c: the outputs wait for any number of inputs.
     The third a begins an input tail while the guessed b·c are still owed, so
     a^20·b·c needs a queue of two letters. The parameters are the ones decide
-    uses (n = 3 and gamma = 0 from the target, i = FEASIBLE_K_CAP = 6); only
-    the lag-bounded prefix's cap refuses a letter."""
+    uses (n = 3 and gamma = 0 from the target, i = FEASIBLE_K_CAP = 6), whose
+    queue cap of 19 refuses no letter."""
     params = ResyncParams(n=3, gamma=0, i=6)
     can = canonicalize(abst_S, shiftlag_finiteness(abst_S))
     c = build_TiS(can, build_Ti(abst_late_T, params), params)
     assert accepts(c, (inp("a"),) * 20 + (out("b"), out("c")))
+    assert c.refused_caps == ()
+
+
+def test_tis_refusal_at_the_queue_cap_drops_words(intro_S, intro_T):
+    """With gamma = 0 and no blocks the queue holds one letter. The intro
+    target lets inputs run two letters ahead (b·a·d·a·e), so the cap refuses
+    a letter, and the refusal is recorded because words really go missing."""
+    params = ResyncParams(n=1, gamma=0, i=0)
+    c = build_TiS(canonicalize(intro_S, shiftlag_finiteness(intro_S)), intro_T, params)
     assert c.refused_caps == (1,)
+    got = set(enumerate_accepted(c, 5))
+    want = ti_oracle(intro_T, intro_S, 5)
+    assert got < want
+    assert (inp("b"), inp("a"), out("d"), inp("a"), out("e")) in want - got
 
 
 @st.composite
