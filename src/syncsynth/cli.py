@@ -171,7 +171,7 @@ def cmd_profiles(args) -> int:
     try:
         bound = compute_k(n, gamma, can, t_dfa, closure_cap=args.cap)
     except ClosureCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"inconclusive: closure cap: {exc}", file=sys.stderr)
         return 2
     inputs, outputs = bound.input_closure, bound.output_closure
     if args.format == "dot":
@@ -184,8 +184,8 @@ def cmd_profiles(args) -> int:
         {
             "n": n,
             "gamma": gamma,
-            "input_profiles": len(inputs.profiles),
-            "output_profiles": len(outputs.profiles),
+            "input_profiles": bound.input_profile_count,
+            "output_profiles": bound.output_profile_count,
             "max_input_representative": len(max(inputs.reps, key=len)),
             "max_output_representative": outputs.max_rep_length,
             "r1": bound.r1,

@@ -389,9 +389,12 @@ def run_machine(machine: SequentialDfa, input_syms) -> Optional[SyncWord]:
 def verify_uniformizer(machine: SequentialDfa, s: Nfa, t: Nfa, depth: int) -> VerificationReport:
     """Containment in the target plus, by bounded enumeration, exactly one
     accepted word per live input with its pair inside the source relation.
-    Raises ValueError when `depth` is below 1, which would check no input."""
+    Raises ValueError when `depth` is below 1, which would check no input, and
+    AutomatonError when the machine has no input/output state partition."""
     if depth < 1:
         raise ValueError("enumeration depth must be at least 1")
+    if not isinstance(machine, SequentialDfa):
+        raise AutomatonError("the machine must be a sequential DFA with a state partition")
     checks = []
     failures = []
 

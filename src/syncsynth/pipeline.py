@@ -142,7 +142,7 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
         try:
             bound = compute_k(n, gamma, can, t_dfa, closure_cap=cfg.closure_cap)
         except ClosureCapExceeded as exc:
-            return Verdict(answer=INCONCLUSIVE, reason=str(exc), stats=stats)
+            return Verdict(answer=INCONCLUSIVE, reason=f"closure cap: {exc}", stats=stats)
         stats["k_computed"] = bound.k
         stats["r1"] = bound.r1
         stats["r2"] = bound.r2

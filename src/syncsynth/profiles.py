@@ -9,9 +9,12 @@ state pair with the plain transformation functions, and output profiles also
 carry annotated trees. Profiles of one tape form a finite monoid under
 concatenation.
 
-Tree nodes internally carry bookkeeping (how a leaf consumed the segment:
-exactly, or with a trailing one-tape run; plus the pure-run transforms)
-that concatenation needs; public trees expose only state-pair labels.
+Tree nodes internally carry bookkeeping: each leaf records how it consumed
+the segment (exactly, or with a trailing one-tape run). `Profile` equality
+compares these enriched trees, so words whose public trees agree but whose
+bookkeeping differs keep distinct profiles; the closure counts, r1 and the
+computed block cap are all read off this finer equivalence. Public trees
+expose only state-pair labels.
 """
 from __future__ import annotations
 
@@ -282,16 +285,6 @@ class Profile:
     rep: tuple = field(compare=False)
     ctx: object = field(compare=False, repr=False)
 
-    @property
-    def is_identity(self) -> bool:
-        qb = sorted(self.ctx.b.states)
-        qa = sorted(self.ctx.a.states)
-        return (
-            self.tf == StateTransformationFn.identity(qb)
-            and self.pure == StateTransformationFn.identity(qa)
-            and all(not t.children for _, t in self.trees)
-        )
-
 
 def _profile(word, n: int, ctx: _Ctx, tape: Tape) -> Profile:
     word = tuple(word)
@@ -329,99 +322,12 @@ def output_profile(y, n: int, a: CanonicalDfa, b: Dfa, ctx: Optional[_Ctx] = Non
 # concatenation
 
 
-def _merge_leaf_children(children) -> tuple:
-    """Merge duplicate leaf entries per state pair, OR-ing their flags."""
-    leaves: dict = {}
-    rest = []
-    for c in children:
-        if c.label[0] == LEAF:
-            _, p, q, full, tail = c.label
-            flags = leaves.setdefault((p, q), [False, False])
-            flags[0] |= full
-            flags[1] |= tail
-        else:
-            rest.append(c)
-    merged = [tree((LEAF, p, q, f, t)) for (p, q), (f, t) in sorted(leaves.items())]
-    return tuple(merged + rest)
-
-
-def _trunc_children(children, blocks: int) -> tuple:
-    """Cut a stored tree down to a smaller block budget."""
-    if blocks <= 0:
-        return ()
-    out = []
-    for c in children:
-        if c.label[0] == LEAF:
-            out.append(c)
-        elif blocks >= 2:
-            block_kids = tuple(
-                tree(u.label, _trunc_children(u.children, blocks - 1)) for u in c.children
-            )
-            out.append(tree(c.label, block_kids))
-    return tuple(out)
-
-
-def _splice_children(children, blocks: int, p2: Profile, ctx: _Ctx) -> tuple:
-    p2trees = dict(p2.trees)
-    out = []
-    for v in children:
-        kind = v.label[0]
-        if kind == LEAF:
-            _, p, q, full, tail = v.label
-            q_ext = p2.pure(q)
-            if q_ext is not None:
-                out.append(tree((LEAF, p, q_ext, False, True)))
-            if full:
-                # extend the last output block across the boundary
-                out.extend(_trunc_children(p2trees[(p, q)].children, blocks))
-                # or start a fresh input block, then consume the second word
-                if blocks >= 2:
-                    block_kids = []
-                    for p3 in sorted(ctx.closure[Tape.INPUT][p]):
-                        block_kids.append(
-                            tree(
-                                (BLOCK, p3, q),
-                                _trunc_children(p2trees[(p3, q)].children, blocks - 1),
-                            )
-                        )
-                    out.append(tree((MID, p, q), tuple(block_kids)))
-        else:  # MID
-            block_kids = tuple(
-                tree(u.label, _splice_children(u.children, blocks - 1, p2, ctx))
-                for u in v.children
-            )
-            out.append(tree(v.label, block_kids))
-    return _merge_leaf_children(out)
-
-
 def concat_profiles(p1: Profile, p2: Profile) -> Profile:
-    """Profile of any concatenation of representatives, computed from the
-    profiles themselves (for input profiles, by the leaf-splice; for output
-    profiles, by direct recomputation on concatenated representatives)."""
+    """Profile of any concatenation of representatives: the profile of the
+    joined representatives, which by the monoid law depends only on p1 and p2."""
     if p1.tape is not p2.tape or p1.depth != p2.depth or p1.ctx.a != p2.ctx.a or p1.ctx.b != p2.ctx.b:
         raise ParameterMismatch("profiles come from different settings")
-    if p1.is_identity:
-        return p2
-    if p2.is_identity:
-        return p1
-    ctx = p1.ctx
-    if p1.tape is Tape.OUTPUT:
-        return _profile(p1.rep + p2.rep, 2 * p1.depth - 1, ctx, Tape.OUTPUT)
-    m = p1.depth
-    trees = []
-    for (pq, t) in p1.trees:
-        spliced = _splice_children(t.children, m + 1, p2, ctx)
-        trees.append((pq, reduce_tree(tree((ROOT,) + pq, spliced))))
-    return Profile(
-        tape=Tape.INPUT,
-        depth=m,
-        tf=p1.tf.then(p2.tf),
-        pure=p1.pure.then(p2.pure),
-        trees=tuple(trees),
-        ann_trees=(),
-        rep=p1.rep + p2.rep,
-        ctx=ctx,
-    )
+    return _profile(p1.rep + p2.rep, 2 * p1.depth - 1, p1.ctx, p1.tape)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +380,8 @@ def profile_closure(
                 continue
             if len(seen) >= cap:
                 raise ClosureCapExceeded(
-                    f"profile closure exceeded {cap} profiles; raise the cap to proceed"
+                    f"the {tape.name.lower()} profile closure exceeded {cap} profiles; "
+                    f"raise the cap to proceed"
                 )
             seen[profile] = candidate
             queue.append(candidate)
@@ -496,17 +403,21 @@ def ramsey_bound(colors: int) -> int:
 class KBound:
     r1: int
     r2: int
-    input_profile_count: int
-    output_profile_count: int
-    r1_raw: int
-    r2_raw: int
     # the closures the bound was read from, for callers that report them
-    input_closure: Optional[ProfileClosure] = field(default=None, repr=False, compare=False)
-    output_closure: Optional[ProfileClosure] = field(default=None, repr=False, compare=False)
+    input_closure: ProfileClosure = field(repr=False)
+    output_closure: ProfileClosure = field(repr=False)
 
     @property
     def k(self) -> int:
         return self.r1 + self.r2
+
+    @property
+    def input_profile_count(self) -> int:
+        return len(self.input_closure.profiles)
+
+    @property
+    def output_profile_count(self) -> int:
+        return len(self.output_closure.profiles)
 
 
 def compute_k(n: int, gamma: int, a: CanonicalDfa, b: Dfa, closure_cap: int) -> KBound:
@@ -514,15 +425,9 @@ def compute_k(n: int, gamma: int, a: CanonicalDfa, b: Dfa, closure_cap: int) -> 
     shortest representative of output profiles, both clamped above gamma."""
     input_closure = profile_closure(n, a, b, Tape.INPUT, cap=closure_cap)
     output_closure = profile_closure(n, a, b, Tape.OUTPUT, cap=closure_cap)
-    r1_raw = ramsey_bound(len(input_closure.profiles))
-    r2_raw = output_closure.max_rep_length
     return KBound(
-        r1=max(r1_raw, gamma + 1),
-        r2=max(r2_raw, gamma + 1),
-        input_profile_count=len(input_closure.profiles),
-        output_profile_count=len(output_closure.profiles),
-        r1_raw=r1_raw,
-        r2_raw=r2_raw,
+        r1=max(ramsey_bound(len(input_closure.profiles)), gamma + 1),
+        r2=max(output_closure.max_rep_length, gamma + 1),
         input_closure=input_closure,
         output_closure=output_closure,
     )

@@ -58,17 +58,19 @@ def from_dict(doc: dict) -> Union[Nfa, Dfa, SequentialDfa]:
             transitions=transitions,
             finals=frozenset(doc["finals"]),
         )
+        partition = None
+        if "partition" in doc:
+            part = doc["partition"]
+            partition = dict(
+                input_states=frozenset(part["input_states"]),
+                output_states=frozenset(part["output_states"]),
+            )
     except (KeyError, TypeError) as exc:
         raise AutomatonError(f"malformed automaton document: {exc}") from exc
     if not isinstance(doc["initial"], str):
         raise AutomatonError("a single initial state is required")
-    if "partition" in doc:
-        part = doc["partition"]
-        return SequentialDfa(
-            **common,
-            input_states=frozenset(part["input_states"]),
-            output_states=frozenset(part["output_states"]),
-        )
+    if partition is not None:
+        return SequentialDfa(**common, **partition)
     per_pair = {(p, l) for p, l, _ in transitions}
     if len(per_pair) == len(transitions):
         try:

@@ -42,6 +42,7 @@ from syncsynth.trees import node_ids, reduce_tree, tree
 from .conftest import mk_nfa, tag_family
 from .oracles import in_force_loss_set, shiftlag_naive, to_tags
 from .test_game import tiny_instances
+from .test_profiles import congruence_check
 
 
 def report(criterion, ok, extra=""):
@@ -213,14 +214,11 @@ def test_criterion_5_monoid_suite(abst_S, abst_T, ann_S, ann_T):
                         p1, concat_profiles(p2, p3)
                     ):
                         failures.append((name, "assoc", (w1, w2, w3)))
-        # splice vs direct for all pairs with |x1 x2| <= 4
-        pool = [w for w in words1]
-        for w1 in pool:
-            for w2 in pool:
-                if len(w1) + len(w2) > 4:
-                    continue
-                if concat_profiles(prof(w1), prof(w2)) != prof(w1 + w2):
-                    failures.append((name, "splice", (w1, w2)))
+        # congruence: equal profiles stay equal under appending and prepending
+        pairs, violations = congruence_check(a, b, Tape.INPUT)
+        if not pairs:
+            failures.append((name, "congruence", "no equal-profile pair"))
+        failures.extend((name, "congruence", v) for v in violations)
     elapsed = time.monotonic() - start
     report(5, not failures, f"({elapsed:.1f}s, {failures[:3]})")
 

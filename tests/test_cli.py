@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from syncsynth import serialize
-from syncsynth.automata import SequentialDfa
+from syncsynth.automata import AutomatonError, SequentialDfa
 from syncsynth.canonical import canonicalize
 from syncsynth.cli import main
 from syncsynth.letters import Tape
@@ -108,6 +108,33 @@ def test_synthesize_and_verify(tmp_path, capsys):
         ["verify", str(machine_path), str(endmarked), str(endmarked), "--depth", "4"]
     )
     assert code == 0
+
+
+def test_verify_machine_without_partition_is_input_error(tmp_path, capsys):
+    """A machine document with no state partition is not a sequential DFA:
+    `verify` reports an input error (exit 3), not a failed verification."""
+    s = mk_nfa({"a"}, {"d"}, "q0", {"q2"}, [("q0", "i", "a", "q1"), ("q1", "o", "d", "q2")])
+    s_path = tmp_path / "s.json"
+    s_path.write_text(serialize.dumps(s), encoding="utf-8")
+    code = main(["verify", str(s_path), str(s_path), str(s_path), "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "error: the machine must be a sequential DFA" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("partition", [{}, {"input_states": []}, None, []])
+def test_malformed_partition_is_input_error(tmp_path, capsys, intro_U, partition):
+    """A partition without both state lists is a malformed document: every
+    command reports an input error (exit 3)."""
+    doc = serialize.to_dict(intro_U)
+    doc["partition"] = partition
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(AutomatonError, match="malformed automaton document"):
+        serialize.load_path(path)
+    assert main(["classify", str(path)]) == 3
+    assert "error: malformed automaton document" in capsys.readouterr().err
 
 
 def test_profiles_stats(tmp_path, capsys, abst_S, abst_T):

@@ -308,7 +308,7 @@ def test_program_has_no_assert_statements():
     package = Path(pipeline.__file__).resolve().parent
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
+        for path in sorted(package.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
@@ -330,6 +330,20 @@ def test_state_cap_gives_inconclusive(request, procedure, fixtures, cfg, constru
     assert verdict.answer == INCONCLUSIVE
     assert verdict.reason.startswith(f"state cap: {construction}: ")
     assert str(cfg.state_cap) in verdict.reason
+
+
+@pytest.mark.parametrize("closure_cap, tape", [(1, "input"), (5, "output")])
+def test_closure_cap_gives_inconclusive(abst_S, abst_T, closure_cap, tape):
+    """abst has 4 input and 10 output profiles: a closure cap of 1 stops the
+    input closure, a cap of 5 the output closure. The reason names the cap
+    and the tape, and no block cap was computed."""
+    verdict = decide(abst_S, abst_T, PipelineConfig(closure_cap=closure_cap))
+    assert verdict.answer == INCONCLUSIVE
+    assert verdict.reason == (
+        f"closure cap: the {tape} profile closure exceeded {closure_cap} profiles; "
+        f"raise the cap to proceed"
+    )
+    assert "k_computed" not in verdict.stats
 
 
 def test_empty_source_takes_the_general_path():

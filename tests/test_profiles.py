@@ -261,9 +261,13 @@ def test_profile_equality_reflexive_symmetric(abst):
 def test_empty_profile_is_identity(abst):
     a, b = abst
     p = input_profile((), 2, a, b)
-    assert p.is_identity
     q = output_profile((), 2, a, b)
-    assert q.is_identity
+    assert p.tf == StateTransformationFn.identity(sorted(b.states))
+    assert p.pure == StateTransformationFn.identity(sorted(a.dfa.states))
+    assert all(not t.children for _, t in p.trees + q.trees)
+    for e, make, word in ((p, input_profile, ("a",)), (q, output_profile, ("b",))):
+        x = make(word, 2, a, b)
+        assert concat_profiles(e, x) == x == concat_profiles(x, e)
     # one profile type; only output words carry annotated trees
     assert isinstance(p, Profile) and isinstance(q, Profile)
     assert (p.tape, q.tape) == (Tape.INPUT, Tape.OUTPUT)
@@ -278,28 +282,39 @@ def test_concat_identity_laws(abst):
     assert concat_profiles(p, e) == p
 
 
-def test_splice_vs_direct_abst(abst):
-    a, b = abst
-    words = [w for w in words_over(("a",), range(1, 4))]
-    for x1 in words:
-        for x2 in words:
-            if len(x1) + len(x2) > 4:
-                continue
-            direct = input_profile(x1 + x2, 2, a, b)
-            spliced = concat_profiles(input_profile(x1, 2, a, b), input_profile(x2, 2, a, b))
-            assert spliced == direct, (x1, x2)
+def congruence_check(a, b, tape: Tape, n: int = 2):
+    """Profiles of one tape are a congruence: words with equal profiles keep
+    equal profiles when any word z is appended or prepended. Words have up to
+    5 letters over one-letter alphabets and up to 3 over larger ones; returns
+    the equal-profile pairs and the (u, v, z) triples that break the law."""
+    ctx = _Ctx(a, b)
+    syms = ctx.syms[tape]
+    words = list(words_over(syms, range(0, (5 if len(syms) == 1 else 3) + 1)))
+    make = input_profile if tape is Tape.INPUT else output_profile
+    cache: dict = {}
+
+    def prof(w):
+        if w not in cache:
+            cache[w] = make(w, n, a, b, ctx=ctx)
+        return cache[w]
+
+    pairs = [(u, v) for u, v in itertools.combinations(words, 2) if prof(u) == prof(v)]
+    violations = [
+        (u, v, z)
+        for u, v in pairs
+        for z in words
+        if prof(u + z) != prof(v + z) or prof(z + u) != prof(z + v)
+    ]
+    return pairs, violations
 
 
-def test_splice_vs_direct_ann(ann):
-    a, b = ann
-    words = [w for w in words_over(("a", "b"), range(1, 3))]
-    for x1 in words:
-        for x2 in words:
-            if len(x1) + len(x2) > 4:
-                continue
-            direct = input_profile(x1 + x2, 2, a, b)
-            spliced = concat_profiles(input_profile(x1, 2, a, b), input_profile(x2, 2, a, b))
-            assert spliced == direct, (x1, x2)
+@pytest.mark.parametrize("tape", [Tape.INPUT, Tape.OUTPUT], ids=["input", "output"])
+@pytest.mark.parametrize("fixture", ["abst", "ann"])
+def test_profiles_are_a_congruence(request, fixture, tape):
+    a, b = request.getfixturevalue(fixture)
+    pairs, violations = congruence_check(a, b, tape)
+    assert pairs, "no two words share a profile, so the law was never tested"
+    assert not violations, violations[:3]
 
 
 def test_pa_times_pa_is_paa(abst):
@@ -409,12 +424,14 @@ def test_compute_k(abst):
     assert bound.k == bound.r1 + bound.r2
 
 
-def test_compute_k_clamps():
-    # if raw bounds were tiny, k is still 2*(gamma+1)
-    from syncsynth.profiles import KBound
-
-    kb = KBound(r1=max(3, 6), r2=max(0, 6), input_profile_count=1, output_profile_count=1, r1_raw=3, r2_raw=0)
-    assert kb.k == 12
+def test_compute_k_clamps(abst):
+    # below gamma + 1 the raw bounds give way, so k is 2 * (gamma + 1)
+    a, b = abst
+    bound = compute_k(2, 100, a, b, closure_cap=CAP)
+    assert ramsey_bound(bound.input_profile_count) < 101
+    assert (bound.r1, bound.r2, bound.k) == (101, 101, 202)
+    assert bound.input_profile_count == len(bound.input_closure.profiles)
+    assert bound.output_profile_count == len(bound.output_closure.profiles)
 
 
 def test_idempotent_guarantee_short_words(abst):
