@@ -366,11 +366,15 @@ def is_empty(a: Nfa) -> tuple[bool, Optional[SyncWord]]:
 
 
 def reachable_states(a: Nfa) -> frozenset:
+    # a local successor map, so `a` gains no cached `_out_edges`
+    succ: dict = {}
+    for p, _, q in a.transitions:
+        succ.setdefault(p, set()).add(q)
     seen = {a.initial}
     queue = deque([a.initial])
     while queue:
         p = queue.popleft()
-        for _, q in a.out_edges(p):
+        for q in succ.get(p, ()):
             if q not in seen:
                 seen.add(q)
                 queue.append(q)

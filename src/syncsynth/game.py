@@ -20,12 +20,14 @@ from .automata import (
     Nfa,
     SequentialDfa,
     determinize,
+    explore_nfa,
     inclusion,
+    make_sequential_check,
     minimize,
     pair_in_relation,
     project_input,
 )
-from .letters import SyncWord, decode, inp, out
+from .letters import SyncWord, Tape, decode, inp, out
 
 
 class MissingEndmarkers(AutomatonError):
@@ -241,104 +243,55 @@ def replay_spoiler(arena: GameArena, region: frozenset, spoiler: dict) -> bool:
 
 
 def extract_sdfa(arena: GameArena, strategy: Strategy) -> SequentialDfa:
-    """Realize the winning strategy as a sequential machine over the endmarked
-    alphabet; inputs outside the live domain drain into a non-accepting sink."""
-    if strategy.move_for(arena.initial) is None and arena.initial[0] == "out":
+    """The minimal sequential machine of the winning strategy, over the
+    endmarked alphabet.
+
+    `explore_nfa` walks the strategy's vertices, resolving yields. An In vertex
+    reads each input (`⊣i` is its end move) unless that move is missing or
+    leaves the domain (to ("win",)); a missing edge then rejects. An Out vertex
+    takes its one strategy move, emitting o or `⊣o` for finish, and ("done",)
+    is the one final vertex. `minimize` names the states, and the partition is
+    read off the out-edges: a state with an output edge is an output state,
+    every other one, the final state included, an input state. After `trim`
+    every state's future is non-empty; an input state's starts with an input
+    letter or is {ε}, an output state's starts with an output letter, so
+    Hopcroft never merges the two kinds.
+    """
+    if strategy.move_for(arena.initial) is None:
         raise NotWinning("initial vertex is not in the winning region")
 
-    base_inputs = sorted(arena.s_prime.input_alphabet - {END_IN})
-
-    names: dict = {}
-    transitions = []
-    input_states = set()
-    output_states = set()
-    finals = set()
-
-    sink_in = "sink_in"
-    sink_post = "sink_post"
-
-    def name_of(v) -> str:
-        if v not in names:
-            names[v] = f"m{len(names)}"
-        return names[v]
-
-    queue = deque()
-    seen = set()
-
-    def visit(v):
-        if v not in seen:
-            seen.add(v)
-            queue.append(v)
-
-    # resolve the initial vertex through an immediate yield
     def resolve(v):
         while v[0] == "out" and strategy.move_for(v) == ("yield",):
             v = dict(arena.moves[v])[("yield",)]
         return v
 
-    start = resolve(arena.initial)
-    visit(start)
-    used_sink = False
-    while queue:
-        v = queue.popleft()
-        sname = name_of(v)
-        if v[0] == "in":
-            input_states.add(sname)
-            succ = dict(arena.moves[v])
-            for a in base_inputs:
-                move = ("play", a)
-                nxt = succ.get(move)
-                if nxt is None or nxt == ("win",):
-                    transitions.append((sname, inp(a), sink_in))
-                    used_sink = True
-                    continue
-                nxt = resolve(nxt)
-                transitions.append((sname, inp(a), name_of(nxt)))
-                visit(nxt)
-            nxt = succ.get(("end",))
-            if nxt is None or nxt == ("win",):
-                transitions.append((sname, inp(END_IN), sink_post))
-                used_sink = True
-            else:
-                nxt = resolve(nxt)
-                transitions.append((sname, inp(END_IN), name_of(nxt)))
-                visit(nxt)
+    def step(v, letter):
+        if v[0] == "in" and letter.tape is Tape.INPUT:
+            move = ("end",) if letter.symbol == END_IN else ("play", letter.symbol)
         elif v[0] == "out":
-            output_states.add(sname)
             move = strategy.move_for(v)
             if move is None:
                 raise NotWinning(f"strategy undefined at {v}")
-            if move == ("finish",):
-                done = ("done",)
-                transitions.append((sname, out(END_OUT), name_of(done)))
-                visit(done)
-            elif move[0] == "emit":
-                nxt = resolve(dict(arena.moves[v])[move])
-                transitions.append((sname, out(move[1]), name_of(nxt)))
-                visit(nxt)
-        elif v == ("done",):
-            input_states.add(sname)
-            finals.add(sname)
+            if letter != out(END_OUT if move == ("finish",) else move[1]):
+                return ()
+        else:
+            return ()
+        nxt = dict(arena.moves[v]).get(move)
+        return () if nxt is None or nxt == ("win",) else (resolve(nxt),)
 
-    states = set(names.values())
-    if used_sink:
-        states |= {sink_in, sink_post}
-        input_states |= {sink_in, sink_post}
-        for a in base_inputs:
-            transitions.append((sink_in, inp(a), sink_in))
-        transitions.append((sink_in, inp(END_IN), sink_post))
-
-    return SequentialDfa(
-        input_alphabet=arena.s_prime.input_alphabet,
-        output_alphabet=arena.s_prime.output_alphabet,
-        states=frozenset(states),
-        initial=name_of(start),
-        transitions=frozenset(transitions),
-        finals=frozenset(finals),
-        complete=False,
-        input_states=frozenset(input_states),
-        output_states=frozenset(output_states),
+    machine = minimize(
+        explore_nfa(
+            resolve(arena.initial),
+            step,
+            lambda v: v == ("done",),
+            arena.s_prime.input_alphabet,
+            arena.s_prime.output_alphabet,
+            prefix="v",
+            build=Dfa,
+        )
     )
+    emitters = {p for p, letter, _ in machine.transitions if letter.tape is Tape.OUTPUT}
+    return make_sequential_check(machine, machine.states - emitters, emitters)
 
 
 @dataclass(frozen=True)

@@ -43,36 +43,61 @@ def dumps(a: Nfa) -> str:
     return json.dumps(to_dict(a), indent=2, ensure_ascii=False, sort_keys=True) + "\n"
 
 
+def _strings(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise AutomatonError(f"malformed automaton document: {what} must be a list of strings")
+    return value
+
+
 def from_dict(doc: dict) -> Union[Nfa, Dfa, SequentialDfa]:
     try:
         alphabet = doc["alphabet"]
-        transitions = frozenset(
-            (t["from"], Letter(_TAPE_VALUES[t["tape"]], t["letter"]), t["to"])
-            for t in doc["transitions"]
-        )
-        common = dict(
-            input_alphabet=frozenset(alphabet["input"]),
-            output_alphabet=frozenset(alphabet["output"]),
-            states=frozenset(doc["states"]),
-            initial=doc["initial"],
-            transitions=transitions,
-            finals=frozenset(doc["finals"]),
-        )
+        inputs = _strings(alphabet["input"], "the input alphabet")
+        outputs = _strings(alphabet["output"], "the output alphabet")
+        # one object per declared state and per tagged letter, shared by every
+        # transition; an undeclared one keeps its own and is refused below
+        state = {q: q for q in _strings(doc["states"], "states")}
+        letter = {
+            (tape, x): Letter(tape, x)
+            for tape, pool in ((Tape.INPUT, inputs), (Tape.OUTPUT, outputs))
+            for x in pool
+        }
+        transitions = []
+        for t in doc["transitions"]:
+            p, x, q = t["from"], t["letter"], t["to"]
+            if not all(isinstance(v, str) for v in (p, x, q)):
+                raise AutomatonError(
+                    "malformed automaton document: a transition's from, letter and to must be strings"
+                )
+            tape = _TAPE_VALUES[t["tape"]]
+            transitions.append(
+                (state.get(p, p), letter.get((tape, x)) or Letter(tape, x), state.get(q, q))
+            )
+        finals = _strings(doc["finals"], "finals")
         partition = None
         if "partition" in doc:
             part = doc["partition"]
-            partition = dict(
-                input_states=frozenset(part["input_states"]),
-                output_states=frozenset(part["output_states"]),
-            )
+            partition = {
+                key: frozenset(state.get(q, q) for q in _strings(part[key], f"partition {key}"))
+                for key in ("input_states", "output_states")
+            }
+        initial = doc["initial"]
     except (KeyError, TypeError) as exc:
         raise AutomatonError(f"malformed automaton document: {exc}") from exc
-    if not isinstance(doc["initial"], str):
+    if not isinstance(initial, str):
         raise AutomatonError("a single initial state is required")
+    common = dict(
+        input_alphabet=frozenset(inputs),
+        output_alphabet=frozenset(outputs),
+        states=frozenset(state),
+        initial=state.get(initial, initial),
+        transitions=frozenset(transitions),
+        finals=frozenset(state.get(q, q) for q in finals),
+    )
     if partition is not None:
         return SequentialDfa(**common, **partition)
-    per_pair = {(p, l) for p, l, _ in transitions}
-    if len(per_pair) == len(transitions):
+    per_pair = {(p, l) for p, l, _ in common["transitions"]}
+    if len(per_pair) == len(common["transitions"]):
         try:
             return Dfa(**common)
         except AutomatonError:

@@ -137,6 +137,41 @@ def test_malformed_partition_is_input_error(tmp_path, capsys, intro_U, partition
     assert "error: malformed automaton document" in capsys.readouterr().err
 
 
+def _renamed(doc, old, new, keys):
+    """`doc` with every `old` under the given transition keys, and in the
+    state or alphabet lists that hold it, replaced by `new`."""
+    doc = json.loads(json.dumps(doc))
+    for t in doc["transitions"]:
+        for key in keys:
+            if t[key] == old:
+                t[key] = new
+    for names in (doc["states"], doc["finals"], *doc["alphabet"].values()):
+        names[:] = [new if x == old else x for x in names]
+    return doc
+
+
+@pytest.mark.parametrize("edit", ["state", "letter", "alphabet"])
+def test_non_string_names_are_input_errors(files, tmp_path, capsys, intro_S, edit):
+    """State names and letters must be strings and the alphabets lists: a
+    numeric state once crashed `canon` and `decide-rec` with a TypeError
+    (exit 1), and an alphabet written as "abc" was read as three letters."""
+    doc = serialize.to_dict(intro_S)
+    if edit == "state":
+        doc = _renamed(doc, "q3", 3, ("from", "to"))
+    elif edit == "letter":
+        doc = _renamed(doc, "a", 1, ("letter",))
+    else:
+        doc["alphabet"]["input"] = "abc"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(AutomatonError, match="malformed automaton document"):
+        serialize.load_path(path)
+    _, t_path = files
+    for argv in (["canon", str(path)], ["decide-rec", str(path), str(t_path)]):
+        assert main(argv) == 3, argv
+        assert "error: malformed automaton document" in capsys.readouterr().err
+
+
 def test_profiles_stats(tmp_path, capsys, abst_S, abst_T):
     s_path = tmp_path / "s.json"
     t_path = tmp_path / "t.json"

@@ -15,6 +15,7 @@ from syncsynth.automata import (
     accepts,
     enumerate_accepted,
     inclusion,
+    language_equal,
     minimize,
 )
 from syncsynth.game import (
@@ -184,6 +185,29 @@ def test_single_word_machine(corpus):
     produced = run_machine(machine, ("a", END_IN))
     assert produced is not None
     assert [l.symbol for l in produced] == ["a", END_IN, "d", END_OUT]
+
+
+def assert_minimal_machine(machine):
+    """An extracted machine is minimal, each output state emits exactly once,
+    each final state is an input state with no edge, and no state is an
+    explicit sink."""
+    smallest = minimize(machine)
+    assert len(smallest.states) == len(machine.states)
+    assert language_equal(smallest, machine)[0]
+    for q in machine.output_states:
+        assert len(machine.out_edges(q)) == 1, q
+    for q in machine.finals:
+        assert q in machine.input_states and not machine.out_edges(q), q
+    assert not any(q.startswith("sink") for q in machine.states)
+
+
+def test_extracted_machines_are_minimal(corpus):
+    for name, lang, want_win in corpus:
+        if not want_win:
+            continue
+        arena = build_arena(lang)
+        _, strategy = solve(arena)
+        assert_minimal_machine(extract_sdfa(arena, strategy))
 
 
 def test_extracted_machines_verify(corpus):

@@ -5,10 +5,11 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from syncsynth import pipeline, serialize
 from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
@@ -28,6 +29,7 @@ from syncsynth.pipeline import (
 )
 
 from .conftest import mk_nfa, tag_family
+from .test_game import assert_minimal_machine
 
 
 def test_intro_instance_yes(intro_S, intro_T):
@@ -35,8 +37,8 @@ def test_intro_instance_yes(intro_S, intro_T):
     verdict = decide(intro_S, intro_T, cfg)
     assert verdict.answer == YES, (verdict.reason, verdict.stats)
     assert verdict.verification.ok, verdict.verification.failures
-    # the arena plays on minimal DFAs; on unminimized ones the machine had 32 states
-    assert len(verdict.machine.states) == verdict.stats["machine_states"] == 10
+    # minimal: 5 states do the work, 2 more emit ⊣o and accept after it
+    assert len(verdict.machine.states) == verdict.stats["machine_states"] == 7
 
 
 def test_rejects_infinite_shiftlag_target_without_override(intro_S, intro_T):
@@ -537,3 +539,94 @@ def test_benchmark_layer_names_resolve_on_the_pipeline():
     spec.loader.exec_module(layers)
     missing = [name for name in layers.LAYERS if not callable(getattr(pipeline, name, None))]
     assert not missing, missing
+
+
+def fast_b():
+    """S = {(a, d), (a, e)} read input-first; T asks for the output first."""
+    s = mk_nfa({"a"}, {"d", "e"}, "s0", {"s2"},
+               [("s0", "i", "a", "s1"), ("s1", "o", "d", "s2"), ("s1", "o", "e", "s2")])
+    t = mk_nfa({"a"}, {"d", "e"}, "t0", {"t2"},
+               [("t0", "o", "d", "t1"), ("t0", "o", "e", "t1"), ("t1", "i", "a", "t2")])
+    return s, t
+
+
+@pytest.mark.parametrize("name, procedure, cfg, states", [
+    ("intro", decide, PipelineConfig(k_override=3, depth=6), 7),
+    ("intro", decide_recognizable, PipelineConfig(), 7),
+    ("ann", decide_recognizable, PipelineConfig(), 8),
+    ("fast-B", decide_recognizable, PipelineConfig(), 5),
+    ("delay-m4-D4", decide_recognizable, PipelineConfig(), 9),
+    ("abst", decide, PipelineConfig(), 10),
+])
+def test_yes_machines_are_minimal(request, name, procedure, cfg, states):
+    if name == "fast-B":
+        s, t = fast_b()
+    elif name == "delay-m4-D4":
+        s, t = delay_instance(4, 4)
+    else:
+        s, t = (request.getfixturevalue(f"{name}_{x}") for x in "ST")
+    verdict = procedure(s, t, cfg)
+    assert verdict.answer == YES, verdict.reason
+    assert_minimal_machine(verdict.machine)
+    assert len(verdict.machine.states) == states
+
+
+@pytest.mark.parametrize("procedure, instance, cfg, answer", [
+    (decide, "intro", PipelineConfig(k_override=3, depth=4), YES),
+    (decide, "intro", PipelineConfig(depth=4), REJECTED),
+    (decide, "delay-m2-D1", PipelineConfig(depth=4), NO),
+    (decide_recognizable, "intro", PipelineConfig(depth=4), YES),
+    (decide_recognizable, "delay-m2-D1", PipelineConfig(depth=4), NO),
+])
+def test_decisions_leave_their_inputs_alone(request, procedure, instance, cfg, answer):
+    """Neither procedure caches anything on the caller's automata: every
+    index it needs lives on automata it built itself."""
+    if instance == "intro":
+        s, t = (replace(request.getfixturevalue(f"intro_{x}")) for x in "ST")
+    else:
+        s, t = delay_instance(2, 1)
+    assert procedure(s, t, cfg).answer == answer
+    for a in (s, t):
+        assert set(vars(a)) == {f.name for f in fields(a)}
+
+
+@st.composite
+def finite_shift_instances(draw):
+    """A 1-3-state finite-shift source and a 1-3-state finite-shiftlag target
+    over one or two letters per tape."""
+    inputs = draw(st.sampled_from(["a", "ab"]))
+    outputs = draw(st.sampled_from(["d", "de"]))
+    letters = [("i", x) for x in inputs] + [("o", y) for y in outputs]
+
+    def automaton(prefix):
+        states = [f"{prefix}{j}" for j in range(draw(st.integers(min_value=1, max_value=3)))]
+        edges = draw(st.lists(
+            st.tuples(st.sampled_from(states), st.sampled_from(letters), st.sampled_from(states)),
+            max_size=6, unique=True,
+        ))
+        finals = draw(st.sets(st.sampled_from(states), min_size=1))
+        return mk_nfa(set(inputs), set(outputs), states[0], finals,
+                      [(p, tape, sym, q) for p, (tape, sym), q in edges])
+
+    s = automaton("q")
+    assume(shift_finiteness(s).finite)
+    t = automaton("t")
+    assume(shiftlag_finiteness(t).is_finite)
+    return s, t
+
+
+@settings(deadline=None, max_examples=100)
+@given(finite_shift_instances())
+def test_decide_agrees_with_decide_recognizable(instance):
+    """Both procedures apply to a finite-shift source with a finite-shiftlag
+    target: whenever both are conclusive they agree, and every machine either
+    synthesizes is minimal."""
+    s, t = instance
+    cfg = PipelineConfig(depth=4)
+    verdicts = [decide(s, t, cfg), decide_recognizable(s, t, cfg)]
+    answers = [v.answer for v in verdicts]
+    if INCONCLUSIVE not in answers:
+        assert answers[0] == answers[1], [v.reason for v in verdicts]
+    for verdict in verdicts:
+        if verdict.answer == YES:
+            assert_minimal_machine(verdict.machine)
