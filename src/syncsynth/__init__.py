@@ -14,10 +14,7 @@ from .automata import (
     Dfa,
     Nfa,
     SequentialDfa,
-    accepts,
     add_endmarkers,
-    complement,
-    completed,
     determinize,
     inclusion,
     is_empty,
@@ -43,7 +40,6 @@ from .analysis import (
 from .trees import LabeledTree, reduce_tree
 from .canonical import (
     CanonicalDfa,
-    canonical_sync,
     canonicalize,
     canonicalize_finite_shift,
 )
@@ -51,14 +47,8 @@ from .resync import ResyncParams, build_Ti, build_TiS, build_Tprime_recognizable
 from .profiles import (
     Profile,
     StateTransformationFn,
-    annotated_output_stt,
     compute_k,
-    concat_profiles,
-    find_idempotent_factor,
-    input_profile,
     input_stt,
-    output_profile,
-    output_stt,
     profile_closure,
     ramsey_bound,
     tau,

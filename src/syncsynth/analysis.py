@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .automata import Dfa, Nfa, concat, explore_nfa, inclusion, shortest_word, trim
+from .automata import Dfa, Nfa, explore_nfa, shortest_word, trim
 from .letters import Letter, SyncWord, Tape
 
 
@@ -299,10 +299,7 @@ def _find_shift_cycle(t: Nfa, comp: list) -> Optional[tuple[str, SyncWord]]:
 def shiftlag_finiteness(a: Nfa) -> ShiftlagCertificate:
     """Infinite iff the SCC search finds a pumpable witness; otherwise finite,
     certified by the least m <= (states + 1)² whose lag bound covers the
-    language.
-
-    Covering is monotone in m (both the lag bound and the block count grow),
-    so a galloping search finds the same m as a scan from 1.
+    language, found by a scan from m = 1.
     """
     t = trim(a)
     n_states = len(t.states)
@@ -310,14 +307,11 @@ def shiftlag_finiteness(a: Nfa) -> ShiftlagCertificate:
     if witness is not None:
         return ShiftlagCertificate(verdict="infinite", witness=witness, state_count=n_states)
     cap = (n_states + 1) ** 2
-    m = least_true(
-        lambda m: least_lag_bound(t, m, certificate_lag_bound(m, n_states)) is not None, 1, cap
-    )
-    if m is None:
-        raise BoundExhausted(f"no shiftlag conclusion within m <= {cap}")
-    return ShiftlagCertificate(
-        verdict="finite", m=m, nu=certificate_lag_bound(m, n_states), state_count=n_states
-    )
+    for m in range(1, cap + 1):
+        nu = certificate_lag_bound(m, n_states)
+        if least_lag_bound(t, m, nu) is not None:
+            return ShiftlagCertificate(verdict="finite", m=m, nu=nu, state_count=n_states)
+    raise BoundExhausted(f"no shiftlag conclusion within m <= {cap}")
 
 
 def _shiftlag_witness_search(t: Nfa) -> Optional[ShiftlagWitness]:
@@ -371,21 +365,9 @@ def certificate_lag_bound(m: int, state_count: int) -> int:
     return 2 * (m * (state_count + 1) + 1)
 
 
-def lag_blocks_cover(a: Nfa, nu: int, m: int) -> bool:
-    """Whether every word of `a` is a ≤nu-lagged prefix followed by at most m
-    pure blocks. Monotone in nu and in m. The definition by inclusion;
-    `least_lag_bound` answers the same question without automata."""
-    right = concat(
-        build_lag_bounded(nu, a.input_alphabet, a.output_alphabet),
-        build_blocks(m, None, a.input_alphabet, a.output_alphabet),
-    )
-    ok, _ = inclusion(a, right)
-    return ok
-
-
 def least_lag_bound(a: Nfa, m: int, hi: int) -> Optional[int]:
-    """Least nu in [0, hi] with lag_blocks_cover(a, nu, m), or None; builds no
-    automaton.
+    """Least nu in [0, hi] such that every word of `a` is a ≤nu-lagged prefix
+    followed by at most m pure blocks, or None; builds no automaton.
 
     A suffix is at most m blocks exactly when it has at most m runs (maximal
     one-tape segments), so a word's earliest split is the start of its m-th
@@ -439,40 +421,13 @@ def least_lag_bound(a: Nfa, m: int, hi: int) -> Optional[int]:
     return worst
 
 
-def least_true(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
-    """Least x in [lo, hi] with holds(x), for holds monotone (false, then true).
-
-    Probes lo, lo+1, lo+3, lo+7, … below hi, then hi itself, and
-    binary-searches the last gap; None if holds(hi) is false.
-    """
-    if lo > hi:
-        return None
-    known_false = lo - 1
-    offset = 0
-    while lo + offset < hi:
-        if holds(lo + offset):
-            hi = lo + offset
-            break
-        known_false = lo + offset
-        offset = 2 * offset + 1
-    else:
-        if not holds(hi):
-            return None
-    while hi - known_false > 1:
-        mid = (known_false + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            known_false = mid
-    return hi
-
-
 # ---------------------------------------------------------------------------
 # constraint automata
 
 
 def build_lag_bounded(nu: int, input_alphabet, output_alphabet) -> Dfa:
-    """Complete DFA of all words whose every prefix is at most nu-lagged.
+    """DFA of all words whose every prefix is at most nu-lagged, with an edge
+    for every (state, letter).
 
     A state is the prefix imbalance, or "sink" once it exceeds nu."""
 
@@ -489,7 +444,7 @@ def build_lag_bounded(nu: int, input_alphabet, output_alphabet) -> Dfa:
         input_alphabet,
         output_alphabet,
         prefix="l",
-        build=lambda **fields: Dfa(**fields, complete=True),
+        build=Dfa,
     )
 
 

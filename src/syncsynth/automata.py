@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .letters import Letter, SyncWord, Tape, inp, out
 
@@ -105,9 +105,7 @@ class Nfa:
 
 @dataclass(frozen=True)
 class Dfa(Nfa):
-    """At most one successor per (state, letter); `complete` means exactly one."""
-
-    complete: bool = False
+    """At most one successor per (state, letter)."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -116,11 +114,6 @@ class Dfa(Nfa):
             if (p, letter) in seen:
                 raise AutomatonError(f"nondeterministic on {(p, letter)}")
             seen.add((p, letter))
-        if self.complete:
-            for p in self.states:
-                for letter in self.alphabet:
-                    if (p, letter) not in seen:
-                        raise AutomatonError(f"incomplete at {(p, letter)} but marked complete")
 
     @cached_property
     def _delta(self) -> dict:
@@ -170,16 +163,6 @@ class SequentialDfa(Dfa):
                 raise PartitionViolation(f"input state {p!r} has an output edge")
             if p in self.output_states and letter.tape is not Tape.OUTPUT:
                 raise PartitionViolation(f"output state {p!r} has an input edge")
-
-
-def accepts(a: Nfa, w: Sequence[Letter]) -> bool:
-    """NFA membership by subset simulation."""
-    current = frozenset({a.initial})
-    for letter in w:
-        current = a.step_set(current, letter)
-        if not current:
-            return False
-    return bool(current & a.finals)
 
 
 def tagged_letters(input_alphabet, output_alphabet) -> tuple[Letter, ...]:
@@ -255,52 +238,6 @@ def minimize(d: Dfa) -> Dfa:
         d.output_alphabet,
         prefix="m",
         build=Dfa,
-    )
-
-
-def completed(d: Dfa, extra_inputs: Iterable[str] = (), extra_outputs: Iterable[str] = ()) -> Dfa:
-    """Add an explicit non-accepting sink so every (state, letter) is defined."""
-    input_alphabet = frozenset(d.input_alphabet) | frozenset(extra_inputs)
-    output_alphabet = frozenset(d.output_alphabet) | frozenset(extra_outputs)
-    sink = "∅"
-    while sink in d.states:
-        sink += "'"
-    letters = tagged_letters(input_alphabet, output_alphabet)
-    transitions = set(d.transitions)
-    defined = {(p, l) for p, l, _ in d.transitions}
-    needs_sink = False
-    for p in d.states:
-        for letter in letters:
-            if (p, letter) not in defined:
-                transitions.add((p, letter, sink))
-                needs_sink = True
-    states = set(d.states)
-    if needs_sink:
-        states.add(sink)
-        for letter in letters:
-            transitions.add((sink, letter, sink))
-    return Dfa(
-        input_alphabet=input_alphabet,
-        output_alphabet=output_alphabet,
-        states=frozenset(states),
-        initial=d.initial,
-        transitions=frozenset(transitions),
-        finals=d.finals,
-        complete=True,
-    )
-
-
-def complement(d: Dfa) -> Dfa:
-    if not d.complete:
-        raise AutomatonError("complement requires a complete DFA")
-    return Dfa(
-        input_alphabet=d.input_alphabet,
-        output_alphabet=d.output_alphabet,
-        states=d.states,
-        initial=d.initial,
-        transitions=d.transitions,
-        finals=frozenset(d.states - d.finals),
-        complete=True,
     )
 
 
@@ -408,8 +345,6 @@ def trim(a: Nfa) -> Nfa:
         ),
         finals=a.finals & keep,
     )
-    if isinstance(a, Dfa):
-        fields["complete"] = a.complete and useful == a.states
     if isinstance(a, SequentialDfa):
         fields.update(input_states=a.input_states & keep, output_states=a.output_states & keep)
     return replace(a, **fields)
@@ -504,7 +439,6 @@ def make_sequential_check(
         initial=d.initial,
         transitions=d.transitions,
         finals=d.finals,
-        complete=False,
         input_states=frozenset(input_states),
         output_states=frozenset(output_states),
     )
@@ -572,10 +506,10 @@ def concat(a: Nfa, b: Nfa) -> Nfa:
 
 
 class StateCapExceeded(AutomatonError):
-    """An on-the-fly construction grew past its configured state cap."""
+    """A named on-the-fly construction grew past `STATE_CAP` states."""
 
 
-STATE_CAP = 2_000_000  # default state cap of the on-the-fly constructions
+STATE_CAP = 2_000_000  # the state cap of every named construction
 
 
 def explore_nfa(
@@ -585,9 +519,8 @@ def explore_nfa(
     input_alphabet,
     output_alphabet,
     prefix: str = "x",
-    cap: Optional[int] = None,
     build: Callable = Nfa,
-    name: str = "explore_nfa",
+    name: Optional[str] = None,
 ) -> Nfa:
     """Materialize an automaton from a successor function by BFS from `initial`.
 
@@ -595,7 +528,8 @@ def explore_nfa(
     may be any hashable values and are named prefix0, prefix1, ... in the
     order they are discovered, trying letters in `tagged_letters` order.
     `build` constructs the result from the automaton's fields: `Dfa` when
-    every step returns at most one successor. Growing past `cap` states
+    every step returns at most one successor. A construction that passes its
+    `name` is capped: growing past `STATE_CAP` states, read at each call,
     raises `StateCapExceeded`, whose message opens with `name`.
     """
     names = {initial: f"{prefix}0"}
@@ -610,10 +544,10 @@ def explore_nfa(
         for letter in letters:
             for nxt in step(state, letter):
                 if nxt not in names:
-                    if cap is not None and len(names) >= cap:
+                    if name is not None and len(names) >= STATE_CAP:
                         raise StateCapExceeded(
-                            f"{name}: construction exceeded {cap} states; "
-                            "raise the cap to proceed"
+                            f"{name}: construction exceeded {STATE_CAP} states "
+                            "(automata.STATE_CAP)"
                         )
                     names[nxt] = f"{prefix}{len(names)}"
                     queue.append(nxt)
@@ -665,20 +599,3 @@ def pair_in_relation(a: Nfa, u: Sequence[str], v: Sequence[str]) -> bool:
     )
     return found is not None
 
-
-def enumerate_accepted(a: Nfa, max_len: int) -> Iterator[SyncWord]:
-    """All accepted words of length ≤ max_len, shortest first, deterministic order."""
-    start = frozenset({a.initial})
-    layer = [((), start)]
-    for _ in range(max_len + 1):
-        next_layer = []
-        for w, subset in layer:
-            if subset & a.finals:
-                yield w
-            for letter in a.alphabet:
-                nxt = a.step_set(subset, letter)
-                if nxt:
-                    next_layer.append((w + (letter,), nxt))
-        layer = next_layer
-        if not layer:
-            return

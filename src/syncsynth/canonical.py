@@ -18,14 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Sequence
 
 from .analysis import ShiftlagCertificate, least_lag_bound
 from .automata import (
     AutomatonError,
     Dfa,
     Nfa,
-    STATE_CAP,
     determinize,
     explore_nfa,
     inclusion,
@@ -35,23 +33,11 @@ from .automata import (
     tape_table_dfa,
     trim,
 )
-from .letters import PARTNER, Letter, SyncWord, Tape, inp, out
+from .letters import PARTNER, Letter, Tape
 
 
 class InvalidCertificate(AutomatonError):
     pass
-
-
-def canonical_sync(u: Sequence[str], v: Sequence[str]) -> SyncWord:
-    """Interleave strictly alternately (input first), then flush the longer tail."""
-    letters = []
-    for x, y in zip(u, v):
-        letters.append(inp(x))
-        letters.append(out(y))
-    n = min(len(u), len(v))
-    letters.extend(inp(x) for x in u[n:])
-    letters.extend(out(y) for y in v[n:])
-    return tuple(letters)
 
 
 # the canonical shape: tapes alternate input-first, then one tape flushes
@@ -80,17 +66,8 @@ class CanonicalDfa:
             raise AutomatonError(f"not canonical-shaped, e.g. {witness}")
         return cls(dfa=d)
 
-    def run_pair(self, q: Optional[str], x: Sequence[str], y: Sequence[str]) -> Optional[str]:
-        """State reached from q on the canonical synchronization of (x, y)."""
-        if q is None:
-            return None
-        return self.dfa.run(canonical_sync(x, y), start=q)
 
-    def accepts_pair(self, x: Sequence[str], y: Sequence[str]) -> bool:
-        return self.dfa.accepts_word(canonical_sync(x, y))
-
-
-def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP) -> Dfa:
+def canonicalize_finite_shift(s: Nfa, cert) -> Dfa:
     """Input-then-output canonical form of a finite-shift source.
 
     Words of the source have boundedly many pure runs; the reader walks the
@@ -161,15 +138,12 @@ def canonicalize_finite_shift(s: Nfa, cert, state_cap: Optional[int] = STATE_CAP
         s.input_alphabet,
         s.output_alphabet,
         prefix="f",
-        cap=state_cap,
         name="canonicalize_finite_shift",
     )
     return minimize(determinize(trim(reader)))
 
 
-def canonicalize(
-    s: Nfa, cert: ShiftlagCertificate, state_cap: Optional[int] = STATE_CAP
-) -> CanonicalDfa:
+def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
     """Language-level resynchronization of a finite-shiftlag source onto
     canonical words; the relation of pairs is preserved exactly.
 
@@ -360,7 +334,6 @@ def canonicalize(
         s.input_alphabet,
         s.output_alphabet,
         prefix="r",
-        cap=state_cap,
         name="canonicalize",
     )
     return CanonicalDfa(dfa=minimize(determinize(trim(reader))))

@@ -37,11 +37,6 @@ def out(symbol: str) -> Letter:
     return Letter(Tape.OUTPUT, symbol)
 
 
-def tags(w: Sequence[Letter]) -> tuple[int, ...]:
-    """Tape projection of a word, as a sequence over {1, 2}."""
-    return tuple(int(l.tape) for l in w)
-
-
 def project_input(w: Sequence[Letter]) -> tuple[str, ...]:
     return tuple(l.symbol for l in w if l.tape is Tape.INPUT)
 
@@ -54,19 +49,3 @@ def decode(w: Sequence[Letter]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The pair of words a synchronization encodes."""
     return project_input(w), project_output(w)
 
-
-def recompose(tag_seq: Sequence[int], pair: tuple[Sequence[str], Sequence[str]]) -> SyncWord:
-    """Interleave a pair of words following the given tag sequence."""
-    u, v = list(pair[0]), list(pair[1])
-    if len(u) + len(v) != len(tag_seq):
-        raise ValueError("pair does not fit the tag sequence")
-    letters = []
-    i = j = 0
-    for t in tag_seq:
-        if t == 1:
-            letters.append(inp(u[i]))
-            i += 1
-        else:
-            letters.append(out(v[j]))
-            j += 1
-    return tuple(letters)

@@ -21,7 +21,6 @@ from .analysis import (
 from .automata import (
     Dfa,
     Nfa,
-    STATE_CAP,
     SequentialDfa,
     StateCapExceeded,
     add_endmarkers,
@@ -54,15 +53,14 @@ class PipelineConfig:
     k_override: Optional[int] = None
     depth: int = 8
     closure_cap: int = 512
-    state_cap: int = STATE_CAP
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("enumeration depth must be at least 1")
         if self.k_override is not None and self.k_override < 0:
             raise ValueError("the block cap override must be non-negative")
-        if self.closure_cap <= 0 or self.state_cap <= 0:
-            raise ValueError("caps must be positive")
+        if self.closure_cap <= 0:
+            raise ValueError("the closure cap must be positive")
 
 
 @dataclass
@@ -116,7 +114,7 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
     s = trim(s)
     t = trim(t)
     try:
-        can = canonicalize(s, cert_s, state_cap=cfg.state_cap)
+        can = canonicalize(s, cert_s)
     except StateCapExceeded as exc:
         return _capped(exc, stats)
     t_dfa = determinize(t)
@@ -167,7 +165,7 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
             stats["t_i_equals_t"] = True
 
     try:
-        tis = build_TiS(can, t_i, params, state_cap=cfg.state_cap)
+        tis = build_TiS(can, t_i, params)
     except StateCapExceeded as exc:
         return _capped(exc, stats)
     stats["t_i_s_states"] = len(tis.states)
@@ -198,7 +196,7 @@ def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) 
     s = trim(s)
     t = trim(t)
     try:
-        s12 = canonicalize_finite_shift(s, cert, state_cap=cfg.state_cap)
+        s12 = canonicalize_finite_shift(s, cert)
     except StateCapExceeded as exc:
         return _capped(exc, stats)
     stats["canonical_source_states"] = len(s12.states)

@@ -36,10 +36,6 @@ class ClosureCapExceeded(RuntimeError):
     pass
 
 
-class ParameterMismatch(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # state transformation functions
 
@@ -54,19 +50,11 @@ class StateTransformationFn:
     def from_dict(cls, d: dict) -> "StateTransformationFn":
         return cls(tuple(sorted((k, v) for k, v in d.items() if v is not None)))
 
-    @classmethod
-    def identity(cls, states) -> "StateTransformationFn":
-        return cls(tuple(sorted((q, q) for q in states)))
-
     def as_dict(self) -> dict:
         return dict(self.mapping)
 
     def __call__(self, state):
         return self.as_dict().get(state)
-
-    def then(self, other: "StateTransformationFn") -> "StateTransformationFn":
-        second = other.as_dict()
-        return StateTransformationFn.from_dict({p: second.get(q) for p, q in self.mapping})
 
 
 def tau(w: Sequence[Letter], b: Dfa) -> StateTransformationFn:
@@ -169,11 +157,6 @@ def input_stt(x, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> LabeledTree
     return _strip(_Ctx(a, b).stt_enriched(tuple(x), p, q, i, Tape.INPUT))
 
 
-def output_stt(y, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> LabeledTree:
-    """Dual tree for an output segment against input counterparts."""
-    return _strip(_Ctx(a, b).stt_enriched(tuple(y), p, q, i, Tape.OUTPUT))
-
-
 # ---------------------------------------------------------------------------
 # annotated output trees
 
@@ -262,14 +245,6 @@ def _annotated(ctx: _Ctx, enriched: LabeledTree, y: tuple, p: str, q: str, i: in
     return builder.build(y, p, q, i, ()).map_labels(lambda lab: lab[1:])
 
 
-def annotated_output_stt(y, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> LabeledTree:
-    """Annotated output tree: nodes carry the reference-tree node reached and
-    the set of reference nodes reached by prefixes of the witness input."""
-    ctx = _Ctx(a, b)
-    y = tuple(y)
-    return _annotated(ctx, ctx.stt_enriched(y, p, q, i, Tape.OUTPUT), y, p, q, i)
-
-
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -282,8 +257,6 @@ class Profile:
     pure: StateTransformationFn  # the source automaton's pure one-tape transform
     trees: tuple  # sorted ((p, q), enriched reduced tree)
     ann_trees: tuple  # sorted ((p, q), reduced public annotated tree); () for input words
-    rep: tuple = field(compare=False)
-    ctx: object = field(compare=False, repr=False)
 
 
 def _profile(word, n: int, ctx: _Ctx, tape: Tape) -> Profile:
@@ -305,52 +278,11 @@ def _profile(word, n: int, ctx: _Ctx, tape: Tape) -> Profile:
         pure=tau(letters, ctx.a),
         trees=tuple(trees),
         ann_trees=tuple(ann_trees),
-        rep=word,
-        ctx=ctx,
     )
 
 
-def input_profile(x, n: int, a: CanonicalDfa, b: Dfa, ctx: Optional[_Ctx] = None) -> Profile:
-    return _profile(x, n, ctx or _Ctx(a, b), Tape.INPUT)
-
-
-def output_profile(y, n: int, a: CanonicalDfa, b: Dfa, ctx: Optional[_Ctx] = None) -> Profile:
-    return _profile(y, n, ctx or _Ctx(a, b), Tape.OUTPUT)
-
-
 # ---------------------------------------------------------------------------
-# concatenation
-
-
-def concat_profiles(p1: Profile, p2: Profile) -> Profile:
-    """Profile of any concatenation of representatives: the profile of the
-    joined representatives, which by the monoid law depends only on p1 and p2."""
-    if p1.tape is not p2.tape or p1.depth != p2.depth or p1.ctx.a != p2.ctx.a or p1.ctx.b != p2.ctx.b:
-        raise ParameterMismatch("profiles come from different settings")
-    return _profile(p1.rep + p2.rep, 2 * p1.depth - 1, p1.ctx, p1.tape)
-
-
-# ---------------------------------------------------------------------------
-# idempotent factors, closures, bounds
-
-
-def find_idempotent_factor(x, n: int, a: CanonicalDfa, b: Dfa) -> Optional[tuple]:
-    """First (i, j), 1-indexed inclusive and shortest, with an idempotent factor."""
-    x = tuple(x)
-    ctx = _Ctx(a, b)
-    cache: dict = {}
-
-    def prof(word):
-        if word not in cache:
-            cache[word] = input_profile(word, n, a, b, ctx=ctx)
-        return cache[word]
-
-    for length in range(1, len(x) + 1):
-        for start in range(0, len(x) - length + 1):
-            f = x[start : start + length]
-            if prof(f) == prof(f + f):
-                return (start + 1, start + length)
-    return None
+# closures and bounds
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,12 @@ fly through a bounded queue of guessed letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .analysis import _scc, build_blocks, build_lag_bounded
 from .automata import (
     AutomatonError,
     Dfa,
     Nfa,
-    STATE_CAP,
     concat,
     coreachable_states,
     explore_nfa,
@@ -94,9 +92,7 @@ class ResyncNfa(Nfa):
     refused_caps: tuple = ()
 
 
-def build_TiS(
-    a: CanonicalDfa, ti: Nfa, params: ResyncParams, state_cap: Optional[int] = STATE_CAP
-) -> ResyncNfa:
+def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> ResyncNfa:
     """Words of the constrained target whose pair belongs to the source relation.
 
     Simulates the canonical DFA on the canonical re-interleaving of the word
@@ -184,7 +180,6 @@ def build_TiS(
             ti.input_alphabet,
             ti.output_alphabet,
             prefix="c",
-            cap=state_cap,
             name="build_TiS",
             build=lambda **fields: ResyncNfa(**fields, refused_caps=tuple(sorted(refused))),
         )

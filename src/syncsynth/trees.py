@@ -55,19 +55,6 @@ class LabeledTree:
         for c in self.children:
             yield from c.nodes()
 
-    def label_paths(self) -> set:
-        """All root-to-node label sequences, as a set."""
-        paths = set()
-
-        def walk(node, prefix):
-            cur = prefix + (node.label,)
-            paths.add(cur)
-            for c in node.children:
-                walk(c, cur)
-
-        walk(self, ())
-        return paths
-
     def map_labels(self, fn: Callable[[Any], Any]) -> "LabeledTree":
         return LabeledTree(fn(self.label), tuple(c.map_labels(fn) for c in self.children))
 
@@ -86,11 +73,6 @@ def reduce_tree(t: LabeledTree) -> LabeledTree:
             seen.add(rc.canonical)
             reduced_children.append(rc)
     return LabeledTree(t.label, tuple(reduced_children))
-
-
-def is_reduced(t: LabeledTree) -> bool:
-    forms = [c.canonical for c in t.children]
-    return len(forms) == len(set(forms)) and all(is_reduced(c) for c in t.children)
 
 
 def node_ids(t: LabeledTree, prefix: str = "v") -> dict:

@@ -1,8 +1,13 @@
-"""Shared corpus: the worked examples' automata and the tag-shape families."""
+"""Shared corpus: the worked examples' automata and the tag-shape families,
+and the reference helpers that several test files check the library with."""
+from contextlib import contextmanager
+
 import pytest
 
+from syncsynth import automata
 from syncsynth.automata import Dfa, Nfa, SequentialDfa
-from syncsynth.letters import inp, out
+from syncsynth.letters import Tape, inp, out
+from syncsynth.profiles import StateTransformationFn, _annotated, _Ctx, _profile, _strip
 
 
 def mk_nfa(input_alphabet, output_alphabet, initial, finals, edges, cls=Nfa, **extra):
@@ -246,3 +251,87 @@ def tag_family(name, input_symbol="a", output_symbol="d"):
 @pytest.fixture(scope="session")
 def families():
     return {name: tag_family(name) for name in ["1*2*", "(12)*", "(12)*(1*+2*)", "1*2*1*2*", "(1*2*)*"]}
+
+
+# ---------------------------------------------------------------------------
+# reference helpers
+
+
+@contextmanager
+def state_cap(cap):
+    """Lower `automata.STATE_CAP`, the one state cap, inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "STATE_CAP", cap)
+        yield
+
+
+def accepts(a, w):
+    """NFA membership by subset simulation."""
+    current = frozenset({a.initial})
+    for letter in w:
+        current = a.step_set(current, letter)
+        if not current:
+            return False
+    return bool(current & a.finals)
+
+
+def enumerate_accepted(a, max_len):
+    """All accepted words of length <= max_len, shortest first, deterministic order."""
+    layer = [((), frozenset({a.initial}))]
+    for _ in range(max_len + 1):
+        next_layer = []
+        for w, subset in layer:
+            if subset & a.finals:
+                yield w
+            for letter in a.alphabet:
+                nxt = a.step_set(subset, letter)
+                if nxt:
+                    next_layer.append((w + (letter,), nxt))
+        layer = next_layer
+        if not layer:
+            return
+
+
+def identity_fn(states):
+    """The state transformation function that fixes every state."""
+    return StateTransformationFn(tuple(sorted((q, q) for q in states)))
+
+
+def input_profile(x, n, a, b, ctx=None):
+    return _profile(x, n, ctx or _Ctx(a, b), Tape.INPUT)
+
+
+def output_profile(y, n, a, b, ctx=None):
+    return _profile(y, n, ctx or _Ctx(a, b), Tape.OUTPUT)
+
+
+def output_stt(y, p, q, i, a, b):
+    """Public tree of an output segment against input counterparts."""
+    return _strip(_Ctx(a, b).stt_enriched(tuple(y), p, q, i, Tape.OUTPUT))
+
+
+def annotated_output_stt(y, p, q, i, a, b):
+    """Annotated output tree: nodes carry the reference-tree node reached and
+    the set of reference nodes reached by prefixes of the witness input."""
+    ctx = _Ctx(a, b)
+    y = tuple(y)
+    return _annotated(ctx, ctx.stt_enriched(y, p, q, i, Tape.OUTPUT), y, p, q, i)
+
+
+def find_idempotent_factor(x, n, a, b):
+    """First (i, j), 1-indexed inclusive and shortest, with an idempotent factor."""
+    x = tuple(x)
+    ctx = _Ctx(a, b)
+    cache: dict = {}
+
+    def prof(word):
+        if word not in cache:
+            cache[word] = input_profile(word, n, a, b, ctx=ctx)
+        return cache[word]
+
+    for length in range(1, len(x) + 1):
+        for start in range(0, len(x) - length + 1):
+            f = x[start : start + length]
+            if prof(f) == prof(f + f):
+                return (start + 1, start + length)
+    return None

@@ -146,3 +146,32 @@ def tape_count_naive(a, tape, max_len):
                     nxt[p] = cand
         best = nxt
     return best
+
+
+def canonical_sync(u, v):
+    """Interleave strictly alternately (input first), then flush the longer tail."""
+    letters = []
+    for x, y in zip(u, v):
+        letters.append(inp(x))
+        letters.append(out(y))
+    n = min(len(u), len(v))
+    letters.extend(inp(x) for x in u[n:])
+    letters.extend(out(y) for y in v[n:])
+    return tuple(letters)
+
+
+def recompose(tag_seq, pair):
+    """Interleave a pair of words following the given tag sequence."""
+    u, v = list(pair[0]), list(pair[1])
+    if len(u) + len(v) != len(tag_seq):
+        raise ValueError("pair does not fit the tag sequence")
+    letters = []
+    i = j = 0
+    for t in tag_seq:
+        if t == 1:
+            letters.append(inp(u[i]))
+            i += 1
+        else:
+            letters.append(out(v[j]))
+            j += 1
+    return tuple(letters)

@@ -6,19 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from syncsynth import serialize
 from syncsynth.automata import (
-    AutomatonError,
     Dfa,
     EmissionNondeterminism,
     END_IN,
     END_OUT,
     ReservedSymbolClash,
     SequentialDfa,
-    accepts,
     add_endmarkers,
-    complement,
-    completed,
     determinize,
-    enumerate_accepted,
     inclusion,
     is_empty,
     language_equal,
@@ -29,10 +24,10 @@ from syncsynth.automata import (
     project_input,
     trim,
 )
-from syncsynth.letters import decode, inp, out, recompose, tags
+from syncsynth.letters import decode, inp, out
 
-from .conftest import mk_nfa, tag_family
-from .oracles import all_words, decode_naive, language_upto, nfa_accepts_naive
+from .conftest import accepts, enumerate_accepted, mk_nfa, tag_family
+from .oracles import all_words, decode_naive, language_upto, nfa_accepts_naive, recompose, to_tags
 
 A = inp("a")
 B = inp("b")
@@ -53,7 +48,7 @@ def test_decode_longer_interleaving():
 
 def test_recompose_roundtrip():
     w = (A, D, B, E, E)
-    assert recompose(tags(w), decode(w)) == w
+    assert recompose(to_tags(w), decode(w)) == w
 
 
 def test_determinize_preserves_language(intro_S):
@@ -87,19 +82,6 @@ def test_determinize_follows_subsets():
     assert d.run((B, B, B)) is None
 
 
-def test_intersection_with_complement_empty(intro_S):
-    d = completed(determinize(intro_S))
-    comp = complement(d)
-    inter = product(intro_S, comp)
-    empty, _ = is_empty(inter)
-    assert empty
-
-
-def test_complement_requires_complete(intro_S):
-    with pytest.raises(AutomatonError):
-        complement(determinize(intro_S))
-
-
 def test_is_empty_witness_is_shortest(intro_S):
     empty, w = is_empty(intro_S)
     assert not empty
@@ -116,10 +98,11 @@ def test_trim_removes_unreachable_final():
 
 
 def test_trim_keeps_names_and_class(intro_S, intro_U):
-    d = completed(determinize(intro_S))
+    d = determinize(intro_S)
+    # a dead state on an input letter the initial state does not read
+    d = replace(d, states=d.states | {"dead"}, transitions=d.transitions | {(d.initial, A, "dead")})
     t = trim(d)
-    # the sink is dropped, so the trimmed DFA is no longer complete
-    assert isinstance(t, Dfa) and not t.complete
+    assert isinstance(t, Dfa) and "dead" not in t.states
     assert t.states < d.states and t.initial == d.initial
     assert language_equal(t, d)[0]
     u = trim(intro_U)

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -7,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from syncsynth import serialize
+from syncsynth import automata, serialize
 from syncsynth.automata import AutomatonError, SequentialDfa
-from syncsynth.canonical import canonicalize
 from syncsynth.cli import main
 from syncsynth.letters import Tape
 from syncsynth.pipeline import PipelineConfig
@@ -329,10 +327,8 @@ def test_rejected_witness_is_structured(tmp_path, capsys, intro_T):
 
 def test_state_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, abst_T):
     """A state cap hit by canon, resync or profiles exits 2 and names the
-    construction, as it does for decide."""
-    from syncsynth import cli as cli_module
-
-    monkeypatch.setattr(cli_module, "canonicalize", functools.partial(canonicalize, state_cap=10))
+    construction and the cap, as it does for decide."""
+    monkeypatch.setattr(automata, "STATE_CAP", 10)
     s_path = tmp_path / "s.json"
     t_path = tmp_path / "t.json"
     s_path.write_text(serialize.dumps(abst_S), encoding="utf-8")
@@ -343,7 +339,10 @@ def test_state_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, abs
         ["profiles", str(s_path), str(t_path)],
     ):
         assert main(command) == 2, command[0]
-        assert "state cap: canonicalize: " in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "inconclusive: state cap: canonicalize: construction exceeded 10 states "
+            "(automata.STATE_CAP)\n"
+        )
 
 
 def test_canon_and_decide_are_hash_seed_independent(files, tmp_path, abst_S, abst_T):

@@ -12,8 +12,6 @@ from syncsynth.automata import (
     Nfa,
     SequentialDfa,
     add_endmarkers,
-    accepts,
-    enumerate_accepted,
     inclusion,
     language_equal,
     minimize,
@@ -287,7 +285,6 @@ def test_verify_rejects_mutated_machine(corpus):
         initial=machine.initial,
         transitions=frozenset(mutated_edges),
         finals=machine.finals,
-        complete=False,
         input_states=machine.input_states,
         output_states=machine.output_states,
     )

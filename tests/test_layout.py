@@ -1,0 +1,130 @@
+"""What the program and the test oracles may hold.
+
+The program keeps only what its commands, its two decision procedures, the
+benchmark and README's library API reach; reference code lives next to the
+tests that use it. The brute-force oracles stay independent of the library.
+"""
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+import syncsynth
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = Path(syncsynth.__file__).resolve().parent
+
+# the roots besides README's library API: the console script and its command
+# table, the two decision procedures, and what `decidebench/` uses of the
+# program (its layer names are added from `decidebench/layers.py`)
+ROOTS = {
+    "main",
+    "HANDLERS",
+    "decide",
+    "decide_recognizable",
+    "loads",
+    "dumps",
+    "from_dict",
+    "PipelineConfig",
+    "inp",
+}
+
+
+def library_api() -> list:
+    """(module, name) of every entry of README's "Library API" list."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^- `(\w+)\.(\w+)`", section, re.MULTILINE)
+
+
+def benchmark_layers() -> set:
+    spec = importlib.util.spec_from_file_location("decidebench_layers", REPO / "decidebench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return set(layers.LAYERS)
+
+
+def _reads(node, aliases: dict) -> set:
+    """The names a definition reads, as names or attributes, with import
+    aliases resolved."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return {aliases.get(n, n) for n in names}
+
+
+def definitions() -> dict:
+    """Top-level definitions of the package by name: a list of (module,
+    node, the names the definition reads) per name. Module-level
+    assignments count, so a table such as cli.HANDLERS passes reads on."""
+    found: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {
+            a.asname: a.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names
+            if a.asname
+        }
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name, []).append((path.stem, node, _reads(node, aliases)))
+    return found
+
+
+def test_every_definition_is_reached_or_library_api():
+    """A name-based walk: a definition is reached when a reached definition
+    reads its name, as a name or as an attribute; a reached class reaches its
+    whole body. Every top-level function or class of `src/syncsynth` is
+    reached from the roots, or README lists it as library API."""
+    defs = definitions()
+    api = library_api()
+    stale = [f"{m}.{n}" for m, n in api if m not in {mod for mod, _, _ in defs.get(n, ())}]
+    assert not stale, f"README's library API names no such definition: {stale}"
+    reached: set = set()
+    stack = list(ROOTS | benchmark_layers() | {n for _, n in api})
+    while stack:
+        name = stack.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        for _, _, reads in defs[name]:
+            stack.extend(reads)
+    unreached = sorted(
+        f"{module}.{name}"
+        for name, entries in defs.items()
+        for module, node, _ in entries
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name not in reached
+    )
+    assert not unreached, unreached
+
+
+def test_oracles_import_nothing_of_the_library_but_letters():
+    """tests/oracles.py codes its checks independently of the library's
+    algorithms: of syncsynth it may import only the letters, and no test
+    module (which may import the rest)."""
+    tree = ast.parse((REPO / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imported = set()  # modules, with "." opening a relative one
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "syncsynth":
+            imported |= {f"syncsynth.{a.name}" for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    foreign = sorted(
+        m for m in imported if m.startswith((".", "syncsynth")) and m != "syncsynth.letters"
+    )
+    assert not foreign, foreign

@@ -9,14 +9,13 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from syncsynth import pipeline, serialize
+from syncsynth import automata, pipeline, serialize
 from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
 from syncsynth.automata import END_IN, END_OUT
 from syncsynth.canonical import canonicalize, canonicalize_finite_shift
 from syncsynth.game import VerificationReport
-from syncsynth.letters import decode, recompose
 from syncsynth.resync import build_TiS
 from syncsynth.pipeline import (
     INCONCLUSIVE,
@@ -29,6 +28,7 @@ from syncsynth.pipeline import (
 )
 
 from .conftest import mk_nfa, tag_family
+from .oracles import recompose
 from .test_game import assert_minimal_machine
 
 
@@ -317,21 +317,30 @@ def test_program_has_no_assert_statements():
     assert not found, found
 
 
+# the state cap each case lowers automata.STATE_CAP to: abst's canonical
+# reader fits in 200 states, its T_iS at k = 2 does not
+LOWERED_STATE_CAP = {"canonicalize": 3, "canonicalize_finite_shift": 3, "build_TiS": 200}
+
+
 @pytest.mark.parametrize(
     "procedure, fixtures, cfg, construction",
     [
-        (decide, ("intro_S", "intro_T"), PipelineConfig(k_override=3, state_cap=3), "canonicalize"),
-        (decide_recognizable, ("intro_S", "intro_T"), PipelineConfig(state_cap=3), "canonicalize_finite_shift"),
-        # abst's canonical reader fits in 200 states, its T_iS at k = 2 does not
-        (decide, ("abst_S", "abst_T"), PipelineConfig(k_override=2, state_cap=200), "build_TiS"),
+        (decide, ("intro_S", "intro_T"), PipelineConfig(k_override=3), "canonicalize"),
+        (decide_recognizable, ("intro_S", "intro_T"), PipelineConfig(), "canonicalize_finite_shift"),
+        (decide, ("abst_S", "abst_T"), PipelineConfig(k_override=2), "build_TiS"),
     ],
 )
-def test_state_cap_gives_inconclusive(request, procedure, fixtures, cfg, construction):
+def test_state_cap_gives_inconclusive(request, monkeypatch, procedure, fixtures, cfg, construction):
+    """The reason names the construction and the one state cap, and asks
+    for nothing the caller cannot set."""
     s, t = (request.getfixturevalue(name) for name in fixtures)
+    cap = LOWERED_STATE_CAP[construction]
+    monkeypatch.setattr(automata, "STATE_CAP", cap)
     verdict = procedure(s, t, cfg)
     assert verdict.answer == INCONCLUSIVE
-    assert verdict.reason.startswith(f"state cap: {construction}: ")
-    assert str(cfg.state_cap) in verdict.reason
+    assert verdict.reason == (
+        f"state cap: {construction}: construction exceeded {cap} states (automata.STATE_CAP)"
+    )
 
 
 @pytest.mark.parametrize("closure_cap, tape", [(1, "input"), (5, "output")])
@@ -615,8 +624,19 @@ def finite_shift_instances(draw):
     return s, t
 
 
+# S = T = {a·d}: the input letter runs ahead of its output partner, so
+# build_TiS must guess d when a arrives. A build_TiS that never guesses the
+# first partner letter loses the only word, and `decide` answers NO where
+# `decide-rec` answers YES; random draws rarely hit this.
+A_THEN_D = (
+    mk_nfa({"a"}, {"d"}, "q0", {"q2"}, [("q0", "i", "a", "q1"), ("q1", "o", "d", "q2")]),
+    mk_nfa({"a"}, {"d"}, "t0", {"t2"}, [("t0", "i", "a", "t1"), ("t1", "o", "d", "t2")]),
+)
+
+
 @settings(deadline=None, max_examples=100)
 @given(finite_shift_instances())
+@example(A_THEN_D)
 def test_decide_agrees_with_decide_recognizable(instance):
     """Both procedures apply to a finite-shift source with a finite-shiftlag
     target: whenever both are conclusive they agree, and every machine either

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from syncsynth.analysis import certificate_lag_bound, shiftlag_finiteness
 from syncsynth.automata import (
     StateCapExceeded,
-    accepts,
-    enumerate_accepted,
     inclusion,
     pair_in_relation,
     project_input,
@@ -25,7 +23,7 @@ from syncsynth.resync import (
     tape_capacity,
 )
 
-from .conftest import mk_nfa, tag_family
+from .conftest import accepts, enumerate_accepted, mk_nfa, state_cap, tag_family
 from .oracles import tape_count_naive
 from .test_canonical import small_sources
 
@@ -161,7 +159,10 @@ def test_tis_matches_the_oracle_on_random_instances(data):
     params = ResyncParams(*(data.draw(st.integers(min_value=0, max_value=2)) for _ in range(3)))
     t_i = build_Ti(t, params)
     try:
-        c = build_TiS(canonicalize(s, cert, state_cap=2000), t_i, params, state_cap=20000)
+        with state_cap(2000):
+            can = canonicalize(s, cert)
+        with state_cap(20000):
+            c = build_TiS(can, t_i, params)
     except StateCapExceeded:
         return
     got = set(enumerate_accepted(c, 6))
