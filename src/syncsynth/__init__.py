@@ -37,7 +37,7 @@ from .analysis import (
     shift_finiteness,
     shiftlag_finiteness,
 )
-from .trees import LabeledTree, reduce_tree
+from .trees import Tree, tree
 from .canonical import (
     CanonicalDfa,
     canonicalize,
@@ -46,7 +46,6 @@ from .canonical import (
 from .resync import ResyncParams, build_Ti, build_TiS, build_Tprime_recognizable
 from .profiles import (
     Profile,
-    StateTransformationFn,
     compute_k,
     input_stt,
     profile_closure,

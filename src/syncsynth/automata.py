@@ -11,7 +11,7 @@ construction and every operation is pure.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -155,8 +155,9 @@ class SequentialDfa(Dfa):
             self.input_states & self.output_states
         ):
             raise PartitionViolation("input/output states must partition the state set")
-        for p in self.output_states:
-            if len(self.out_edges(p)) > 1:
+        emissions = Counter(p for p, _, _ in self.transitions if p in self.output_states)
+        for p, count in emissions.items():
+            if count > 1:
                 raise EmissionNondeterminism(f"output state {p!r} has several emissions")
         for p, letter, _ in self.transitions:
             if p in self.input_states and letter.tape is not Tape.INPUT:

@@ -35,7 +35,7 @@ from .pipeline import PipelineConfig, Verdict, decide, decide_recognizable, targ
 from .profiles import ClosureCapExceeded, compute_k, input_stt
 from .resync import ResyncParams, build_Ti, build_TiS
 from .serialize import dumps as automaton_json, load_path, to_dot
-from .trees import LabeledTree
+from .trees import Tree, canonical
 
 
 def _word_doc(w) -> list:
@@ -136,7 +136,7 @@ def cmd_resync(args) -> int:
     return 0
 
 
-def _tree_dot(t: LabeledTree, name: str) -> str:
+def _tree_dot(t: Tree, name: str) -> str:
     lines = [f"digraph {json.dumps(name)} {{", "  node [shape=box];"]
     counter = 0
 
@@ -148,7 +148,7 @@ def _tree_dot(t: LabeledTree, name: str) -> str:
         lines.append(f"  {me} [label={json.dumps(str(node.label))}{fill}];")
         if parent is not None:
             lines.append(f"  {parent} -> {me};")
-        for c in node.children:
+        for c in sorted(node.children, key=canonical):
             walk(c, me, level + 1)
 
     walk(t, None, 0)

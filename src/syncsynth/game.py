@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .automata import (
@@ -348,6 +348,9 @@ def verify_uniformizer(machine: SequentialDfa, s: Nfa, t: Nfa, depth: int) -> Ve
         raise ValueError("enumeration depth must be at least 1")
     if not isinstance(machine, SequentialDfa):
         raise AutomatonError("the machine must be a sequential DFA with a state partition")
+    # a copy with the same runs carries the indexes the checks build, so the
+    # caller's machine keeps only its fields
+    machine = replace(machine)
     checks = []
     failures = []
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .automata import AutomatonError, Dfa, strict_tape_closure
 from .canonical import CanonicalDfa
 from .letters import PARTNER, Letter, Tape, inp, out
-from .trees import LabeledTree, node_ids, reduce_tree, tree
+from .trees import Tree, map_labels, tree
 
 
 class MixedTapes(AutomatonError):
@@ -40,29 +40,15 @@ class ClosureCapExceeded(RuntimeError):
 # state transformation functions
 
 
-@dataclass(frozen=True)
-class StateTransformationFn:
-    """Map into states-or-bottom; bottom (missing key) absorbs under composition."""
-
-    mapping: tuple  # sorted (state, state) pairs
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StateTransformationFn":
-        return cls(tuple(sorted((k, v) for k, v in d.items() if v is not None)))
-
-    def as_dict(self) -> dict:
-        return dict(self.mapping)
-
-    def __call__(self, state):
-        return self.as_dict().get(state)
-
-
-def tau(w: Sequence[Letter], b: Dfa) -> StateTransformationFn:
-    """The automaton's transformation induced by a pure one-tape word."""
+def tau(w: Sequence[Letter], b: Dfa) -> tuple:
+    """The automaton's transformation induced by a pure one-tape word: the
+    sorted (state, state) pairs of a map into states, where a missing state
+    means the run dies."""
     tapes = {l.tape for l in w}
     if len(tapes) > 1:
         raise MixedTapes("state transformation functions need a single-tape word")
-    return StateTransformationFn.from_dict({p: b.run(w, start=p) for p in sorted(b.states)})
+    runs = ((p, b.run(w, start=p)) for p in sorted(b.states))
+    return tuple((p, q) for p, q in runs if q is not None)
 
 
 def _letters(word: Sequence[str], tape: Tape) -> tuple:
@@ -113,7 +99,7 @@ class _Ctx:
             frontiers.append(nxt)
         return frontiers
 
-    def stt_enriched(self, x: tuple, p: str, q: str, i: int, tape: Tape) -> LabeledTree:
+    def stt_enriched(self, x: tuple, p: str, q: str, i: int, tape: Tape) -> Tree:
         frontiers = self.pair_frontiers(x, p, q, tape)
         leaves: dict = {}
         for t in range(1, len(x) + 1):
@@ -126,32 +112,32 @@ class _Ctx:
                         leaves.setdefault((pb, q_tail), [False, False])[1] = True
         children = [
             tree((LEAF, pb, qa, full, tail))
-            for (pb, qa), (full, tail) in sorted(leaves.items())
+            for (pb, qa), (full, tail) in leaves.items()
         ]
         if i > 0:
             for t in range(1, len(x)):
-                for (pb, qa) in sorted(frontiers[t]):
+                for (pb, qa) in frontiers[t]:
                     children.append(self.mid_enriched(x[t:], pb, qa, i, tape))
         return tree((ROOT, p, q), children)
 
-    def mid_enriched(self, rest: tuple, pb: str, qa: str, i: int, tape: Tape) -> LabeledTree:
+    def mid_enriched(self, rest: tuple, pb: str, qa: str, i: int, tape: Tape) -> Tree:
         """One split entry: the partial-block node with its intermediate-block
         children, each rooting the tree of the remaining segment at budget i-1."""
         key = (rest, pb, qa, i, tape)
         if key not in self._mid_cache:
             block_kids = []
-            for p2 in sorted(self.closure[tape][pb]):
+            for p2 in self.closure[tape][pb]:
                 sub = self.stt_enriched(rest, p2, qa, i - 1, tape)
                 block_kids.append(tree((BLOCK, p2, qa), sub.children))
             self._mid_cache[key] = tree((MID, pb, qa), block_kids)
         return self._mid_cache[key]
 
 
-def _strip(t: LabeledTree) -> LabeledTree:
-    return t.map_labels(lambda lab: (lab[1], lab[2]))
+def _strip(t: Tree) -> Tree:
+    return map_labels(t, lambda lab: (lab[1], lab[2]))
 
 
-def input_stt(x, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> LabeledTree:
+def input_stt(x, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> Tree:
     """Tree of joint state transformations of an input segment against output
     counterparts built from at most i+1 output blocks."""
     return _strip(_Ctx(a, b).stt_enriched(tuple(x), p, q, i, Tape.INPUT))
@@ -159,35 +145,28 @@ def input_stt(x, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> LabeledTree
 
 # ---------------------------------------------------------------------------
 # annotated output trees
-
-
-def _node_at(t: LabeledTree, path: tuple) -> LabeledTree:
-    for idx in path:
-        t = t.children[idx]
-    return t
-
-
-def _child_index(node: LabeledTree, matches: Callable[[LabeledTree], bool]) -> Optional[int]:
-    return next((k for k, child in enumerate(node.children) if matches(child)), None)
+#
+# An annotated node names a node of the public reference tree by its path of
+# subtrees: the children taken from the root down to it. Siblings differ, so
+# the path is unique.
 
 
 class _AnnBuilder:
-    """Builds annotated output trees over a fixed public reduced reference."""
+    """Builds annotated output trees over a fixed public reference tree."""
 
-    def __init__(self, ctx: _Ctx, ref: LabeledTree):
+    def __init__(self, ctx: _Ctx, ref: Tree):
         self.ctx = ctx
         self.ref = ref
-        self.ids = node_ids(ref)
 
-    def build(self, y: tuple, p: str, q: str, i: int, ref_path: tuple) -> LabeledTree:
+    def build(self, y: tuple, p: str, q: str, i: int, ref_path: tuple) -> Tree:
         ctx = self.ctx
-        ref_node = _node_at(self.ref, ref_path)
+        ref_node = ref_path[-1] if ref_path else self.ref
         if ref_node.label != (p, q):
-            raise ValueError(f"reference node {ref_path} is labeled {ref_node.label}, not {(p, q)}")
+            raise ValueError(f"the reference node is labeled {ref_node.label}, not {(p, q)}")
         # DP over witness input words: (B state, balanced source state, prefix targets)
         frontier = {(p, q, frozenset())}
         leaf_entries = set()
-        mid_entries = {}
+        mid_entries = set()
         for t in range(1, len(y) + 1):
             nxt = set()
             for (pb, qa, targets) in frontier:
@@ -196,53 +175,41 @@ class _AnnBuilder:
                     qa2 = ctx.a.run((inp(s), out(y[t - 1])), start=qa)
                     if pb2 is None or qa2 is None:
                         continue
-                    new_targets = set(targets)
-                    # this prefix as a full traversal of y (output tail included)
+                    # this prefix as a full traversal of y (output tail included);
+                    # a dead tail (q_leaf None) matches no child
                     q_leaf = ctx.a.run(_letters(y[t:], Tape.OUTPUT), start=qa2)
-                    leaf_idx = None
-                    if q_leaf is not None:
-                        expected = tree((pb2, q_leaf))
-                        leaf_idx = _child_index(ref_node, lambda c: c == expected)
-                        if leaf_idx is not None:
-                            new_targets.add(self.ids[ref_path + (leaf_idx,)])
+                    leaf = tree((pb2, q_leaf))
+                    leaf_path = ref_path + (leaf,) if leaf in ref_node.children else None
                     # this prefix as a balanced split (more blocks to come)
-                    mid_idx = None
+                    mid_path = None
                     if i > 0 and t < len(y):
-                        mid = ctx.mid_enriched(y[t:], pb2, qa2, i, Tape.OUTPUT)
-                        expected = reduce_tree(_strip(mid))
-                        mid_idx = _child_index(ref_node, lambda c: c == expected)
-                        if mid_idx is not None:
-                            new_targets.add(self.ids[ref_path + (mid_idx,)])
-                    fro = frozenset(new_targets)
-                    if leaf_idx is not None:
-                        leaf_entries.add((pb2, q_leaf, self.ids[ref_path + (leaf_idx,)], fro))
-                    if mid_idx is not None:
-                        mid_entries[(y[t:], pb2, qa2, ref_path + (mid_idx,), fro)] = True
+                        mid = _strip(ctx.mid_enriched(y[t:], pb2, qa2, i, Tape.OUTPUT))
+                        mid_path = ref_path + (mid,) if mid in ref_node.children else None
+                    fro = targets | {path for path in (leaf_path, mid_path) if path is not None}
+                    if leaf_path is not None:
+                        leaf_entries.add((pb2, q_leaf, leaf_path, fro))
+                    if mid_path is not None:
+                        mid_entries.add((y[t:], pb2, qa2, mid_path, fro))
                     nxt.add((pb2, qa2, fro))
             frontier = nxt
-        children = [
-            tree((LEAF, pb, q_leaf, vid, targets))
-            for (pb, q_leaf, vid, targets) in sorted(leaf_entries, key=repr)
-        ]
-        for (rest, pb, qa, mid_path, targets) in sorted(mid_entries, key=repr):
-            mid_node = _node_at(self.ref, mid_path)
-            block_kids = []
-            for p2 in sorted(ctx.closure[Tape.OUTPUT][pb]):
-                idx = _child_index(mid_node, lambda c: c.label == (p2, qa))
-                if idx is None:
-                    continue
-                block_kids.append(self.build(rest, p2, qa, i - 1, mid_path + (idx,)))
-            children.append(
-                tree((MID, pb, qa, self.ids[mid_path], targets), tuple(block_kids))
-            )
-        return tree((ROOT, p, q, self.ids[ref_path]), tuple(children))
+        children = [tree((LEAF, *entry)) for entry in leaf_entries]
+        for (rest, pb, qa, mid_path, targets) in mid_entries:
+            # a block child is the one child of its MID node with its label
+            blocks = {c.label: c for c in mid_path[-1].children}
+            block_kids = [
+                self.build(rest, p2, qa, i - 1, mid_path + (blocks[(p2, qa)],))
+                for p2 in ctx.closure[Tape.OUTPUT][pb]
+                if (p2, qa) in blocks
+            ]
+            children.append(tree((MID, pb, qa, mid_path, targets), block_kids))
+        return tree((ROOT, p, q, ref_path), children)
 
 
-def _annotated(ctx: _Ctx, enriched: LabeledTree, y: tuple, p: str, q: str, i: int) -> LabeledTree:
-    """The public annotated tree of y at (p, q), over the reduced public form
-    of its enriched tree; the kind tag leaves every label."""
-    builder = _AnnBuilder(ctx, reduce_tree(_strip(enriched)))
-    return builder.build(y, p, q, i, ()).map_labels(lambda lab: lab[1:])
+def _annotated(ctx: _Ctx, enriched: Tree, y: tuple, p: str, q: str, i: int) -> Tree:
+    """The public annotated tree of y at (p, q), over the public form of its
+    enriched tree; the kind tag leaves every label."""
+    builder = _AnnBuilder(ctx, _strip(enriched))
+    return map_labels(builder.build(y, p, q, i, ()), lambda lab: lab[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +220,10 @@ def _annotated(ctx: _Ctx, enriched: LabeledTree, y: tuple, p: str, q: str, i: in
 class Profile:
     tape: Tape
     depth: int
-    tf: StateTransformationFn  # the target automaton's transform
-    pure: StateTransformationFn  # the source automaton's pure one-tape transform
-    trees: tuple  # sorted ((p, q), enriched reduced tree)
-    ann_trees: tuple  # sorted ((p, q), reduced public annotated tree); () for input words
+    tf: tuple  # the target automaton's transform, by `tau`
+    pure: tuple  # the source automaton's pure one-tape transform, by `tau`
+    trees: tuple  # sorted ((p, q), enriched tree)
+    ann_trees: tuple  # sorted ((p, q), public annotated tree); () for input words
 
 
 def _profile(word, n: int, ctx: _Ctx, tape: Tape) -> Profile:
@@ -267,9 +234,9 @@ def _profile(word, n: int, ctx: _Ctx, tape: Tape) -> Profile:
     for p in sorted(ctx.b.states):
         for q in sorted(ctx.a.states):
             enr = ctx.stt_enriched(word, p, q, m, tape)
-            trees.append(((p, q), reduce_tree(enr)))
+            trees.append(((p, q), enr))
             if tape is Tape.OUTPUT:
-                ann_trees.append(((p, q), reduce_tree(_annotated(ctx, enr, word, p, q, m))))
+                ann_trees.append(((p, q), _annotated(ctx, enr, word, p, q, m)))
     letters = _letters(word, tape)
     return Profile(
         tape=tape,

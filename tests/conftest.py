@@ -7,7 +7,7 @@ import pytest
 from syncsynth import automata
 from syncsynth.automata import Dfa, Nfa, SequentialDfa
 from syncsynth.letters import Tape, inp, out
-from syncsynth.profiles import StateTransformationFn, _annotated, _Ctx, _profile, _strip
+from syncsynth.profiles import _annotated, _Ctx, _profile, _strip
 
 
 def mk_nfa(input_alphabet, output_alphabet, initial, finals, edges, cls=Nfa, **extra):
@@ -294,7 +294,12 @@ def enumerate_accepted(a, max_len):
 
 def identity_fn(states):
     """The state transformation function that fixes every state."""
-    return StateTransformationFn(tuple(sorted((q, q) for q in states)))
+    return tuple(sorted((q, q) for q in states))
+
+
+def tree_size(t):
+    """Nodes of a tree."""
+    return 1 + sum(tree_size(c) for c in t.children)
 
 
 def input_profile(x, n, a, b, ctx=None):

@@ -5,8 +5,6 @@ independent oracles in this package's test suite.
 """
 import time
 
-import pytest
-
 from syncsynth.analysis import (
     build_blocks,
     build_lag_bounded,
@@ -22,7 +20,7 @@ from syncsynth.letters import Tape, decode
 from syncsynth.pipeline import NO, PipelineConfig, YES, decide, decide_recognizable
 from syncsynth.profiles import input_stt, profile_closure, ramsey_bound
 from syncsynth.resync import ResyncParams, build_Ti, build_TiS, build_Tprime_recognizable
-from syncsynth.trees import node_ids, reduce_tree, tree
+from syncsynth.trees import tree
 
 from .conftest import (
     annotated_output_stt,
@@ -31,6 +29,7 @@ from .conftest import (
     mk_nfa,
     output_stt,
     tag_family,
+    tree_size,
 )
 from .oracles import in_force_loss_set, shiftlag_naive, to_tags
 from .test_game import tiny_instances
@@ -60,24 +59,21 @@ def test_criterion_1_golden_input_tree(abst_S, abst_T):
         ],
     )
     elapsed = time.monotonic() - start
-    report(1, got == expected and got.size == 8 and elapsed < 1.0, f"({elapsed:.3f}s)")
+    report(1, got == expected and tree_size(got) == 8 and elapsed < 1.0, f"({elapsed:.3f}s)")
 
 
 def test_criterion_2_golden_output_trees(ann_S, ann_T):
     start = time.monotonic()
     a = CanonicalDfa.from_dfa(ann_S)
-    reduced = reduce_tree(output_stt(("c", "c"), "p0", "q0", 0, a, ann_T))
+    reduced = output_stt(("c", "c"), "p0", "q0", 0, a, ann_T)
     expected_reduced = tree(
         ("p0", "q0"),
         [tree(("p1", "q6")), tree(("p1", "q5")), tree(("p2", "q6"))],
     )
     ann = annotated_output_stt(("c", "c"), "p0", "q0", 0, a, ann_T)
-    ids = node_ids(expected_reduced)
-    by_label = {
-        expected_reduced.children[k].label: ids[(k,)]
-        for k in range(len(expected_reduced.children))
-    }
-    v0 = ids[()]
+    # a reference node is named by its path of subtrees from the root
+    by_label = {c.label: (c,) for c in expected_reduced.children}
+    v0 = ()
     expected_ann = tree(
         ("p0", "q0", v0),
         [
@@ -104,9 +100,9 @@ def test_criterion_2_golden_output_trees(ann_S, ann_T):
     elapsed = time.monotonic() - start
     ok = (
         reduced == expected_reduced
-        and reduced.size == 4
+        and tree_size(reduced) == 4
         and ann == expected_ann
-        and ann.size == 5
+        and tree_size(ann) == 5
         and elapsed < 1.0
     )
     report(2, ok, f"({elapsed:.3f}s)")

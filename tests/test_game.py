@@ -12,14 +12,12 @@ from syncsynth.automata import (
     Nfa,
     SequentialDfa,
     add_endmarkers,
-    inclusion,
     language_equal,
     minimize,
 )
 from syncsynth.game import (
     MissingEndmarkers,
     NotWinning,
-    Strategy,
     build_arena,
     extract_sdfa,
     in_spoiling_strategy,

@@ -2,7 +2,8 @@
 
 The program keeps only what its commands, its two decision procedures, the
 benchmark and README's library API reach; reference code lives next to the
-tests that use it. The brute-force oracles stay independent of the library.
+tests that use it. The brute-force oracles stay independent of the library,
+and no module imports a name it never reads.
 """
 import ast
 import importlib.util
@@ -128,3 +129,25 @@ def test_oracles_import_nothing_of_the_library_but_letters():
         m for m in imported if m.startswith((".", "syncsynth")) and m != "syncsynth.letters"
     )
     assert not foreign, foreign
+
+
+def unused_imports(path: Path) -> list:
+    """Names a module imports but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_unused_imports():
+    """Every imported name is read, in the package (whose `__init__` imports
+    only to re-export) and in the tests."""
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted((REPO / "tests").glob("*.py"))
+    unused = {p.name: names for p in modules if (names := unused_imports(p))}
+    assert not unused, unused

@@ -13,9 +13,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from syncsynth import automata, pipeline, serialize
 from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
-from syncsynth.automata import END_IN, END_OUT
+from syncsynth.automata import add_endmarkers
 from syncsynth.canonical import canonicalize, canonicalize_finite_shift
-from syncsynth.game import VerificationReport
+from syncsynth.game import VerificationReport, verify_uniformizer
 from syncsynth.resync import build_TiS
 from syncsynth.pipeline import (
     INCONCLUSIVE,
@@ -588,21 +588,29 @@ def test_yes_machines_are_minimal(request, name, procedure, cfg, states):
     (decide_recognizable, "delay-m2-D1", PipelineConfig(depth=4), NO),
 ])
 def test_decisions_leave_their_inputs_alone(request, procedure, instance, cfg, answer):
-    """Neither procedure caches anything on the caller's automata: every
-    index it needs lives on automata it built itself."""
+    """Neither procedure caches anything on the caller's automata, nor on the
+    machine it returns: every index it needs lives on automata it built
+    itself, and the verdict keeps only the machine's fields."""
     if instance == "intro":
         s, t = (replace(request.getfixturevalue(f"intro_{x}")) for x in "ST")
     else:
         s, t = delay_instance(2, 1)
-    assert procedure(s, t, cfg).answer == answer
-    for a in (s, t):
+    verdict = procedure(s, t, cfg)
+    assert verdict.answer == answer
+    kept = [s, t] + ([verdict.machine] if answer == YES else [])
+    for a in kept:
         assert set(vars(a)) == {f.name for f in fields(a)}
+    if answer == YES:
+        # the verifier leaves its machine argument alone too
+        machine = replace(verdict.machine)
+        assert verify_uniformizer(machine, add_endmarkers(s), add_endmarkers(t), depth=4).ok
+        assert set(vars(machine)) == {f.name for f in fields(machine)}
 
 
 @st.composite
 def finite_shift_instances(draw):
     """A 1-3-state finite-shift source and a 1-3-state finite-shiftlag target
-    over one or two letters per tape."""
+    over one or two letters per tape; sometimes the target is the source."""
     inputs = draw(st.sampled_from(["a", "ab"]))
     outputs = draw(st.sampled_from(["d", "de"]))
     letters = [("i", x) for x in inputs] + [("o", y) for y in outputs]
@@ -619,6 +627,8 @@ def finite_shift_instances(draw):
 
     s = automaton("q")
     assume(shift_finiteness(s).finite)
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return s, s
     t = automaton("t")
     assume(shiftlag_finiteness(t).is_finite)
     return s, t
@@ -634,9 +644,19 @@ A_THEN_D = (
 )
 
 
+# S = T = {a·e} over outputs {d, e}: build_TiS must guess e, the second of
+# the output letters, when a arrives. A build_TiS that guesses only the
+# first partner letter answers NO where `decide-rec` answers YES.
+A_THEN_E = (
+    mk_nfa({"a"}, {"d", "e"}, "q0", {"q2"}, [("q0", "i", "a", "q1"), ("q1", "o", "e", "q2")]),
+    mk_nfa({"a"}, {"d", "e"}, "t0", {"t2"}, [("t0", "i", "a", "t1"), ("t1", "o", "e", "t2")]),
+)
+
+
 @settings(deadline=None, max_examples=100)
 @given(finite_shift_instances())
 @example(A_THEN_D)
+@example(A_THEN_E)
 def test_decide_agrees_with_decide_recognizable(instance):
     """Both procedures apply to a finite-shift source with a finite-shiftlag
     target: whenever both are conclusive they agree, and every machine either

@@ -11,14 +11,13 @@ from syncsynth.profiles import (
     ClosureCapExceeded,
     MixedTapes,
     Profile,
-    StateTransformationFn,
     compute_k,
     input_stt,
     profile_closure,
     ramsey_bound,
     tau,
 )
-from syncsynth.trees import LabeledTree, node_ids, reduce_tree, tree
+from syncsynth.trees import map_labels, tree
 
 from .conftest import (
     annotated_output_stt,
@@ -27,6 +26,7 @@ from .conftest import (
     input_profile,
     output_profile,
     output_stt,
+    tree_size,
 )
 from .oracles import canonical_sync
 
@@ -55,15 +55,15 @@ def test_tau_empty_is_identity(abst):
 
 def test_tau_abst_example(abst):
     _, b = abst
-    f = tau((inp("a"), inp("a")), b)
-    assert f("p0") == "p1"
-    assert f("p1") == "p1"
+    f = dict(tau((inp("a"), inp("a")), b))
+    assert f["p0"] == "p1"
+    assert f["p1"] == "p1"
 
 
 def test_tau_ann_example(ann):
     _, b = ann
-    f = tau((inp("a"), inp("b")), b)
-    assert f("p0") == "p2"
+    f = dict(tau((inp("a"), inp("b")), b))
+    assert f["p0"] == "p2"
 
 
 def test_tau_mixed_tapes_rejected(abst):
@@ -72,10 +72,10 @@ def test_tau_mixed_tapes_rejected(abst):
         tau((inp("a"), out("b")), b)
 
 
-def then(f: StateTransformationFn, g: StateTransformationFn) -> StateTransformationFn:
+def then(f: tuple, g: tuple) -> tuple:
     """f followed by g; bottom (a missing key) absorbs."""
-    second = g.as_dict()
-    return StateTransformationFn.from_dict({p: second.get(q) for p, q in f.mapping})
+    second = dict(g)
+    return tuple((p, second[q]) for p, q in f if q in second)
 
 
 def test_tau_composition(abst):
@@ -103,7 +103,7 @@ def test_input_stt_golden_eight_node_tree(abst):
         ],
     )
     assert got == expected
-    assert got.size == 8
+    assert tree_size(got) == 8
 
 
 def test_input_stt_root_label(abst):
@@ -114,22 +114,22 @@ def test_input_stt_root_label(abst):
 
 def test_output_stt_golden_reduced(ann):
     a, b = ann
-    got = reduce_tree(output_stt(("c", "c"), "p0", "q0", 0, a, b))
+    got = output_stt(("c", "c"), "p0", "q0", 0, a, b)
     expected = tree(
         ("p0", "q0"),
         [tree(("p1", "q6")), tree(("p1", "q5")), tree(("p2", "q6"))],
     )
     assert got == expected
-    assert got.size == 4
+    assert tree_size(got) == 4
 
 
 def test_annotated_output_stt_golden(ann):
     a, b = ann
     got = annotated_output_stt(("c", "c"), "p0", "q0", 0, a, b)
-    ref = reduce_tree(output_stt(("c", "c"), "p0", "q0", 0, a, b))
-    ids = node_ids(ref)
-    by_label = {ref.children[k].label: ids[(k,)] for k in range(len(ref.children))}
-    v0 = ids[()]
+    ref = output_stt(("c", "c"), "p0", "q0", 0, a, b)
+    # a reference node is named by its path of subtrees from the root
+    by_label = {c.label: (c,) for c in ref.children}
+    v0 = ()
     v_p1q6 = by_label[("p1", "q6")]
     v_p1q5 = by_label[("p1", "q5")]
     v_p2q6 = by_label[("p2", "q6")]
@@ -143,13 +143,13 @@ def test_annotated_output_stt_golden(ann):
         ],
     )
     assert got == expected
-    assert got.size == 5
+    assert tree_size(got) == 5
 
 
 def test_annotated_builder_rejects_a_foreign_reference(ann):
     """The reference tree must be rooted at the pair the builder starts from."""
     a, b = ann
-    ref = reduce_tree(output_stt(("c", "c"), "p0", "q0", 0, a, b))
+    ref = output_stt(("c", "c"), "p0", "q0", 0, a, b)
     builder = _AnnBuilder(_Ctx(a, b), ref)
     with pytest.raises(ValueError, match="reference node"):
         builder.build(("c", "c"), "p1", "q6", 0, ())
@@ -158,14 +158,14 @@ def test_annotated_builder_rejects_a_foreign_reference(ann):
 def test_annotated_projection_matches_reference(ann):
     a, b = ann
     got = annotated_output_stt(("c", "c"), "p0", "q0", 0, a, b)
-    dropped = got.map_labels(lambda lab: (lab[0], lab[1]))
-    assert reduce_tree(dropped) == reduce_tree(output_stt(("c", "c"), "p0", "q0", 0, a, b))
+    dropped = map_labels(got, lambda lab: (lab[0], lab[1]))
+    assert dropped == output_stt(("c", "c"), "p0", "q0", 0, a, b)
 
 
 def test_annotated_empty_word(ann):
     a, b = ann
     got = annotated_output_stt((), "p0", "q0", 0, a, b)
-    assert got.size == 1
+    assert tree_size(got) == 1
 
 
 def test_input_stt_level0_spec_case(ann):
@@ -402,21 +402,26 @@ def test_annotated_targets_label_consistent(ann):
     for y in (("c",), ("c", "c")):
         for p in sorted(b.states):
             for q in sorted(a.dfa.states):
-                ref = reduce_tree(output_stt(y, p, q, 1, a, b))
-                ids = node_ids(ref)
-                label_of = {}
+                ref = output_stt(y, p, q, 1, a, b)
+                label_of = {}  # reference nodes by their paths of subtrees
                 def walk(node, path):
-                    label_of[ids[path]] = node.label
-                    for k, c in enumerate(node.children):
-                        walk(c, path + (k,))
+                    label_of[path] = node.label
+                    for c in node.children:
+                        walk(c, path + (c,))
                 walk(ref, ())
                 ann_t = annotated_output_stt(y, p, q, 1, a, b)
-                for node in ann_t.nodes():
+                for node in nodes(ann_t):
                     lab = node.label
                     assert label_of[lab[2]] == (lab[0], lab[1])
                     if len(lab) == 4:
                         for target in lab[3]:
                             assert target in label_of
+
+
+def nodes(t):
+    yield t
+    for c in t.children:
+        yield from nodes(c)
 
 
 def test_idempotent_guarantee_two_letter_sampled(ann):
