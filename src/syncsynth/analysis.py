@@ -131,9 +131,6 @@ class ShiftWitness:
     cycle: SyncWord
     suffix: SyncWord
 
-    def pumped(self, j: int) -> SyncWord:
-        return self.prefix + self.cycle * j + self.suffix
-
 
 @dataclass(frozen=True)
 class ShiftCertificate:
@@ -209,17 +206,6 @@ class ShiftlagWitness:
     shift_cycle: SyncWord
     suffix: SyncWord
 
-    def pumped(self, j: int) -> SyncWord:
-        beta = j + 1
-        alpha = j + beta * len(self.shift_cycle) + len(self.prefix) + len(self.mid) + 1
-        return (
-            self.prefix
-            + self.lag_cycle * alpha
-            + self.mid
-            + self.shift_cycle * beta
-            + self.suffix
-        )
-
 
 @dataclass(frozen=True)
 class ShiftlagCertificate:
@@ -227,7 +213,6 @@ class ShiftlagCertificate:
     m: Optional[int] = None
     nu: Optional[int] = None
     witness: Optional[ShiftlagWitness] = None
-    state_count: Optional[int] = None
 
     @property
     def is_finite(self) -> bool:
@@ -305,12 +290,12 @@ def shiftlag_finiteness(a: Nfa) -> ShiftlagCertificate:
     n_states = len(t.states)
     witness = _shiftlag_witness_search(t)
     if witness is not None:
-        return ShiftlagCertificate(verdict="infinite", witness=witness, state_count=n_states)
+        return ShiftlagCertificate(verdict="infinite", witness=witness)
     cap = (n_states + 1) ** 2
     for m in range(1, cap + 1):
         nu = certificate_lag_bound(m, n_states)
         if least_lag_bound(t, m, nu) is not None:
-            return ShiftlagCertificate(verdict="finite", m=m, nu=nu, state_count=n_states)
+            return ShiftlagCertificate(verdict="finite", m=m, nu=nu)
     raise BoundExhausted(f"no shiftlag conclusion within m <= {cap}")
 
 

@@ -131,10 +131,6 @@ class Dfa(Nfa):
             q = self._delta.get((q, letter))
         return q
 
-    def accepts_word(self, w: Sequence[Letter]) -> bool:
-        q = self.run(w)
-        return q is not None and q in self.finals
-
 
 @dataclass(frozen=True)
 class SequentialDfa(Dfa):

@@ -26,11 +26,9 @@ from .automata import (
     Nfa,
     determinize,
     explore_nfa,
-    inclusion,
     minimize,
     strict_tape_closure,
     tape_closure,
-    tape_table_dfa,
     trim,
 )
 from .letters import PARTNER, Letter, Tape
@@ -56,15 +54,6 @@ class CanonicalDfa:
     """A DFA whose language consists of canonical synchronizations only."""
 
     dfa: Dfa
-
-    @classmethod
-    def from_dfa(cls, d: Dfa) -> "CanonicalDfa":
-        """Wrap `d` after checking that it reads canonical words only."""
-        shape = tape_table_dfa(SHAPE, "even", d.input_alphabet, d.output_alphabet)
-        ok, witness = inclusion(d, shape)
-        if not ok:
-            raise AutomatonError(f"not canonical-shaped, e.g. {witness}")
-        return cls(dfa=d)
 
 
 def canonicalize_finite_shift(s: Nfa, cert) -> Dfa:

@@ -115,7 +115,7 @@ def cmd_resync(args) -> int:
         return 3
     can = canonicalize(s, cert)
     t = trim(t)
-    n, gamma, _, _ = target_parameters(t, determinize(t), shiftlag_finiteness(t), args.bound_k)
+    n, gamma = target_parameters(t, shiftlag_finiteness(t), args.bound_k)
     params = ResyncParams(n=n, gamma=gamma, i=args.bound_k)
     t_i = build_Ti(t, params)
     tis = build_TiS(can, t_i, params)
@@ -130,7 +130,6 @@ def cmd_resync(args) -> int:
             "t_i_states": len(t_i.states),
             "states": len(tis.states),
             "transitions": len(tis.transitions),
-            "refused_caps": list(tis.refused_caps),
         }
         _print_json(doc, args.out)
     return 0
@@ -167,7 +166,7 @@ def cmd_profiles(args) -> int:
     can = canonicalize(s, cert_s)
     t = trim(t)
     t_dfa = determinize(t)
-    n, gamma, _, _ = target_parameters(t, t_dfa, cert_t, None)
+    n, gamma = target_parameters(t, cert_t, None)
     try:
         bound = compute_k(n, gamma, can, t_dfa, closure_cap=args.cap)
     except ClosureCapExceeded as exc:

@@ -13,13 +13,11 @@ from typing import Optional
 
 from .analysis import (
     ShiftlagCertificate,
-    certificate_lag_bound,
     least_lag_bound,
     shift_finiteness,
     shiftlag_finiteness,
 )
 from .automata import (
-    Dfa,
     Nfa,
     SequentialDfa,
     StateCapExceeded,
@@ -31,7 +29,7 @@ from .automata import (
     project_input,
     trim,
 )
-from .canonical import canonicalize, canonicalize_finite_shift
+from .canonical import InvalidCertificate, canonicalize, canonicalize_finite_shift
 from .game import (
     build_arena,
     extract_sdfa,
@@ -78,17 +76,20 @@ class Verdict:
 
 
 def target_parameters(
-    t: Nfa, t_dfa: Dfa, cert: ShiftlagCertificate, k_override: Optional[int]
-) -> tuple[int, int, int, bool]:
-    """Block count n, least lag bound gamma covering the trimmed target with
-    n blocks (0 if none), the formula bound gamma is searched under, and
-    whether the target is covered. An infinite-shiftlag target needs k_override."""
-    n = cert.m + 1 if cert.is_finite else k_override + 1
-    gamma_formula = certificate_lag_bound(n, len(t_dfa.states))
-    gamma = least_lag_bound(t, n, gamma_formula)
+    t: Nfa, cert: ShiftlagCertificate, k_override: Optional[int]
+) -> tuple[int, int]:
+    """Block count n and the least lag bound gamma covering the trimmed target
+    with n blocks. `cert` covers it with m blocks at lag nu, and more blocks
+    never need more lag. An infinite-shiftlag target needs `k_override`; no
+    lag bound covers it (a word of shiftlag above max(nu, n) has more shifts
+    past lag nu than n blocks hold), and gamma is 0."""
+    if not cert.is_finite:
+        return k_override + 1, 0
+    n = cert.m + 1
+    gamma = least_lag_bound(t, n, cert.nu)
     if gamma is None:
-        return n, 0, gamma_formula, False
-    return n, gamma, gamma_formula, True
+        raise InvalidCertificate(f"no lag bound up to {cert.nu} covers the target with {n} blocks")
+    return n, gamma
 
 
 def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
@@ -121,15 +122,8 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
     stats["canonical_source_states"] = len(can.dfa.states)
     stats["target_dfa_states"] = len(t_dfa.states)
 
-    n, gamma, gamma_formula, covered = target_parameters(t, t_dfa, cert_t, cfg.k_override)
-    stats.update(n=n, gamma=gamma, gamma_formula=gamma_formula, target_covered=covered)
-    if cert_t.is_finite and not covered:
-        return Verdict(
-            answer=INCONCLUSIVE,
-            reason=f"target parameters: no lag bound up to {gamma_formula} covers the "
-            f"target with {n} blocks, against its shiftlag certificate",
-            stats=stats,
-        )
+    n, gamma = target_parameters(t, cert_t, cfg.k_override)
+    stats.update(n=n, gamma=gamma)
 
     inexact_k = ""  # why the block cap may be too small for an exact NO
     if cfg.k_override is not None:
@@ -152,16 +146,15 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
             k_used = bound.k
             stats["k_source"] = "computed"
     stats["k_used"] = k_used
-    conclusive = covered and not inexact_k
 
     params = ResyncParams(n=n, gamma=gamma, i=k_used)
     t_i = build_Ti(t, params)
     stats["t_i_states"] = len(t_i.states)
     # when the block cap is not binding, a NO is exact regardless of k
-    if not conclusive:
+    if inexact_k:
         same, _ = language_equal(t_i, t)
         if same:
-            conclusive = True
+            inexact_k = ""
             stats["t_i_equals_t"] = True
 
     try:
@@ -169,17 +162,8 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
     except StateCapExceeded as exc:
         return _capped(exc, stats)
     stats["t_i_s_states"] = len(tis.states)
-    caveat = ""
-    if not conclusive:
-        caveat = f"block cap: {inexact_k}, so T_i may miss words and a NO is not exact; "
-    if tis.refused_caps:
-        conclusive = False
-        caveat += (
-            f"queue cap: build_TiS refused letters at queue length "
-            f"{', '.join(map(str, tis.refused_caps))} (gamma + 1 + i*n), so T_iS may "
-            f"miss words and a NO is not exact; "
-        )
-    return _play(s, t, tis, cfg.depth, stats, exact=conclusive, caveat=caveat)
+    caveat = f"block cap: {inexact_k}, so T_i may miss words and a NO is not exact; "
+    return _play(s, t, tis, cfg.depth, stats, caveat if inexact_k else "")
 
 
 def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
@@ -202,7 +186,7 @@ def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) 
     stats["canonical_source_states"] = len(s12.states)
     t_prime = build_Tprime_recognizable(s12, t)
     stats["t_prime_states"] = len(t_prime.states)
-    return _play(s, t, t_prime, cfg.depth, stats, exact=True)
+    return _play(s, t, t_prime, cfg.depth, stats, "")
 
 
 def _capped(exc: StateCapExceeded, stats: dict) -> Verdict:
@@ -210,15 +194,13 @@ def _capped(exc: StateCapExceeded, stats: dict) -> Verdict:
     return Verdict(answer=INCONCLUSIVE, reason=f"state cap: {exc}", stats=stats)
 
 
-def _play(
-    s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, exact: bool, caveat: str = ""
-) -> Verdict:
+def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, caveat: str) -> Verdict:
     """The shared tail: the arena on the endmarked minimal DFA of `synced`, a
     domain check against the arena's input DFA, the game, then a verified
-    machine (YES) or a replayed spoiling strategy (NO, or INCONCLUSIVE when
-    `synced` is not exact; `caveat` then opens the reason). Only the minimal
-    DFA and the source are ever projected."""
-    miss = NO if exact else INCONCLUSIVE
+    machine (YES) or a replayed spoiling strategy (NO when `caveat` is empty;
+    otherwise `synced` is not exact, and INCONCLUSIVE with `caveat` opening
+    the reason). Only the minimal DFA and the source are ever projected."""
+    miss = INCONCLUSIVE if caveat else NO
     arena = build_arena(add_endmarkers(minimize(determinize(synced))))
     s_end = add_endmarkers(s)
     ok, witness = inclusion(project_input(s_end), arena.d_dfa)

@@ -42,10 +42,6 @@ class ResyncParams:
         if self.n < 0 or self.gamma < 0 or self.i < 0:
             raise ValueError("resync parameters must be non-negative")
 
-    @property
-    def guess_budget(self) -> int:
-        return self.i * self.n
-
 
 def build_Ti(t: Nfa, p: ResyncParams) -> Nfa:
     """T ∩ (lag ≤ gamma prefix · (input blocks + short output blocks)^n)."""
@@ -80,19 +76,7 @@ def tape_capacity(a: Nfa, tape: Tape) -> dict:
     return capacity
 
 
-@dataclass(frozen=True)
-class ResyncNfa(Nfa):
-    """The automaton of `build_TiS`, with the queue caps that refused a letter.
-
-    When `refused_caps` is empty the capped exploration is closed under the
-    uncapped step, so its language is exactly that of the uncapped
-    construction; otherwise words may be missing.
-    """
-
-    refused_caps: tuple = ()
-
-
-def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> ResyncNfa:
+def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> Nfa:
     """Words of the constrained target whose pair belongs to the source relation.
 
     Simulates the canonical DFA on the canonical re-interleaving of the word
@@ -103,13 +87,18 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> ResyncNfa:
     otherwise. Else x runs ahead: a letter of its partner tape y is guessed
     and the DFA reads the pair at once, and later y letters must match the
     guesses. Such a letter may instead begin an x tail, while guessed y
-    letters stay owed. The queue holds at most gamma + 1 + i*n letters; a
-    letter the cap refuses is recorded in `refused_caps`.
+    letters stay owed. When `ti` is `build_Ti(t, params)`, the queue never
+    exceeds gamma + i*n: it holds at most the word's imbalance (a guess
+    pushes one letter, a letter on the lagging tape pops one, a tail letter
+    pushes nothing), which is at most gamma in T_i's lag-bounded prefix,
+    whose live states are the imbalance itself; after it, `viable` fits
+    guessed outputs into the T_i state's output capacity, at most i*n, and
+    guessed inputs are owed to at most gamma + i*n outputs. A longer queue
+    means `ti` has another shape, and raises ShapeViolation.
     """
     dfa = a.dfa
     alphabet = {Tape.INPUT: sorted(ti.input_alphabet), Tape.OUTPUT: sorted(ti.output_alphabet)}
-    cap = params.gamma + 1 + params.guess_budget
-    refused: set = set()  # queue caps that refused an arriving letter
+    cap = params.gamma + 1 + params.i * params.n
 
     def astep(q, *letters):
         for letter in letters:
@@ -132,15 +121,14 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> ResyncNfa:
             q2 = astep(q, letter) if tail is x else None
             return [] if q2 is None else [(q2, queue, tail)]
         # x runs ahead: guess its y partner, or begin an x tail
-        results = []
         if len(queue) >= cap:
-            refused.add(cap)
-        else:
-            for g in alphabet[y]:
-                guess = Letter(y, g)
-                q2 = astep(q, *((letter, guess) if x is Tape.INPUT else (guess, letter)))
-                if q2 is not None:
-                    results.append((q2, queue + (guess,), tail))
+            raise ShapeViolation(f"ti is not build_Ti(t, params): its queue reached {cap} letters")
+        results = []
+        for g in alphabet[y]:
+            guess = Letter(y, g)
+            q2 = astep(q, *((letter, guess) if x is Tape.INPUT else (guess, letter)))
+            if q2 is not None:
+                results.append((q2, queue + (guess,), tail))
         q2 = astep(q, letter)
         if q2 is not None:
             results.append((q2, queue, x))
@@ -181,7 +169,6 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> ResyncNfa:
             ti.output_alphabet,
             prefix="c",
             name="build_TiS",
-            build=lambda **fields: ResyncNfa(**fields, refused_caps=tuple(sorted(refused))),
         )
     )
 

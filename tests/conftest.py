@@ -5,7 +5,9 @@ from contextlib import contextmanager
 import pytest
 
 from syncsynth import automata
-from syncsynth.automata import Dfa, Nfa, SequentialDfa
+from syncsynth.analysis import ShiftWitness
+from syncsynth.automata import AutomatonError, Dfa, Nfa, SequentialDfa, inclusion, tape_table_dfa
+from syncsynth.canonical import SHAPE, CanonicalDfa
 from syncsynth.letters import Tape, inp, out
 from syncsynth.profiles import _annotated, _Ctx, _profile, _strip
 
@@ -273,6 +275,32 @@ def accepts(a, w):
         if not current:
             return False
     return bool(current & a.finals)
+
+
+def canonical_dfa(d):
+    """`d` as a CanonicalDfa, after checking that it reads canonical words only."""
+    shape = tape_table_dfa(SHAPE, "even", d.input_alphabet, d.output_alphabet)
+    ok, witness = inclusion(d, shape)
+    if not ok:
+        raise AutomatonError(f"not canonical-shaped, e.g. {witness}")
+    return CanonicalDfa(dfa=d)
+
+
+def pumped(witness, j):
+    """The j-th pumped word of a shift or a shiftlag witness. A shiftlag
+    witness pumps its lag cycle far enough that the shift cycle's j + 1
+    rounds all happen past lag j."""
+    if isinstance(witness, ShiftWitness):
+        return witness.prefix + witness.cycle * j + witness.suffix
+    beta = j + 1
+    alpha = j + beta * len(witness.shift_cycle) + len(witness.prefix) + len(witness.mid) + 1
+    return (
+        witness.prefix
+        + witness.lag_cycle * alpha
+        + witness.mid
+        + witness.shift_cycle * beta
+        + witness.suffix
+    )
 
 
 def enumerate_accepted(a, max_len):

@@ -14,7 +14,7 @@ from syncsynth.analysis import (
     shiftlag_finiteness,
 )
 from syncsynth.automata import concat, inclusion, pair_in_relation, trim
-from syncsynth.canonical import CanonicalDfa, canonicalize, canonicalize_finite_shift
+from syncsynth.canonical import canonicalize, canonicalize_finite_shift
 from syncsynth.game import build_arena, extract_sdfa, solve, verify_uniformizer
 from syncsynth.letters import Tape, decode
 from syncsynth.pipeline import NO, PipelineConfig, YES, decide, decide_recognizable
@@ -24,10 +24,12 @@ from syncsynth.trees import tree
 
 from .conftest import (
     annotated_output_stt,
+    canonical_dfa,
     enumerate_accepted,
     find_idempotent_factor,
     mk_nfa,
     output_stt,
+    pumped,
     tag_family,
     tree_size,
 )
@@ -44,7 +46,7 @@ def report(criterion, ok, extra=""):
 
 def test_criterion_1_golden_input_tree(abst_S, abst_T):
     start = time.monotonic()
-    a = CanonicalDfa.from_dfa(abst_S)
+    a = canonical_dfa(abst_S)
     got = input_stt(("a", "a"), "p1", "q0", 1, a, abst_T)
     expected = tree(
         ("p1", "q0"),
@@ -64,7 +66,7 @@ def test_criterion_1_golden_input_tree(abst_S, abst_T):
 
 def test_criterion_2_golden_output_trees(ann_S, ann_T):
     start = time.monotonic()
-    a = CanonicalDfa.from_dfa(ann_S)
+    a = canonical_dfa(ann_S)
     reduced = output_stt(("c", "c"), "p0", "q0", 0, a, ann_T)
     expected_reduced = tree(
         ("p0", "q0"),
@@ -181,7 +183,7 @@ def test_criterion_5_monoid_suite(abst_S, abst_T, ann_S, ann_T):
     start = time.monotonic()
     failures = []
     for name, s, b in (("abst", abst_S, abst_T), ("ann", ann_S, ann_T)):
-        a = CanonicalDfa.from_dfa(s)
+        a = canonical_dfa(s)
         # congruence: equal profiles stay equal under appending and prepending
         pairs, violations = congruence_check(a, b, Tape.INPUT)
         if not pairs:
@@ -215,7 +217,7 @@ def test_criterion_6_classification_table(families):
             if any(measures(w).shift > s_cert.bound for w in words):
                 problems.append((name, "shift bound violated"))
         else:
-            vals = [measures(s_cert.witness.pumped(j)).shift for j in (1, 2, 3)]
+            vals = [measures(pumped(s_cert.witness, j)).shift for j in (1, 2, 3)]
             if not (vals[0] < vals[1] < vals[2]):
                 problems.append((name, "shift witness not growing"))
         if sl_cert.is_finite:
@@ -223,7 +225,7 @@ def test_criterion_6_classification_table(families):
             if worst > sl_cert.m + 1:
                 problems.append((name, f"shiftlag {worst} vs m={sl_cert.m}"))
         else:
-            vals = [shiftlag_naive(to_tags(sl_cert.witness.pumped(j))) for j in (1, 2, 3)]
+            vals = [shiftlag_naive(to_tags(pumped(sl_cert.witness, j))) for j in (1, 2, 3)]
             if not (vals[0] < vals[1] < vals[2]):
                 problems.append((name, "shiftlag witness not growing"))
     elapsed = time.monotonic() - start
@@ -266,7 +268,7 @@ def test_criterion_7_game_determinacy():
 
 def test_criterion_8_ramsey_at_desk_scale(abst_S, abst_T):
     start = time.monotonic()
-    a = CanonicalDfa.from_dfa(abst_S)
+    a = canonical_dfa(abst_S)
     closure = profile_closure(2, a, abst_T, Tape.INPUT, cap=PipelineConfig.closure_cap)
     colors = len(closure.profiles)
     r1 = ramsey_bound(colors)

@@ -16,14 +16,13 @@ from syncsynth.analysis import (
 from syncsynth.automata import (
     Nfa,
     concat,
-    determinize,
     inclusion,
     trim,
 )
 from syncsynth.letters import inp, out
 from syncsynth.pipeline import target_parameters
 
-from .conftest import accepts, enumerate_accepted, mk_nfa, tag_family
+from .conftest import accepts, enumerate_accepted, mk_nfa, pumped, tag_family
 from .oracles import (
     all_words,
     blocks_member_naive,
@@ -91,7 +90,7 @@ def test_shift_witness_pumps(families):
     cert = shift_finiteness(families["(12)*"])
     vals = []
     for j in (1, 2, 3):
-        w = cert.witness.pumped(j)
+        w = pumped(cert.witness, j)
         assert accepts(families["(12)*"], w)
         vals.append(measures(w).shift)
     assert vals[0] < vals[1] < vals[2]
@@ -135,7 +134,7 @@ def test_shiftlag_infinite_witness_grows(families):
     cert = shiftlag_finiteness(fam)
     vals = []
     for j in (1, 2, 3, 4):
-        w = cert.witness.pumped(j)
+        w = pumped(cert.witness, j)
         assert accepts(fam, w)
         vals.append(shiftlag_naive(to_tags(w)))
     assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -155,9 +154,9 @@ def test_shiftlag_bruteforce_growth_cross_check(families):
 
 def test_build_lag_bounded_zero():
     d = build_lag_bounded(0, {"a"}, {"d"})
-    assert d.accepts_word(())
-    assert not d.accepts_word((I1,))
-    assert not d.accepts_word((O2,))
+    assert accepts(d, ())
+    assert not accepts(d, (I1,))
+    assert not accepts(d, (O2,))
     assert len(d.states) == 2
 
 
@@ -165,13 +164,13 @@ def test_build_lag_bounded_language(families):
     for nu in (1, 2):
         d = build_lag_bounded(nu, {"a"}, {"d"})
         for w in all_words({"a"}, {"d"}, 8):
-            assert d.accepts_word(w) == (lag_naive(to_tags(w)) <= nu)
+            assert accepts(d, w) == (lag_naive(to_tags(w)) <= nu)
 
 
 def test_build_lag_bounded_examples():
     d2 = build_lag_bounded(2, {"a"}, {"d"})
-    assert d2.accepts_word(tw("1122"))
-    assert not d2.accepts_word(tw("111"))
+    assert accepts(d2, tw("1122"))
+    assert not accepts(d2, tw("111"))
 
 
 def test_build_blocks_examples():
@@ -280,7 +279,8 @@ def test_covering_search_finds_no_m_on_infinite_shiftlag(corpus):
 def test_galloping_search_matches_linear_scan(corpus):
     """m of the shiftlag certificate, canonicalization's nu-hat, gamma, and
     least_lag_bound at small block counts, all against a scan of the
-    lag·blocks inclusion."""
+    lag·blocks inclusion. The scan finds a lag bound for the target's n
+    blocks exactly when its shiftlag is finite; otherwise gamma is 0."""
     for name, a in corpus.items():
         t = trim(a)
         cert = shiftlag_finiteness(a)
@@ -292,9 +292,11 @@ def test_galloping_search_matches_linear_scan(corpus):
             want = _scan(lambda nu: lag_blocks_cover(t, nu, m), 0, 6)
             assert least_lag_bound(t, m, 6) == least_lag_bound(a, m, 6) == want, (name, m)
         for k in (None,) if cert.is_finite else (0, 1, 2):
-            n, gamma, formula, covered = target_parameters(t, determinize(t), cert, k)
-            want = _scan(lambda g: lag_blocks_cover(t, g, n), 0, formula)
-            assert (gamma, covered) == ((0, False) if want is None else (want, True)), (name, k)
+            n, gamma = target_parameters(t, cert, k)
+            assert n == (cert.m if cert.is_finite else k) + 1, (name, k)
+            want = _scan(lambda g: lag_blocks_cover(t, g, n), 0, certificate_lag_bound(n, len(t.states)))
+            assert (want is None) == (not cert.is_finite), (name, k)
+            assert gamma == (0 if want is None else want), (name, k)
 
 
 def test_least_lag_bound_matches_scan_on_random_nfas():

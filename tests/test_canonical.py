@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
 from syncsynth.canonical import (
-    CanonicalDfa,
     SHAPE,
     InvalidCertificate,
     canonicalize,
@@ -17,7 +16,7 @@ from syncsynth.automata import (
 )
 from syncsynth.letters import decode, inp, out
 
-from .conftest import enumerate_accepted, mk_nfa, state_cap, tag_family
+from .conftest import accepts, canonical_dfa, enumerate_accepted, mk_nfa, state_cap, tag_family
 from .oracles import canonical_sync, to_tags
 from .test_pipeline import delay_instance
 
@@ -28,7 +27,7 @@ def run_pair(can, q, x, y):
 
 
 def accepts_pair(can, x, y):
-    return can.dfa.accepts_word(canonical_sync(x, y))
+    return accepts(can.dfa, canonical_sync(x, y))
 
 
 def test_canonical_sync_basic():
@@ -50,9 +49,9 @@ def test_canonical_sync_fixes_canonical_words():
 
 def test_shape_dfa():
     d = tape_table_dfa(SHAPE, "even", {"a"}, {"d"})
-    assert d.accepts_word(canonical_sync(("a", "a", "a"), ("d",)))
-    assert d.accepts_word(())
-    assert not d.accepts_word((inp("a"), inp("a"), out("d")))
+    assert accepts(d, canonical_sync(("a", "a", "a"), ("d",)))
+    assert accepts(d, ())
+    assert not accepts(d, (inp("a"), inp("a"), out("d")))
 
 
 def pairs_upto(a, max_len):
@@ -148,7 +147,7 @@ def test_canonical_reader_tracks_the_shape(intro_S):
     and its product with the shape DFA 17,975."""
     with state_cap(5000):
         can = canonicalize(intro_S, shiftlag_finiteness(intro_S))
-    assert CanonicalDfa.from_dfa(can.dfa) == can
+    assert canonical_dfa(can.dfa) == can
 
 
 def test_canonical_reader_drops_broken_chains():
@@ -247,4 +246,4 @@ def test_canonicalizers_keep_the_pairs(s):
         except StateCapExceeded:
             return
         assert pairs_upto(can.dfa, 6) == pairs_upto(s, 6)
-        CanonicalDfa.from_dfa(can.dfa)
+        canonical_dfa(can.dfa)

@@ -217,9 +217,10 @@ def test_resync_emits_stats(tmp_path, capsys, abst_S, abst_T):
     assert doc["stats"]["states"] > 0
 
 
-def test_resync_reports_refused_caps(tmp_path, capsys, abst_S, abst_late_T):
-    """`resync` reports the queue caps that refused letters; at the block cap
-    decide uses on abst-late, the cap of gamma + 1 + i*n = 19 refuses none."""
+def test_resync_stats_name_the_parameters_and_sizes(tmp_path, capsys, abst_S, abst_late_T):
+    """`resync` reports the parameters it built T_i with and the sizes it
+    got, at the block cap decide uses on abst-late; T_i's shape bounds the
+    queue, so there are no queue refusals to report."""
     s_path = tmp_path / "s.json"
     t_path = tmp_path / "t.json"
     s_path.write_text(serialize.dumps(abst_S), encoding="utf-8")
@@ -227,7 +228,7 @@ def test_resync_reports_refused_caps(tmp_path, capsys, abst_S, abst_late_T):
     code = main(["resync", str(s_path), str(t_path), "--bound-k", "6"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["stats"]["refused_caps"] == []
+    assert doc["stats"] == {"n": 3, "gamma": 0, "i": 6, "t_i_states": 10, "states": 17, "transitions": 20}
 
 
 def test_decide_rec_cli(tmp_path, capsys):

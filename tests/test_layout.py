@@ -57,10 +57,31 @@ def _reads(node, aliases: dict) -> set:
     return {aliases.get(n, n) for n in names}
 
 
+def _methods(node: ast.ClassDef) -> list:
+    """The methods of a class that are walked on their own: all but dunders,
+    which the language calls without reading their names."""
+    return [
+        item
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not re.fullmatch(r"__\w+__", item.name)
+    ]
+
+
+def _class_reads(node: ast.ClassDef, aliases: dict) -> set:
+    """What a class reads outside its walked methods: bases, decorators,
+    fields and dunders."""
+    methods = _methods(node)
+    parts = [*node.bases, *node.keywords, *node.decorator_list]
+    parts += [item for item in node.body if item not in methods]
+    return set().union(*(_reads(part, aliases) for part in parts))
+
+
 def definitions() -> dict:
-    """Top-level definitions of the package by name: a list of (module,
-    node, the names the definition reads) per name. Module-level
-    assignments count, so a table such as cli.HANDLERS passes reads on."""
+    """Definitions of the package by name: a list of (owner, node, the names
+    the definition reads) per name, where the owner is the module, or
+    module.Class for a method. Top-level functions, classes and module-level
+    assignments count, so a table such as cli.HANDLERS passes reads on; so
+    does each method but dunders, which belong to their class's body."""
     found: dict = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -74,7 +95,13 @@ def definitions() -> dict:
             if a.asname
         }
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                found.setdefault(node.name, []).append((path.stem, node, _class_reads(node, aliases)))
+                for method in _methods(node):
+                    owner = f"{path.stem}.{node.name}"
+                    found.setdefault(method.name, []).append((owner, method, _reads(method, aliases)))
+                continue
+            if isinstance(node, ast.FunctionDef):
                 names = [node.name]
             elif isinstance(node, ast.Assign):
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -87,9 +114,11 @@ def definitions() -> dict:
 
 def test_every_definition_is_reached_or_library_api():
     """A name-based walk: a definition is reached when a reached definition
-    reads its name, as a name or as an attribute; a reached class reaches its
-    whole body. Every top-level function or class of `src/syncsynth` is
-    reached from the roots, or README lists it as library API."""
+    reads its name, as a name or as an attribute. A reached class reaches its
+    bases, decorators, fields and dunders, but not its other methods: each is
+    reached when reached code reads its name. Every top-level function or
+    class and every method of `src/syncsynth` is reached from the roots, or
+    README lists it as library API."""
     defs = definitions()
     api = library_api()
     stale = [f"{m}.{n}" for m, n in api if m not in {mod for mod, _, _ in defs.get(n, ())}]
@@ -104,9 +133,9 @@ def test_every_definition_is_reached_or_library_api():
         for _, _, reads in defs[name]:
             stack.extend(reads)
     unreached = sorted(
-        f"{module}.{name}"
+        f"{owner}.{name}"
         for name, entries in defs.items()
-        for module, node, _ in entries
+        for owner, node, _ in entries
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name not in reached
     )
     assert not unreached, unreached

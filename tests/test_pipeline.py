@@ -372,34 +372,11 @@ def test_empty_source_takes_the_general_path():
     assert verdict.verification.ok
 
 
-def _refusing_tis(**changes):
-    """A stand-in for build_TiS: the real automaton, marked as refused at
-    queue length 19 and with `changes` applied."""
-
-    def build(*args, **kwargs):
-        return replace(build_TiS(*args, **kwargs), refused_caps=(19,), **changes)
-
-    return build
-
-
-def test_queue_cap_refusal_is_not_an_exact_no(monkeypatch):
-    """early_choice is an exact NO (T_i = T). Had build_TiS's queue cap
-    refused a letter, T_iS might miss words, and the NO must become an
-    INCONCLUSIVE whose reason names the queue cap."""
-    monkeypatch.setattr(pipeline, "build_TiS", _refusing_tis())
-    verdict = decide(*early_choice(), PipelineConfig(depth=5))
-    assert verdict.answer == INCONCLUSIVE
-    assert verdict.reason == (
-        "queue cap: build_TiS refused letters at queue length 19 (gamma + 1 + i*n), "
-        "so T_iS may miss words and a NO is not exact; the input player spoils the game"
-    )
-
-
 @pytest.mark.parametrize("target", ["abst_T", "abst_late_T"])
 def test_abst_answers_yes(request, abst_S, target):
     """abst's outputs may wait for any number of inputs. build_TiS guesses
-    them and lets an input tail begin while they are owed, so no queue cap
-    refuses a word of T and the default configuration answers YES."""
+    them and lets an input tail begin while they are owed, so T_iS keeps
+    every word of T_i and the default configuration answers YES."""
     verdict = decide(abst_S, request.getfixturevalue(target))
     assert verdict.answer == YES, (verdict.reason, verdict.stats)
     assert verdict.verification.ok, verdict.verification.failures
@@ -414,16 +391,18 @@ def test_abst_answers_yes(request, abst_S, target):
 )
 def test_inexact_block_cap_opens_the_reason(monkeypatch, abst_S, abst_T, cfg, why):
     """abst's computed block cap is far above FEASIBLE_K_CAP, and T_i is not
-    T at the block cap used, so a NO would not be exact. With a T_iS whose
-    queue cap refused letters and that kept no word, the domain check fails
-    and the INCONCLUSIVE says so: the block cap first, the queue cap next."""
-    monkeypatch.setattr(pipeline, "build_TiS", _refusing_tis(finals=frozenset()))
+    T at the block cap used, so a NO would not be exact. With a T_iS that
+    kept no word, the domain check fails and the INCONCLUSIVE says so, after
+    the block cap."""
+    monkeypatch.setattr(
+        pipeline, "build_TiS", lambda *args: replace(build_TiS(*args), finals=frozenset())
+    )
     verdict = decide(abst_S, abst_T, cfg)
     assert verdict.answer == INCONCLUSIVE
-    assert verdict.reason.startswith(
-        f"block cap: {why}, so T_i may miss words and a NO is not exact; queue cap: build_TiS"
-    ), verdict.reason
-    assert verdict.reason.endswith("an input of the source relation has no allowed synchronization")
+    assert verdict.reason == (
+        f"block cap: {why}, so T_i may miss words and a NO is not exact; "
+        "an input of the source relation has no allowed synchronization"
+    )
 
 
 def late_letter_decides():

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from syncsynth.canonical import CanonicalDfa
 from syncsynth.letters import Tape, inp, out
 from syncsynth.pipeline import PipelineConfig
 from syncsynth.profiles import (
@@ -21,6 +20,7 @@ from syncsynth.trees import map_labels, tree
 
 from .conftest import (
     annotated_output_stt,
+    canonical_dfa,
     find_idempotent_factor,
     identity_fn,
     input_profile,
@@ -35,12 +35,12 @@ CAP = PipelineConfig.closure_cap
 
 @pytest.fixture(scope="module")
 def abst(abst_S, abst_T):
-    return CanonicalDfa.from_dfa(abst_S), abst_T
+    return canonical_dfa(abst_S), abst_T
 
 
 @pytest.fixture(scope="module")
 def ann(ann_S, ann_T):
-    return CanonicalDfa.from_dfa(ann_S), ann_T
+    return canonical_dfa(ann_S), ann_T
 
 
 # ---------------------------------------------------------------------------

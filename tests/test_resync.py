@@ -101,34 +101,28 @@ def test_tis_outputs_ahead_of_a_guessed_input():
                [("s0", "i", "a", "s1"), ("s1", "o", "b", "s2"), ("s2", "o", "c", "s3")])
     t = mk_nfa({"a"}, {"b", "c"}, "t0", {"t3"},
                [("t0", "o", "b", "t1"), ("t1", "o", "c", "t2"), ("t2", "i", "a", "t3")])
-    c, _ = check_tis_instance(s, t, ResyncParams(n=2, gamma=1, i=2), 5)
-    assert c.refused_caps == ()
+    check_tis_instance(s, t, ResyncParams(n=2, gamma=1, i=2), 5)
 
 
 def test_tis_reads_late_outputs_through_guesses(abst_S, abst_late_T):
     """Target ε + a·b + a·a·a*·b·c: the outputs wait for any number of inputs.
     The third a begins an input tail while the guessed b·c are still owed, so
     a^20·b·c needs a queue of two letters. The parameters are the ones decide
-    uses (n = 3 and gamma = 0 from the target, i = FEASIBLE_K_CAP = 6), whose
-    queue cap of 19 refuses no letter."""
+    uses (n = 3 and gamma = 0 from the target, i = FEASIBLE_K_CAP = 6)."""
     params = ResyncParams(n=3, gamma=0, i=6)
     can = canonicalize(abst_S, shiftlag_finiteness(abst_S))
     c = build_TiS(can, build_Ti(abst_late_T, params), params)
     assert accepts(c, (inp("a"),) * 20 + (out("b"), out("c")))
-    assert c.refused_caps == ()
 
 
-def test_tis_refusal_at_the_queue_cap_drops_words(intro_S, intro_T):
-    """With gamma = 0 and no blocks the queue holds one letter. The intro
-    target lets inputs run two letters ahead (b·a·d·a·e), so the cap refuses
-    a letter, and the refusal is recorded because words really go missing."""
+def test_tis_raises_on_a_target_that_is_not_t_i(intro_S, intro_T):
+    """T_i's shape bounds the queue by gamma + i*n. The raw intro target lets
+    inputs run two letters ahead (b·a·d·a·e), past that bound for gamma = 0
+    and i*n = 0, so it is not build_Ti(t, params), and build_TiS says so."""
     params = ResyncParams(n=1, gamma=0, i=0)
-    c = build_TiS(canonicalize(intro_S, shiftlag_finiteness(intro_S)), intro_T, params)
-    assert c.refused_caps == (1,)
-    got = set(enumerate_accepted(c, 5))
-    want = ti_oracle(intro_T, intro_S, 5)
-    assert got < want
-    assert (inp("b"), inp("a"), out("d"), inp("a"), out("e")) in want - got
+    can = canonicalize(intro_S, shiftlag_finiteness(intro_S))
+    with pytest.raises(ShapeViolation, match="is not build_Ti"):
+        build_TiS(can, intro_T, params)
 
 
 @st.composite
@@ -149,8 +143,7 @@ def small_targets(draw, inputs, outputs):
 @given(st.data())
 def test_tis_matches_the_oracle_on_random_instances(data):
     """On random finite-shiftlag sources and small targets, T_iS holds exactly
-    the words of T_i whose pair is in the source relation, up to length 6.
-    A queue cap that refused a letter may only leave words out."""
+    the words of T_i whose pair is in the source relation, up to length 6."""
     s = data.draw(small_sources())
     cert = shiftlag_finiteness(s)
     if not cert.is_finite:
@@ -165,12 +158,7 @@ def test_tis_matches_the_oracle_on_random_instances(data):
             c = build_TiS(can, t_i, params)
     except StateCapExceeded:
         return
-    got = set(enumerate_accepted(c, 6))
-    want = ti_oracle(t_i, s, 6)
-    if c.refused_caps:
-        assert got <= want
-    else:
-        assert got == want
+    assert set(enumerate_accepted(c, 6)) == ti_oracle(t_i, s, 6)
 
 
 def test_tis_empty_source(abst_T):
@@ -231,8 +219,8 @@ def test_tprime_shape_violation(abst_S):
 
 def test_shape_input_then_output():
     d = tape_table_dfa(INPUT_THEN_OUTPUT, "in", {"a"}, {"d"})
-    assert d.accepts_word((inp("a"), out("d"), out("d")))
-    assert not d.accepts_word((out("d"), inp("a")))
+    assert accepts(d, (inp("a"), out("d"), out("d")))
+    assert not accepts(d, (out("d"), inp("a")))
 
 
 def _random_small_nfa(rng):
