@@ -209,14 +209,10 @@ class ShiftlagWitness:
 
 @dataclass(frozen=True)
 class ShiftlagCertificate:
-    verdict: str  # "finite" | "infinite"
+    finite: bool
     m: Optional[int] = None
     nu: Optional[int] = None
     witness: Optional[ShiftlagWitness] = None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.verdict == "finite"
 
 
 def _net_lag(w: Sequence[Letter]) -> int:
@@ -290,12 +286,12 @@ def shiftlag_finiteness(a: Nfa) -> ShiftlagCertificate:
     n_states = len(t.states)
     witness = _shiftlag_witness_search(t)
     if witness is not None:
-        return ShiftlagCertificate(verdict="infinite", witness=witness)
+        return ShiftlagCertificate(finite=False, witness=witness)
     cap = (n_states + 1) ** 2
     for m in range(1, cap + 1):
         nu = certificate_lag_bound(m, n_states)
         if least_lag_bound(t, m, nu) is not None:
-            return ShiftlagCertificate(verdict="finite", m=m, nu=nu)
+            return ShiftlagCertificate(finite=True, m=m, nu=nu)
     raise BoundExhausted(f"no shiftlag conclusion within m <= {cap}")
 
 

@@ -502,8 +502,10 @@ def concat(a: Nfa, b: Nfa) -> Nfa:
     )
 
 
-class StateCapExceeded(AutomatonError):
-    """A named on-the-fly construction grew past `STATE_CAP` states."""
+class CapExceeded(AutomatonError):
+    """A run hit a fixed cap: a named construction grew past `STATE_CAP`
+    states, or a profile closure past `profiles.CLOSURE_CAP` profiles. The
+    message opens with the cap's kind and names the constant."""
 
 
 STATE_CAP = 2_000_000  # the state cap of every named construction
@@ -527,7 +529,7 @@ def explore_nfa(
     `build` constructs the result from the automaton's fields: `Dfa` when
     every step returns at most one successor. A construction that passes its
     `name` is capped: growing past `STATE_CAP` states, read at each call,
-    raises `StateCapExceeded`, whose message opens with `name`.
+    raises `CapExceeded`, whose message names the construction.
     """
     names = {initial: f"{prefix}0"}
     queue = deque([initial])
@@ -542,8 +544,8 @@ def explore_nfa(
             for nxt in step(state, letter):
                 if nxt not in names:
                     if name is not None and len(names) >= STATE_CAP:
-                        raise StateCapExceeded(
-                            f"{name}: construction exceeded {STATE_CAP} states "
+                        raise CapExceeded(
+                            f"state cap: {name}: construction exceeded {STATE_CAP} states "
                             "(automata.STATE_CAP)"
                         )
                     names[nxt] = f"{prefix}{len(names)}"

@@ -151,7 +151,7 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
     Guesses, blocks and the shape only narrow the future, so a dropped
     state has no accepting continuation.
     """
-    if not cert.is_finite:
+    if not cert.finite:
         raise InvalidCertificate("source has infinite shiftlag")
     s = trim(s)
     m = cert.m

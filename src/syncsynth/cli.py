@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import serialize
@@ -22,8 +21,8 @@ from .analysis import (
 )
 from .automata import (
     AutomatonError,
+    CapExceeded,
     END_IN,
-    StateCapExceeded,
     add_endmarkers,
     determinize,
     trim,
@@ -32,7 +31,7 @@ from .canonical import canonicalize
 from .game import build_arena, extract_sdfa, solve, verify_uniformizer
 from .letters import inp
 from .pipeline import PipelineConfig, Verdict, decide, decide_recognizable, target_parameters
-from .profiles import ClosureCapExceeded, compute_k, input_stt
+from .profiles import compute_k, input_stt
 from .resync import ResyncParams, build_Ti, build_TiS
 from .serialize import dumps as automaton_json, load_path, to_dot
 from .trees import Tree, canonical
@@ -60,16 +59,15 @@ def _witness_doc(witness) -> dict:
 
 
 def _cert_doc(cert) -> dict:
-    if hasattr(cert, "verdict"):  # shiftlag
-        doc = {"verdict": cert.verdict}
-        if cert.is_finite:
-            doc.update(m=cert.m, nu=cert.nu)
-        else:
-            doc["witness"] = _witness_doc(cert.witness)
-        return doc
+    """A shift or shiftlag certificate: its verdict, then its witness, or its
+    bounds by field name."""
     doc = {"verdict": "finite" if cert.finite else "infinite"}
     if cert.finite:
-        doc["bound"] = cert.bound
+        doc.update(
+            (f.name, getattr(cert, f.name))
+            for f in dataclasses.fields(cert)
+            if f.name not in ("finite", "witness")
+        )
     else:
         doc["witness"] = _witness_doc(cert.witness)
     return doc
@@ -94,7 +92,7 @@ def cmd_classify(args) -> int:
 def cmd_canon(args) -> int:
     lang = load_path(args.language)
     cert = shiftlag_finiteness(lang)
-    if not cert.is_finite:
+    if not cert.finite:
         print("error: language has infinite shiftlag", file=sys.stderr)
         return 3
     can = canonicalize(lang, cert)
@@ -110,7 +108,7 @@ def cmd_resync(args) -> int:
         print("error: resync needs --bound-k", file=sys.stderr)
         return 3
     cert = shiftlag_finiteness(s)
-    if not cert.is_finite:
+    if not cert.finite:
         print("error: source has infinite shiftlag", file=sys.stderr)
         return 3
     can = canonicalize(s, cert)
@@ -160,18 +158,14 @@ def cmd_profiles(args) -> int:
     t = load_path(args.target)
     cert_s = shiftlag_finiteness(s)
     cert_t = shiftlag_finiteness(t)
-    if not cert_s.is_finite or not cert_t.is_finite:
+    if not cert_s.finite or not cert_t.finite:
         print("error: profiles need finite-shiftlag source and target", file=sys.stderr)
         return 3
     can = canonicalize(s, cert_s)
     t = trim(t)
     t_dfa = determinize(t)
     n, gamma = target_parameters(t, cert_t, None)
-    try:
-        bound = compute_k(n, gamma, can, t_dfa, closure_cap=args.cap)
-    except ClosureCapExceeded as exc:
-        print(f"inconclusive: closure cap: {exc}", file=sys.stderr)
-        return 2
+    bound = compute_k(n, gamma, can, t_dfa)
     inputs, outputs = bound.input_closure, bound.output_closure
     if args.format == "dot":
         word = max(inputs.reps, key=len)
@@ -276,8 +270,7 @@ def _run_decide(args, recognizable: bool) -> int:
     if recognizable:
         verdict = decide_recognizable(s, t, PipelineConfig(depth=args.depth))
     else:
-        cfg = PipelineConfig(k_override=args.bound_k, depth=args.depth, closure_cap=args.cap)
-        verdict = decide(s, t, cfg)
+        verdict = decide(s, t, PipelineConfig(k_override=args.bound_k, depth=args.depth))
     doc = _verdict_doc(verdict)
     if args.format == "dot" and verdict.machine is not None:
         _emit(to_dot(verdict.machine, "uniformizer"), args.out)
@@ -321,13 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="verification enumeration depth (default %(default)s)",
         ),
         "--format": dict(choices=("json", "dot"), default="json"),
-        # argparse converts a string default with `type`, so a bad
-        # SYNCSYNTH_CAP is a usage error like a bad --cap
-        "--cap": dict(
-            type=_int_at_least(1, "the cap (--cap or SYNCSYNTH_CAP)"),
-            default=os.environ.get("SYNCSYNTH_CAP") or PipelineConfig.closure_cap,
-            help="profile closure cap (default %(default)s; SYNCSYNTH_CAP sets the default)",
-        ),
     }
     files = {
         "language": "automaton JSON file",
@@ -343,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("resync", "build the constrained resynchronized source", ["source", "target"],
          ["--bound-k", "--format"]),
         ("profiles", "profile closures and the block-cap bound", ["source", "target"],
-         ["--format", "--cap"]),
+         ["--format"]),
         ("synthesize", "solve the subset-uniformization game", ["language"], ["--format"]),
         ("verify", "verify a candidate uniformizer", ["machine", "source", "target"], ["--depth"]),
         ("decide", "decide target-controlled uniformizability", ["source", "target"], list(options)),
@@ -382,8 +368,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except StateCapExceeded as exc:
-        print(f"inconclusive: state cap: {exc}", file=sys.stderr)
+    except CapExceeded as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
     except (AutomatonError, BoundExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

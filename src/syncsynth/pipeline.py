@@ -18,9 +18,9 @@ from .analysis import (
     shiftlag_finiteness,
 )
 from .automata import (
+    CapExceeded,
     Nfa,
     SequentialDfa,
-    StateCapExceeded,
     add_endmarkers,
     determinize,
     inclusion,
@@ -38,7 +38,7 @@ from .game import (
     solve,
     verify_uniformizer,
 )
-from .profiles import ClosureCapExceeded, compute_k
+from .profiles import compute_k
 from .resync import ResyncParams, build_Ti, build_TiS, build_Tprime_recognizable
 
 YES, NO, INCONCLUSIVE, REJECTED = "YES", "NO", "INCONCLUSIVE", "REJECTED"
@@ -50,15 +50,12 @@ FEASIBLE_K_CAP = 6  # largest computed block cap the pipeline builds T_i at
 class PipelineConfig:
     k_override: Optional[int] = None
     depth: int = 8
-    closure_cap: int = 512
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("enumeration depth must be at least 1")
         if self.k_override is not None and self.k_override < 0:
             raise ValueError("the block cap override must be non-negative")
-        if self.closure_cap <= 0:
-            raise ValueError("the closure cap must be positive")
 
 
 @dataclass
@@ -83,7 +80,7 @@ def target_parameters(
     never need more lag. An infinite-shiftlag target needs `k_override`; no
     lag bound covers it (a word of shiftlag above max(nu, n) has more shifts
     past lag nu than n blocks hold), and gamma is 0."""
-    if not cert.is_finite:
+    if not cert.finite:
         return k_override + 1, 0
     n = cert.m + 1
     gamma = least_lag_bound(t, n, cert.nu)
@@ -96,7 +93,7 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
     """Decide T-controlled uniformizability of the source relation."""
     stats: dict = {}
     cert_s = shiftlag_finiteness(s)
-    if not cert_s.is_finite:
+    if not cert_s.finite:
         return Verdict(
             answer=REJECTED,
             reason="source language has infinite shiftlag",
@@ -104,7 +101,7 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
             stats=stats,
         )
     cert_t = shiftlag_finiteness(t)
-    if not cert_t.is_finite and cfg.k_override is None:
+    if not cert_t.finite and cfg.k_override is None:
         return Verdict(
             answer=REJECTED,
             reason="target language has infinite shiftlag (pass a block cap to explore anyway)",
@@ -116,51 +113,45 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
     t = trim(t)
     try:
         can = canonicalize(s, cert_s)
-    except StateCapExceeded as exc:
-        return _capped(exc, stats)
-    t_dfa = determinize(t)
-    stats["canonical_source_states"] = len(can.dfa.states)
-    stats["target_dfa_states"] = len(t_dfa.states)
+        t_dfa = determinize(t)
+        stats["canonical_source_states"] = len(can.dfa.states)
+        stats["target_dfa_states"] = len(t_dfa.states)
 
-    n, gamma = target_parameters(t, cert_t, cfg.k_override)
-    stats.update(n=n, gamma=gamma)
+        n, gamma = target_parameters(t, cert_t, cfg.k_override)
+        stats.update(n=n, gamma=gamma)
 
-    inexact_k = ""  # why the block cap may be too small for an exact NO
-    if cfg.k_override is not None:
-        k_used = cfg.k_override
-        stats["k_source"] = "override"
-        inexact_k = f"k = {k_used} is an override, not a computed bound"
-    else:
-        try:
-            bound = compute_k(n, gamma, can, t_dfa, closure_cap=cfg.closure_cap)
-        except ClosureCapExceeded as exc:
-            return Verdict(answer=INCONCLUSIVE, reason=f"closure cap: {exc}", stats=stats)
-        stats["k_computed"] = bound.k
-        stats["r1"] = bound.r1
-        stats["r2"] = bound.r2
-        if bound.k > FEASIBLE_K_CAP:
-            k_used = FEASIBLE_K_CAP
-            stats["k_source"] = "capped"
-            inexact_k = f"computed k = {bound.k} capped at FEASIBLE_K_CAP = {FEASIBLE_K_CAP}"
+        inexact_k = ""  # why the block cap may be too small for an exact NO
+        if cfg.k_override is not None:
+            k_used = cfg.k_override
+            stats["k_source"] = "override"
+            inexact_k = f"k = {k_used} is an override, not a computed bound"
         else:
-            k_used = bound.k
-            stats["k_source"] = "computed"
-    stats["k_used"] = k_used
+            bound = compute_k(n, gamma, can, t_dfa)
+            stats["k_computed"] = bound.k
+            stats["r1"] = bound.r1
+            stats["r2"] = bound.r2
+            if bound.k > FEASIBLE_K_CAP:
+                k_used = FEASIBLE_K_CAP
+                stats["k_source"] = "capped"
+                inexact_k = f"computed k = {bound.k} capped at FEASIBLE_K_CAP = {FEASIBLE_K_CAP}"
+            else:
+                k_used = bound.k
+                stats["k_source"] = "computed"
+        stats["k_used"] = k_used
 
-    params = ResyncParams(n=n, gamma=gamma, i=k_used)
-    t_i = build_Ti(t, params)
-    stats["t_i_states"] = len(t_i.states)
-    # when the block cap is not binding, a NO is exact regardless of k
-    if inexact_k:
-        same, _ = language_equal(t_i, t)
-        if same:
-            inexact_k = ""
-            stats["t_i_equals_t"] = True
+        params = ResyncParams(n=n, gamma=gamma, i=k_used)
+        t_i = build_Ti(t, params)
+        stats["t_i_states"] = len(t_i.states)
+        # when the block cap is not binding, a NO is exact regardless of k
+        if inexact_k:
+            same, _ = language_equal(t_i, t)
+            if same:
+                inexact_k = ""
+                stats["t_i_equals_t"] = True
 
-    try:
         tis = build_TiS(can, t_i, params)
-    except StateCapExceeded as exc:
-        return _capped(exc, stats)
+    except CapExceeded as exc:
+        return Verdict(answer=INCONCLUSIVE, reason=str(exc), stats=stats)
     stats["t_i_s_states"] = len(tis.states)
     caveat = f"block cap: {inexact_k}, so T_i may miss words and a NO is not exact; "
     return _play(s, t, tis, cfg.depth, stats, caveat if inexact_k else "")
@@ -181,17 +172,12 @@ def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) 
     t = trim(t)
     try:
         s12 = canonicalize_finite_shift(s, cert)
-    except StateCapExceeded as exc:
-        return _capped(exc, stats)
+    except CapExceeded as exc:
+        return Verdict(answer=INCONCLUSIVE, reason=str(exc), stats=stats)
     stats["canonical_source_states"] = len(s12.states)
     t_prime = build_Tprime_recognizable(s12, t)
     stats["t_prime_states"] = len(t_prime.states)
     return _play(s, t, t_prime, cfg.depth, stats, "")
-
-
-def _capped(exc: StateCapExceeded, stats: dict) -> Verdict:
-    """INCONCLUSIVE; the exception's message names the capped construction."""
-    return Verdict(answer=INCONCLUSIVE, reason=f"state cap: {exc}", stats=stats)
 
 
 def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, caveat: str) -> Verdict:

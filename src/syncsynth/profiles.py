@@ -22,17 +22,13 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Sequence
 
-from .automata import AutomatonError, Dfa, strict_tape_closure
+from .automata import AutomatonError, CapExceeded, Dfa, strict_tape_closure
 from .canonical import CanonicalDfa
 from .letters import PARTNER, Letter, Tape, inp, out
 from .trees import Tree, map_labels, tree
 
 
 class MixedTapes(AutomatonError):
-    pass
-
-
-class ClosureCapExceeded(RuntimeError):
     pass
 
 
@@ -65,7 +61,7 @@ class _Ctx:
     """Helpers bound to one (canonical source, target) pair of automata."""
 
     def __init__(self, a: CanonicalDfa, b: Dfa):
-        self.a = a.dfa if isinstance(a, CanonicalDfa) else a
+        self.a = a.dfa
         self.b = b
         self.syms = {
             Tape.INPUT: sorted(set(self.a.input_alphabet) | set(b.input_alphabet)),
@@ -259,11 +255,14 @@ class ProfileClosure:
     max_rep_length: int
 
 
-def profile_closure(
-    n: int, a: CanonicalDfa, b: Dfa, tape: Tape, cap: int
-) -> ProfileClosure:
+CLOSURE_CAP = 512  # the most profiles a closure may hold
+
+
+def profile_closure(n: int, a: CanonicalDfa, b: Dfa, tape: Tape) -> ProfileClosure:
     """Breadth-first closure of the profile monoid of one tape, by letter
-    extension; returns all profiles plus the longest shortest representative."""
+    extension; returns all profiles plus the longest shortest representative.
+    Growing past `CLOSURE_CAP` profiles, read at each call, raises
+    `CapExceeded`."""
     ctx = _Ctx(a, b)
     symbols = ctx.syms[tape]
     make = lambda w: _profile(w, n, ctx, tape)
@@ -277,10 +276,10 @@ def profile_closure(
             profile = make(candidate)
             if profile in seen:
                 continue
-            if len(seen) >= cap:
-                raise ClosureCapExceeded(
-                    f"the {tape.name.lower()} profile closure exceeded {cap} profiles; "
-                    f"raise the cap to proceed"
+            if len(seen) >= CLOSURE_CAP:
+                raise CapExceeded(
+                    f"closure cap: the {tape.name.lower()} profile closure exceeded "
+                    f"{CLOSURE_CAP} profiles (profiles.CLOSURE_CAP)"
                 )
             seen[profile] = candidate
             queue.append(candidate)
@@ -319,11 +318,11 @@ class KBound:
         return len(self.output_closure.profiles)
 
 
-def compute_k(n: int, gamma: int, a: CanonicalDfa, b: Dfa, closure_cap: int) -> KBound:
+def compute_k(n: int, gamma: int, a: CanonicalDfa, b: Dfa) -> KBound:
     """k = r1 + r2: the Ramsey bound over input profiles plus the longest
     shortest representative of output profiles, both clamped above gamma."""
-    input_closure = profile_closure(n, a, b, Tape.INPUT, cap=closure_cap)
-    output_closure = profile_closure(n, a, b, Tape.OUTPUT, cap=closure_cap)
+    input_closure = profile_closure(n, a, b, Tape.INPUT)
+    output_closure = profile_closure(n, a, b, Tape.OUTPUT)
     return KBound(
         r1=max(ramsey_bound(len(input_closure.profiles)), gamma + 1),
         r2=max(output_closure.max_rep_length, gamma + 1),

@@ -207,7 +207,7 @@ def test_criterion_6_classification_table(families):
         fam = families[name]
         s_cert = shift_finiteness(fam)
         sl_cert = shiftlag_finiteness(fam)
-        got = ("finite" if s_cert.finite else "infinite", sl_cert.verdict)
+        got = tuple("finite" if cert.finite else "infinite" for cert in (s_cert, sl_cert))
         if got != (want_shift, want_shiftlag):
             problems.append((name, got))
             continue
@@ -220,7 +220,7 @@ def test_criterion_6_classification_table(families):
             vals = [measures(pumped(s_cert.witness, j)).shift for j in (1, 2, 3)]
             if not (vals[0] < vals[1] < vals[2]):
                 problems.append((name, "shift witness not growing"))
-        if sl_cert.is_finite:
+        if sl_cert.finite:
             worst = max((measures(w).shiftlag for w in words), default=0)
             if worst > sl_cert.m + 1:
                 problems.append((name, f"shiftlag {worst} vs m={sl_cert.m}"))
@@ -269,7 +269,7 @@ def test_criterion_7_game_determinacy():
 def test_criterion_8_ramsey_at_desk_scale(abst_S, abst_T):
     start = time.monotonic()
     a = canonical_dfa(abst_S)
-    closure = profile_closure(2, a, abst_T, Tape.INPUT, cap=PipelineConfig.closure_cap)
+    closure = profile_closure(2, a, abst_T, Tape.INPUT)
     colors = len(closure.profiles)
     r1 = ramsey_bound(colors)
     # single input letter: the unique word of each length

@@ -98,15 +98,15 @@ def test_shift_witness_pumps(families):
 
 def test_shiftlag_families_table(families):
     expectations = {
-        "1*2*": "finite",
-        "(12)*": "finite",
-        "(12)*(1*+2*)": "finite",
-        "1*2*1*2*": "finite",
-        "(1*2*)*": "infinite",
+        "1*2*": True,
+        "(12)*": True,
+        "(12)*(1*+2*)": True,
+        "1*2*1*2*": True,
+        "(1*2*)*": False,
     }
-    for name, want in expectations.items():
+    for name, finite in expectations.items():
         cert = shiftlag_finiteness(families[name])
-        assert cert.verdict == want, name
+        assert cert.finite is finite, name
 
 
 def test_shiftlag_certificate_m_values(families):
@@ -272,7 +272,7 @@ def test_covering_search_finds_no_m_on_infinite_shiftlag(corpus):
     exists below the default cap where the witness search succeeds."""
     for name in ("(1*2*)*", "intro_T"):
         t = trim(corpus[name])
-        assert not shiftlag_finiteness(t).is_finite
+        assert not shiftlag_finiteness(t).finite
         assert _scan(_covers_with_certificate_bound(t), 1, (len(t.states) + 1) ** 2) is None
 
 
@@ -284,18 +284,18 @@ def test_galloping_search_matches_linear_scan(corpus):
     for name, a in corpus.items():
         t = trim(a)
         cert = shiftlag_finiteness(a)
-        if cert.is_finite:
+        if cert.finite:
             assert cert.m == _scan(_covers_with_certificate_bound(t), 1, (len(t.states) + 1) ** 2)
             covers = lambda nu: lag_blocks_cover(t, nu, cert.m)
             assert least_lag_bound(t, cert.m, cert.nu) == _scan(covers, 0, cert.nu), name
         for m in range(5):
             want = _scan(lambda nu: lag_blocks_cover(t, nu, m), 0, 6)
             assert least_lag_bound(t, m, 6) == least_lag_bound(a, m, 6) == want, (name, m)
-        for k in (None,) if cert.is_finite else (0, 1, 2):
+        for k in (None,) if cert.finite else (0, 1, 2):
             n, gamma = target_parameters(t, cert, k)
-            assert n == (cert.m if cert.is_finite else k) + 1, (name, k)
+            assert n == (cert.m if cert.finite else k) + 1, (name, k)
             want = _scan(lambda g: lag_blocks_cover(t, g, n), 0, certificate_lag_bound(n, len(t.states)))
-            assert (want is None) == (not cert.is_finite), (name, k)
+            assert (want is None) == (not cert.finite), (name, k)
             assert gamma == (0 if want is None else want), (name, k)
 
 

@@ -9,7 +9,7 @@ from syncsynth.canonical import (
     canonicalize_finite_shift,
 )
 from syncsynth.automata import (
-    StateCapExceeded,
+    CapExceeded,
     inclusion,
     language_equal,
     tape_table_dfa,
@@ -234,16 +234,16 @@ def test_canonicalizers_keep_the_pairs(s):
         try:
             with state_cap(2000):
                 d = canonicalize_finite_shift(s, cert)
-        except StateCapExceeded:
+        except CapExceeded:
             d = None
         if d is not None:
             assert pairs_upto(d, 6) == pairs_upto(s, 6)
     cert = shiftlag_finiteness(s)
-    if cert.is_finite:
+    if cert.finite:
         try:
             with state_cap(2000):
                 can = canonicalize(s, cert)
-        except StateCapExceeded:
+        except CapExceeded:
             return
         assert pairs_upto(can.dfa, 6) == pairs_upto(s, 6)
         canonical_dfa(can.dfa)

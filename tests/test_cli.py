@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from syncsynth import automata, serialize
+from syncsynth import automata, profiles, serialize
 from syncsynth.automata import AutomatonError, SequentialDfa
 from syncsynth.cli import main
 from syncsynth.letters import Tape
@@ -247,48 +247,6 @@ def test_decide_rec_cli(tmp_path, capsys):
     assert doc["answer"] == "YES"
 
 
-def test_env_cap_mirrors_flag(tmp_path, capsys, monkeypatch, abst_S, abst_T):
-    s_path = tmp_path / "s.json"
-    t_path = tmp_path / "t.json"
-    s_path.write_text(serialize.dumps(abst_S), encoding="utf-8")
-    t_path.write_text(serialize.dumps(abst_T), encoding="utf-8")
-    monkeypatch.setenv("SYNCSYNTH_CAP", "1")
-    from syncsynth import cli as cli_module
-
-    code = cli_module.main(["profiles", str(s_path), str(t_path)])
-    assert code == 2  # closure cannot fit in one profile
-
-
-def test_decide_cap_sets_only_the_closure_cap(files, capsys, monkeypatch):
-    """`decide --cap N` bounds the profile closures and no other cap."""
-    from syncsynth import cli as cli_module
-    from syncsynth.pipeline import Verdict
-
-    configs = []
-
-    def captured(s, t, cfg):
-        configs.append(cfg)
-        return Verdict(answer="INCONCLUSIVE", reason="captured")
-
-    monkeypatch.setattr(cli_module, "decide", captured)
-    s_path, t_path = files
-    assert main(["decide", str(s_path), str(t_path), "--cap", "3"]) == 2
-    assert configs == [PipelineConfig(closure_cap=3)]
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_cap_must_be_a_positive_integer(files, capsys, monkeypatch, value):
-    """A bad cap, from --cap or SYNCSYNTH_CAP, is a usage error: not a
-    traceback that exits 1 (read as NO), nor a silent default for 0."""
-    s_path, t_path = files
-    assert main(["decide", str(s_path), str(t_path), "--cap", value]) == 3
-    assert "positive integer" in capsys.readouterr().err
-    monkeypatch.setenv("SYNCSYNTH_CAP", value)
-    for command in ("decide", "profiles"):
-        assert main([command, str(s_path), str(t_path)]) == 3
-        assert "positive integer" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_depth_must_be_a_positive_integer(files, tmp_path, capsys, value):
     """A depth below 1 would verify no input, so a machine accepting nothing
@@ -344,6 +302,22 @@ def test_state_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, abs
             "inconclusive: state cap: canonicalize: construction exceeded 10 states "
             "(automata.STATE_CAP)\n"
         )
+
+
+def test_closure_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, abst_T):
+    """A closure cap hit by profiles exits 2 with the reason on stderr, and
+    decide exits 2 with the same reason in its JSON."""
+    monkeypatch.setattr(profiles, "CLOSURE_CAP", 1)
+    s_path = tmp_path / "s.json"
+    t_path = tmp_path / "t.json"
+    s_path.write_text(serialize.dumps(abst_S), encoding="utf-8")
+    t_path.write_text(serialize.dumps(abst_T), encoding="utf-8")
+    reason = "closure cap: the input profile closure exceeded 1 profiles (profiles.CLOSURE_CAP)"
+    assert main(["profiles", str(s_path), str(t_path)]) == 2
+    assert capsys.readouterr().err == f"inconclusive: {reason}\n"
+    assert main(["decide", str(s_path), str(t_path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["answer"], doc["reason"]) == ("INCONCLUSIVE", reason)
 
 
 def test_canon_and_decide_are_hash_seed_independent(files, tmp_path, abst_S, abst_T):
@@ -443,7 +417,8 @@ REMOVED_FLAGS = (
     [("classify", flag) for flag in ("--bound-k", "--depth", "--format", "--cap")]
     + [(cmd, flag) for cmd in ("canon", "synthesize") for flag in ("--bound-k", "--depth", "--cap")]
     + [("resync", "--depth"), ("resync", "--cap")]
-    + [("profiles", "--bound-k"), ("profiles", "--depth")]
+    + [("profiles", "--bound-k"), ("profiles", "--depth"), ("profiles", "--cap")]
+    + [("decide", "--cap")]
     + [("verify", "--format"), ("verify", "--cap")]
     + [("decide-rec", "--bound-k"), ("decide-rec", "--cap")]
 )
@@ -452,7 +427,8 @@ REMOVED_FLAGS = (
 @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
 def test_subcommand_rejects_flags_it_does_not_read(command, flag, capsys):
     files = {"verify": ["m.json", "s.json", "t.json"], "resync": ["s.json", "t.json"],
-             "profiles": ["s.json", "t.json"], "decide-rec": ["s.json", "t.json"]}.get(command, ["l.json"])
+             "profiles": ["s.json", "t.json"], "decide": ["s.json", "t.json"],
+             "decide-rec": ["s.json", "t.json"]}.get(command, ["l.json"])
     value = "json" if flag == "--format" else "1"
     assert main([command, *files, flag, value]) == 3
     assert "unrecognized arguments" in capsys.readouterr().err

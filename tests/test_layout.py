@@ -180,3 +180,23 @@ def test_no_unused_imports():
     modules += sorted((REPO / "tests").glob("*.py"))
     unused = {p.name: names for p in modules if (names := unused_imports(p))}
     assert not unused, unused
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_environment_knobs():
+    """The program reads no environment variable: a setting is a flag, a
+    config field or a module constant, never `os.environ` or `os.getenv`."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id == "os" else set()
+            else:
+                continue
+            if names & ENVIRONMENT_READS:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from syncsynth import automata, pipeline, serialize
+from syncsynth import automata, pipeline, profiles, serialize
 from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
 from syncsynth.automata import add_endmarkers
 from syncsynth.canonical import canonicalize, canonicalize_finite_shift
@@ -344,15 +344,16 @@ def test_state_cap_gives_inconclusive(request, monkeypatch, procedure, fixtures,
 
 
 @pytest.mark.parametrize("closure_cap, tape", [(1, "input"), (5, "output")])
-def test_closure_cap_gives_inconclusive(abst_S, abst_T, closure_cap, tape):
+def test_closure_cap_gives_inconclusive(monkeypatch, abst_S, abst_T, closure_cap, tape):
     """abst has 4 input and 10 output profiles: a closure cap of 1 stops the
-    input closure, a cap of 5 the output closure. The reason names the cap
-    and the tape, and no block cap was computed."""
-    verdict = decide(abst_S, abst_T, PipelineConfig(closure_cap=closure_cap))
+    input closure, a cap of 5 the output closure. The reason names the tape
+    and the one closure cap, and no block cap was computed."""
+    monkeypatch.setattr(profiles, "CLOSURE_CAP", closure_cap)
+    verdict = decide(abst_S, abst_T)
     assert verdict.answer == INCONCLUSIVE
     assert verdict.reason == (
-        f"closure cap: the {tape} profile closure exceeded {closure_cap} profiles; "
-        f"raise the cap to proceed"
+        f"closure cap: the {tape} profile closure exceeded {closure_cap} profiles "
+        "(profiles.CLOSURE_CAP)"
     )
     assert "k_computed" not in verdict.stats
 
@@ -609,7 +610,7 @@ def finite_shift_instances(draw):
     if draw(st.integers(min_value=0, max_value=3)) == 0:
         return s, s
     t = automaton("t")
-    assume(shiftlag_finiteness(t).is_finite)
+    assume(shiftlag_finiteness(t).finite)
     return s, t
 
 

@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
+from syncsynth import profiles
+from syncsynth.automata import CapExceeded
 from syncsynth.letters import Tape, inp, out
-from syncsynth.pipeline import PipelineConfig
 from syncsynth.profiles import (
     _AnnBuilder,
     _Ctx,
-    ClosureCapExceeded,
     MixedTapes,
     Profile,
     compute_k,
@@ -29,9 +29,6 @@ from .conftest import (
     tree_size,
 )
 from .oracles import canonical_sync
-
-CAP = PipelineConfig.closure_cap
-
 
 @pytest.fixture(scope="module")
 def abst(abst_S, abst_T):
@@ -337,7 +334,7 @@ def test_find_idempotent_factor_abst(abst):
 
 def test_profile_closure_input(abst):
     a, b = abst
-    closure = profile_closure(2, a, b, Tape.INPUT, cap=CAP)
+    closure = profile_closure(2, a, b, Tape.INPUT)
     # cross-check: distinct profiles among enumerated words up to radius + 1
     radius = closure.max_rep_length + 1
     distinct = set()
@@ -348,7 +345,7 @@ def test_profile_closure_input(abst):
 
 def test_profile_closure_output(ann):
     a, b = ann
-    closure = profile_closure(2, a, b, Tape.OUTPUT, cap=CAP)
+    closure = profile_closure(2, a, b, Tape.OUTPUT)
     radius = closure.max_rep_length + 1
     distinct = set()
     for w in words_over(("c",), range(0, radius + 1)):
@@ -356,10 +353,14 @@ def test_profile_closure_output(ann):
     assert len(distinct) == len(closure.profiles)
 
 
-def test_profile_closure_cap(abst):
+def test_profile_closure_cap(abst, monkeypatch):
     a, b = abst
-    with pytest.raises(ClosureCapExceeded):
-        profile_closure(2, a, b, Tape.INPUT, cap=1)
+    monkeypatch.setattr(profiles, "CLOSURE_CAP", 1)
+    with pytest.raises(CapExceeded) as raised:
+        profile_closure(2, a, b, Tape.INPUT)
+    assert str(raised.value) == (
+        "closure cap: the input profile closure exceeded 1 profiles (profiles.CLOSURE_CAP)"
+    )
 
 
 def test_ramsey_bound_values():
@@ -370,7 +371,7 @@ def test_ramsey_bound_values():
 
 def test_compute_k(abst):
     a, b = abst
-    bound = compute_k(2, 1, a, b, closure_cap=CAP)
+    bound = compute_k(2, 1, a, b)
     assert bound.r1 > 1 and bound.r2 > 1
     assert bound.k == bound.r1 + bound.r2
 
@@ -378,7 +379,7 @@ def test_compute_k(abst):
 def test_compute_k_clamps(abst):
     # below gamma + 1 the raw bounds give way, so k is 2 * (gamma + 1)
     a, b = abst
-    bound = compute_k(2, 100, a, b, closure_cap=CAP)
+    bound = compute_k(2, 100, a, b)
     assert ramsey_bound(bound.input_profile_count) < 101
     assert (bound.r1, bound.r2, bound.k) == (101, 101, 202)
     assert bound.input_profile_count == len(bound.input_closure.profiles)
@@ -388,7 +389,7 @@ def test_compute_k_clamps(abst):
 def test_idempotent_guarantee_short_words(abst):
     """Every sufficiently long input word has an idempotent factor."""
     a, b = abst
-    closure = profile_closure(2, a, b, Tape.INPUT, cap=CAP)
+    closure = profile_closure(2, a, b, Tape.INPUT)
     threshold = (len(closure.profiles) + 1) ** 2
     length = min(threshold, 12)
     word = tuple("a" * length)
@@ -430,7 +431,7 @@ def test_idempotent_guarantee_two_letter_sampled(ann):
     import random
 
     a, b = ann
-    closure = profile_closure(2, a, b, Tape.INPUT, cap=CAP)
+    closure = profile_closure(2, a, b, Tape.INPUT)
     r1 = ramsey_bound(len(closure.profiles))
     rng = random.Random(20260810)
     for _ in range(3):
