@@ -70,6 +70,7 @@ class _Ctx:
         # per tape and state, the target states reachable via nonempty words of that tape
         self.closure = {tape: strict_tape_closure(b, tape) for tape in Tape}
         self._mid_cache: dict = {}
+        self._mid_public_cache: dict = {}
 
     def pair_frontiers(self, x: tuple, p: str, q: str, tape: Tape) -> list:
         """Sets of (target state, source state) after t interleaved rounds.
@@ -128,6 +129,13 @@ class _Ctx:
             self._mid_cache[key] = tree((MID, pb, qa), block_kids)
         return self._mid_cache[key]
 
+    def mid_public(self, rest: tuple, pb: str, qa: str, i: int, tape: Tape) -> Tree:
+        """The public form of `mid_enriched`, built once per key."""
+        key = (rest, pb, qa, i, tape)
+        if key not in self._mid_public_cache:
+            self._mid_public_cache[key] = _strip(self.mid_enriched(*key))
+        return self._mid_public_cache[key]
+
 
 def _strip(t: Tree) -> Tree:
     return map_labels(t, lambda lab: (lab[1], lab[2]))
@@ -179,7 +187,7 @@ class _AnnBuilder:
                     # this prefix as a balanced split (more blocks to come)
                     mid_path = None
                     if i > 0 and t < len(y):
-                        mid = _strip(ctx.mid_enriched(y[t:], pb2, qa2, i, Tape.OUTPUT))
+                        mid = ctx.mid_public(y[t:], pb2, qa2, i, Tape.OUTPUT)
                         mid_path = ref_path + (mid,) if mid in ref_node.children else None
                     fro = targets | {path for path in (leaf_path, mid_path) if path is not None}
                     if leaf_path is not None:

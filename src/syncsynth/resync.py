@@ -1,9 +1,10 @@
 """Resynchronized source construction.
 
 build_Ti restricts a target language so that output blocks after the
-lag-bounded prefix are capped; build_TiS reads such words and simulates the
-canonical source automaton on the pair they encode, re-interleaving on the
-fly through a bounded queue of guessed letters.
+lag-bounded prefix are capped, and returns its minimal DFA; build_TiS reads
+such words and simulates the canonical source automaton on the pair they
+encode, re-interleaving on the fly through a bounded queue of guessed
+letters.
 """
 from __future__ import annotations
 
@@ -16,8 +17,10 @@ from .automata import (
     Nfa,
     concat,
     coreachable_states,
+    determinize,
     explore_nfa,
     inclusion,
+    minimize,
     product,
     tape_table_dfa,
     trim,
@@ -43,13 +46,17 @@ class ResyncParams:
             raise ValueError("resync parameters must be non-negative")
 
 
-def build_Ti(t: Nfa, p: ResyncParams) -> Nfa:
-    """T ∩ (lag ≤ gamma prefix · (input blocks + short output blocks)^n)."""
+def build_Ti(t: Nfa, p: ResyncParams) -> Dfa:
+    """The minimal DFA of T ∩ (lag ≤ gamma prefix · (input blocks + short
+    output blocks)^n).
+
+    Only T_i's language matters to build_TiS, and every nondeterministic
+    T_i state would multiply its guessing states."""
     shape = concat(
         build_lag_bounded(p.gamma, t.input_alphabet, t.output_alphabet),
         build_blocks(p.n, p.i, t.input_alphabet, t.output_alphabet),
     )
-    return trim(product(t, shape))
+    return minimize(determinize(trim(product(t, shape))))
 
 
 def tape_capacity(a: Nfa, tape: Tape) -> dict:
@@ -87,14 +94,22 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> Nfa:
     otherwise. Else x runs ahead: a letter of its partner tape y is guessed
     and the DFA reads the pair at once, and later y letters must match the
     guesses. Such a letter may instead begin an x tail, while guessed y
-    letters stay owed. When `ti` is `build_Ti(t, params)`, the queue never
-    exceeds gamma + i*n: it holds at most the word's imbalance (a guess
-    pushes one letter, a letter on the lagging tape pops one, a tail letter
-    pushes nothing), which is at most gamma in T_i's lag-bounded prefix,
-    whose live states are the imbalance itself; after it, `viable` fits
-    guessed outputs into the T_i state's output capacity, at most i*n, and
-    guessed inputs are owed to at most gamma + i*n outputs. A longer queue
-    means `ti` has another shape, and raises ShapeViolation.
+    letters stay owed.
+
+    When `ti` is `build_Ti(t, params)`, the queue never exceeds gamma + i*n.
+    Let u be the word read so far and s its T_i state. T_i is a trim DFA, so
+    s stands for the residual u⁻¹T_i, which is not empty unless T_i is (and
+    then no letter is read). Every word u·v of T_i splits as p·b, with p at
+    most gamma-lagged and b at most n blocks of at most i outputs each. The queue holds at most the lead of u's
+    leading tape (a guess pushes one letter, a letter on the lagging tape
+    pops one, a tail letter pushes nothing). Guessed inputs are owed to
+    leading outputs: at most gamma if u ends inside p, else gamma plus u's
+    outputs inside b, at most gamma + i*n. Guessed outputs are owed to
+    leading inputs, and `viable` keeps them within s's output capacity, the
+    most outputs on a word v of u⁻¹T_i. If v has more than i*n outputs, some
+    of them belong to p, so u ends inside p and leads by at most gamma;
+    otherwise the capacity is at most i*n. A longer queue means `ti` has
+    another shape, and raises ShapeViolation.
     """
     dfa = a.dfa
     alphabet = {Tape.INPUT: sorted(ti.input_alphabet), Tape.OUTPUT: sorted(ti.output_alphabet)}

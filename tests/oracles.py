@@ -175,3 +175,49 @@ def recompose(tag_seq, pair):
             letters.append(out(v[j]))
             j += 1
     return tuple(letters)
+
+
+def ti_product_naive(t, p):
+    """The fields of an NFA for T_i, T's product with the shape of the block
+    parameters `p`: the construction whose minimal DFA `resync.build_Ti`
+    returns. A shape word is an at most p.gamma-lagged prefix, then at most
+    p.n blocks, each an input word or at most p.i outputs. A state pairs a
+    state of T with ("lag", prefix imbalance), or, once the blocks have
+    begun, with ("blocks", blocks opened, tape of the open block, outputs
+    in it). No state is trimmed."""
+
+    def shape_steps(phase, letter):
+        nxt = []
+        if phase[0] == "lag":
+            d = phase[1] + (1 if letter.tape is Tape.INPUT else -1)
+            if abs(d) <= p.gamma:
+                nxt.append(("lag", d))
+            phase = ("blocks", 0, None, 0)  # or the blocks begin at this letter
+        _, used, tape, filled = phase
+        grow = int(letter.tape is Tape.OUTPUT)
+        if letter.tape is tape and filled + grow <= p.i:
+            nxt.append(("blocks", used, tape, filled + grow))
+        if used < p.n and grow <= p.i:
+            nxt.append(("blocks", used + 1, letter.tape, grow))
+        return nxt
+
+    initial = (t.initial, ("lag", 0))
+    seen, todo, transitions = {initial}, [initial], set()
+    while todo:
+        q, phase = state = todo.pop()
+        for q1, letter, q2 in t.transitions:
+            if q1 != q:
+                continue
+            for phase2 in shape_steps(phase, letter):
+                transitions.add((repr(state), letter, repr((q2, phase2))))
+                if (q2, phase2) not in seen:
+                    seen.add((q2, phase2))
+                    todo.append((q2, phase2))
+    return dict(
+        input_alphabet=t.input_alphabet,
+        output_alphabet=t.output_alphabet,
+        states={repr(state) for state in seen},
+        initial=repr(initial),
+        transitions=transitions,
+        finals={repr(state) for state in seen if state[0] in t.finals},
+    )

@@ -228,7 +228,7 @@ def test_resync_stats_name_the_parameters_and_sizes(tmp_path, capsys, abst_S, ab
     code = main(["resync", str(s_path), str(t_path), "--bound-k", "6"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["stats"] == {"n": 3, "gamma": 0, "i": 6, "t_i_states": 10, "states": 17, "transitions": 20}
+    assert doc["stats"] == {"n": 3, "gamma": 0, "i": 6, "t_i_states": 5, "states": 9, "transitions": 9}
 
 
 def test_decide_rec_cli(tmp_path, capsys):
@@ -323,8 +323,8 @@ def test_closure_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, a
 def test_canon_and_decide_are_hash_seed_independent(files, tmp_path, abst_S, abst_T):
     """`classify` prints the certificates, `canon` the minimal canonical DFA,
     `decide` its verdict, `resync` T_iS and `profiles` its counts and tree,
-    with the same bytes under every hash seed. A block opens only as the next
-    block, which keeps T_iS at 121 states."""
+    with the same bytes under every hash seed. T_i is a minimal DFA, which
+    keeps T_iS at 69 states."""
     root = Path(__file__).resolve().parent.parent
     s_path, t_path = files
     # the intro target has infinite shiftlag, which `profiles` refuses
@@ -353,7 +353,7 @@ def test_canon_and_decide_are_hash_seed_independent(files, tmp_path, abst_S, abs
         if command[0] == "canon":
             assert len(serialize.loads(outputs.pop()).states) == 14
         if command[0] == "resync":
-            assert json.loads(outputs.pop())["stats"]["states"] == 121
+            assert json.loads(outputs.pop())["stats"]["states"] == 69
 
 
 def test_decide_rec_machine_verifies(tmp_path, capsys, ann_S, ann_T):

@@ -41,6 +41,14 @@ def test_intro_instance_yes(intro_S, intro_T):
     assert len(verdict.machine.states) == verdict.stats["machine_states"] == 7
 
 
+def test_intro_at_block_cap_10_resyncs_along_the_minimal_t_i(intro_S, intro_T):
+    """T_i is built as a minimal DFA: at k = 10 it has 11 states and T_iS
+    1,296, where the shape product gave 39 and 4,054."""
+    verdict = decide(intro_S, intro_T, PipelineConfig(k_override=10, depth=6))
+    assert verdict.answer == YES, (verdict.reason, verdict.stats)
+    assert (verdict.stats["t_i_states"], verdict.stats["t_i_s_states"]) == (11, 1296)
+
+
 def test_rejects_infinite_shiftlag_target_without_override(intro_S, intro_T):
     verdict = decide(intro_S, intro_T, PipelineConfig(depth=4))
     assert verdict.answer == REJECTED

@@ -6,13 +6,18 @@ from hypothesis import given, settings, strategies as st
 from syncsynth.analysis import certificate_lag_bound, shiftlag_finiteness
 from syncsynth.automata import (
     CapExceeded,
+    Nfa,
     inclusion,
+    language_equal,
+    minimize,
     pair_in_relation,
     project_input,
     tape_table_dfa,
+    trim,
 )
 from syncsynth.canonical import canonicalize
 from syncsynth.letters import Tape, decode, inp, out
+from syncsynth.pipeline import target_parameters
 from syncsynth.resync import (
     INPUT_THEN_OUTPUT,
     ResyncParams,
@@ -24,7 +29,7 @@ from syncsynth.resync import (
 )
 
 from .conftest import accepts, enumerate_accepted, mk_nfa, state_cap, tag_family
-from .oracles import tape_count_naive
+from .oracles import tape_count_naive, ti_product_naive
 from .test_canonical import small_sources
 
 
@@ -82,6 +87,19 @@ def test_build_Ti_output_cap_binds(abst_T):
     # blocks [a][b] fit; [a][bb] would need an output block of length 2 > i
     assert accepts(t_i, (a, b))
     assert accepts(abst_T, (a, b, b)) and not accepts(t_i, (a, b, b))
+
+
+@pytest.mark.parametrize("k", [0, 3, 10])
+@pytest.mark.parametrize("target", ["abst_T", "ann_T", "intro_T"])
+def test_build_Ti_is_the_minimal_dfa_of_the_shape_product(request, target, k):
+    """At the parameters decide uses, T_i is minimal (minimizing it again
+    changes nothing) and has the language of T's product with the shape."""
+    t = trim(request.getfixturevalue(target))
+    n, gamma = target_parameters(t, shiftlag_finiteness(t), k)
+    params = ResyncParams(n=n, gamma=gamma, i=k)
+    t_i = build_Ti(t, params)
+    assert minimize(t_i) == t_i
+    assert language_equal(t_i, Nfa(**ti_product_naive(t, params)))[0]
 
 
 def test_tis_abst_instance(abst_S, abst_T):
@@ -159,6 +177,32 @@ def test_tis_matches_the_oracle_on_random_instances(data):
     except CapExceeded:
         return
     assert set(enumerate_accepted(c, 6)) == ti_oracle(t_i, s, 6)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_tis_along_the_minimal_t_i_keeps_the_product_language(data):
+    """On random finite-shiftlag sources, small targets and block caps k ≤ 3,
+    at the parameters decide uses, build_TiS along the minimal T_i accepts
+    the language it accepts along the shape product, and neither run raises
+    ShapeViolation."""
+    s = data.draw(small_sources())
+    cert = shiftlag_finiteness(s)
+    if not cert.finite:
+        return
+    t = trim(data.draw(small_targets(s.input_alphabet, s.output_alphabet)))
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    n, gamma = target_parameters(t, shiftlag_finiteness(t), k)
+    params = ResyncParams(n=n, gamma=gamma, i=k)
+    try:
+        with state_cap(2000):
+            can = canonicalize(s, cert)
+        with state_cap(20000):
+            along_product = build_TiS(can, trim(Nfa(**ti_product_naive(t, params))), params)
+            along_minimal = build_TiS(can, build_Ti(t, params), params)
+    except CapExceeded:
+        return
+    assert language_equal(along_product, along_minimal)[0]
 
 
 def test_tis_empty_source(abst_T):
