@@ -12,6 +12,17 @@ hand-off state only where the run it ends can reach it. `canonicalize`'s
 reader tracks the canonical shape and routes no letter the shape forbids;
 it keeps a state only if the prefix copy can still drain its buffer and the
 chain of guessed blocks can still connect from where that copy may end.
+
+`canonicalize`'s prefix copy consumes a stranded buffer at once. A buffer
+holds letters of one tape, kept while a letter of the partner tape might
+still reach the copy first; it is stranded once that partner tape has closed
+to the copy (the shape forbids it, or a block of it is open). From then on
+the copy reads only the buffer and then later letters of the buffer's tape,
+in order, so every accepting run consumes the buffer that way. And each
+state with the buffer consumed was already reached: by the branch that
+consumed the whole buffer when its last letter arrived, followed by the same
+block steps, which leave the copy alone. The language stays the same.
+
 Both canonicalizers return the minimal DFA of their reader's language.
 """
 from __future__ import annotations
@@ -150,6 +161,18 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
       block still missing between two open ones must read a letter.
     Guesses, blocks and the shape only narrow the future, so a dropped
     state has no accepting continuation.
+
+    A buffer holds letters of one tape. Once its partner tape is closed to
+    the prefix copy, because the shape forbids that tape or a block of it is
+    open, the buffer is stranded, and the state is replaced by the states
+    where the copy has read the whole buffer, or dropped if there are none.
+    From then on the copy reads only the buffer followed by later letters of
+    the buffer's tape, in order, so every accepting run consumes the buffer
+    exactly so. Conversely, when the buffer's last letter reached the copy,
+    the reader also took the branches that consumed the whole buffer, and
+    only block steps, which leave the copy alone, have run since; so every
+    replacement state is one the reader reached already, and nothing is
+    accepted that was not before. The checks are memoized for the call.
     """
     if not cert.finite:
         raise InvalidCertificate("source has infinite shiftlag")
@@ -181,7 +204,8 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
     # *_blocks: ((guessed_start, current), ...) per opened pure block
     initial = ("even", s.initial, (), None, (), ())
 
-    def consumptions(q: str, buf: tuple):
+    @cache
+    def consumptions(q: str, buf: tuple) -> tuple:
         """All (state, remaining-buffer) pairs after consuming greedily.
 
         Remaining buffers mixing both tapes are pruned: an eager run never
@@ -209,7 +233,7 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
             if rest_out:
                 for q2 in s.successors(state, rest_out[0]):
                     stack.append((q2, i, j + 1))
-        return sorted(results, key=repr)
+        return tuple(sorted(results, key=repr))
 
     def block_index_ok(first_tape, tape, count):
         # the count-th block of this tape sits at an alternating global index
@@ -250,7 +274,25 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
                 continue
             for g, c2 in openers.get(letter, ()):
                 nxt.append(with_blocks(ft, blocks + ((g, c2),)))
-        return [st for st in nxt if viable(st)]
+        return [st for n in nxt for st in settle(n) if viable(st)]
+
+    def settle(state) -> list:
+        """The state itself unless its buffer is stranded: not empty, with its
+        partner tape closed to the prefix copy (the shape forbids that tape,
+        or a block of it is open). A stranded buffer is consumed at once: the
+        states where the prefix copy has read all of it, none if it cannot."""
+        shape, q0, buf, first, in_blocks, out_blocks = state
+        if not buf:
+            return [state]
+        partner = PARTNER[buf[0].tape]
+        partner_blocks = in_blocks if partner is Tape.INPUT else out_blocks
+        if partner in allowed_tapes[shape] and not partner_blocks:
+            return [state]
+        return [
+            (shape, q2, (), first, in_blocks, out_blocks)
+            for q2, rest in consumptions(q0, buf)
+            if not rest
+        ]
 
     @cache
     def drain_set(q0, buf: tuple, tapes: frozenset) -> frozenset:
@@ -274,25 +316,28 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
                         stack.append(node)
         return frozenset(q for q, i in seen if i == len(buf))
 
-    def merged_order(first, blocks: dict) -> list:
+    @cache
+    def merged_order(first, n_in: int, n_out: int) -> tuple:
         """(tape, index) of each block in the merged order `is_final` chains
-        them, up to the last open block; an index past its tape's open
-        blocks is a block that must still open."""
+        them, up to the last open block, given the open blocks per tape; an
+        index past its tape's open blocks is a block that must still open."""
         if first is None:
-            return []
+            return ()
+        counts = {Tape.INPUT: n_in, Tape.OUTPUT: n_out}
         tapes = (first, PARTNER[first])
-        order = [(t, k) for k in range(max(map(len, blocks.values()))) for t in tapes]
-        while order[-1][1] >= len(blocks[order[-1][0]]):
+        order = [(t, k) for k in range(max(n_in, n_out)) for t in tapes]
+        while order[-1][1] >= counts[order[-1][0]]:
             order.pop()
-        return order
+        return tuple(order)
 
+    @cache
     def viable(state):
         """The drain and chain conditions above."""
         shape, q0, buf, first, in_blocks, out_blocks = state
         blocks = {Tape.INPUT: in_blocks, Tape.OUTPUT: out_blocks}
         allowed = allowed_tapes[shape]
         current = drain_set(q0, buf, frozenset(t for t in allowed if not blocks[t]))
-        for t, k in merged_order(first, blocks):
+        for t, k in merged_order(first, len(in_blocks), len(out_blocks)):
             if k < len(blocks[t]):
                 g, c = blocks[t][k]
                 if g not in current:
@@ -310,7 +355,7 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
             return False
         blocks = {Tape.INPUT: in_blocks, Tape.OUTPUT: out_blocks}
         cur = q0
-        for t, k in merged_order(first, blocks):
+        for t, k in merged_order(first, len(in_blocks), len(out_blocks)):
             if k >= len(blocks[t]) or blocks[t][k][0] != cur:
                 return False
             cur = blocks[t][k][1]

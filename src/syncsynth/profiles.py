@@ -70,7 +70,7 @@ class _Ctx:
         # per tape and state, the target states reachable via nonempty words of that tape
         self.closure = {tape: strict_tape_closure(b, tape) for tape in Tape}
         self._mid_cache: dict = {}
-        self._mid_public_cache: dict = {}
+        self._public_cache: dict = {}
 
     def pair_frontiers(self, x: tuple, p: str, q: str, tape: Tape) -> list:
         """Sets of (target state, source state) after t interleaved rounds.
@@ -129,22 +129,20 @@ class _Ctx:
             self._mid_cache[key] = tree((MID, pb, qa), block_kids)
         return self._mid_cache[key]
 
-    def mid_public(self, rest: tuple, pb: str, qa: str, i: int, tape: Tape) -> Tree:
-        """The public form of `mid_enriched`, built once per key."""
-        key = (rest, pb, qa, i, tape)
-        if key not in self._mid_public_cache:
-            self._mid_public_cache[key] = _strip(self.mid_enriched(*key))
-        return self._mid_public_cache[key]
-
-
-def _strip(t: Tree) -> Tree:
-    return map_labels(t, lambda lab: (lab[1], lab[2]))
+    def public(self, t: Tree) -> Tree:
+        """The public form of an enriched tree, each label cut to its state
+        pair. It is built once per subtree, so the MID subtrees that
+        `mid_enriched`'s cache shares are stripped once each."""
+        if t not in self._public_cache:
+            self._public_cache[t] = tree(t.label[1:3], map(self.public, t.children))
+        return self._public_cache[t]
 
 
 def input_stt(x, p: str, q: str, i: int, a: CanonicalDfa, b: Dfa) -> Tree:
     """Tree of joint state transformations of an input segment against output
     counterparts built from at most i+1 output blocks."""
-    return _strip(_Ctx(a, b).stt_enriched(tuple(x), p, q, i, Tape.INPUT))
+    ctx = _Ctx(a, b)
+    return ctx.public(ctx.stt_enriched(tuple(x), p, q, i, Tape.INPUT))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,7 @@ class _AnnBuilder:
                     # this prefix as a balanced split (more blocks to come)
                     mid_path = None
                     if i > 0 and t < len(y):
-                        mid = ctx.mid_public(y[t:], pb2, qa2, i, Tape.OUTPUT)
+                        mid = ctx.public(ctx.mid_enriched(y[t:], pb2, qa2, i, Tape.OUTPUT))
                         mid_path = ref_path + (mid,) if mid in ref_node.children else None
                     fro = targets | {path for path in (leaf_path, mid_path) if path is not None}
                     if leaf_path is not None:
@@ -212,7 +210,7 @@ class _AnnBuilder:
 def _annotated(ctx: _Ctx, enriched: Tree, y: tuple, p: str, q: str, i: int) -> Tree:
     """The public annotated tree of y at (p, q), over the public form of its
     enriched tree; the kind tag leaves every label."""
-    builder = _AnnBuilder(ctx, _strip(enriched))
+    builder = _AnnBuilder(ctx, ctx.public(enriched))
     return map_labels(builder.build(y, p, q, i, ()), lambda lab: lab[1:])
 
 

@@ -9,7 +9,7 @@ from syncsynth.analysis import ShiftWitness
 from syncsynth.automata import AutomatonError, Dfa, Nfa, SequentialDfa, inclusion, tape_table_dfa
 from syncsynth.canonical import SHAPE, CanonicalDfa
 from syncsynth.letters import Tape, inp, out
-from syncsynth.profiles import _annotated, _Ctx, _profile, _strip
+from syncsynth.profiles import _annotated, _Ctx, _profile
 
 
 def mk_nfa(input_alphabet, output_alphabet, initial, finals, edges, cls=Nfa, **extra):
@@ -340,7 +340,8 @@ def output_profile(y, n, a, b, ctx=None):
 
 def output_stt(y, p, q, i, a, b):
     """Public tree of an output segment against input counterparts."""
-    return _strip(_Ctx(a, b).stt_enriched(tuple(y), p, q, i, Tape.OUTPUT))
+    ctx = _Ctx(a, b)
+    return ctx.public(ctx.stt_enriched(tuple(y), p, q, i, Tape.OUTPUT))
 
 
 def annotated_output_stt(y, p, q, i, a, b):

@@ -16,6 +16,7 @@ from syncsynth.automata import (
 )
 from syncsynth.letters import decode, inp, out
 
+from .canonical_unsettled import canonicalize_unsettled
 from .conftest import accepts, canonical_dfa, enumerate_accepted, mk_nfa, state_cap, tag_family
 from .oracles import canonical_sync, to_tags
 from .test_pipeline import delay_instance
@@ -185,21 +186,43 @@ def test_canonical_reader_lets_the_last_block_grow():
     assert pairs_upto(can.dfa, 7) == pairs_upto(s, 7)
 
 
-@pytest.mark.parametrize("source, cap", [("intro", 1000), ("ann", 100), ("delay-3-3", 300)])
+def named_source(request, source):
+    """A fixture source by name, or the delay family's source as "delay-m"."""
+    if source.startswith("delay-"):
+        m = int(source.split("-")[1])
+        return delay_instance(m, m)[0]
+    return request.getfixturevalue(f"{source}_S")
+
+
+@pytest.mark.parametrize(
+    "source, cap", [("intro", 300), ("ann", 37), ("delay-3", 37), ("delay-8", 100)]
+)
 def test_canonical_reader_budget(request, source, cap):
-    """The reader fits a cap well below what it explored before it dropped
-    broken chains (intro 4,163, ann 664, delay m = 3 2,923 states; now 347,
-    42 and 110), and the result equals the default-cap one."""
-    s = delay_instance(3, 3)[0] if source == "delay-3-3" else request.getfixturevalue(f"{source}_S")
+    """The reader fits a cap at most 25 % above its size, and the result
+    equals the default-cap one. Before it dropped broken chains it explored
+    intro 4,163, ann 664 and delay m = 3 2,923 states; before it consumed
+    stranded buffers at once, 347, 42, 110 and, at m = 8, 3,612; now 241,
+    30, 30 and 90."""
+    s = named_source(request, source)
     cert = shiftlag_finiteness(s)
     want = canonicalize(s, cert)
     with state_cap(cap):
         assert canonicalize(s, cert) == want
 
 
+@pytest.mark.parametrize("source", ["intro", "ann", "abst", *(f"delay-{m}" for m in range(1, 7))])
+def test_consuming_stranded_buffers_keeps_the_canonical_dfa(request, source):
+    """Consuming a buffer at once when it is stranded, its partner tape
+    closed to the prefix copy, leaves the canonical DFA as it is without
+    that rule."""
+    s = named_source(request, source)
+    cert = shiftlag_finiteness(s)
+    assert canonicalize(s, cert) == canonicalize_unsettled(s, cert)
+
+
 def test_canonical_dfas_are_minimal(intro_S):
     """Both canonicalizers return the minimal DFA of their language; the
-    subset constructions alone had 346, 41 and 20 states here."""
+    subset constructions alone had 242, 41 and 20 states here."""
     assert len(canonicalize(intro_S, shiftlag_finiteness(intro_S)).dfa.states) == 14
     assert len(canonicalize_finite_shift(intro_S, shift_finiteness(intro_S)).states) == 4
     s, _ = delay_instance(4, 4)
@@ -247,3 +270,21 @@ def test_canonicalizers_keep_the_pairs(s):
             return
         assert pairs_upto(can.dfa, 6) == pairs_upto(s, 6)
         canonical_dfa(can.dfa)
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_sources())
+def test_consuming_stranded_buffers_keeps_the_canonical_dfa_of_random_sources(s):
+    """On random small finite-shiftlag sources, `canonicalize` returns the
+    DFA of the reader that leaves stranded buffers in place, and fits every
+    cap that reader fits."""
+    cert = shiftlag_finiteness(s)
+    if not cert.finite:
+        return
+    try:
+        with state_cap(2000):
+            want = canonicalize_unsettled(s, cert)
+    except CapExceeded:
+        return
+    with state_cap(2000):
+        assert canonicalize(s, cert) == want
