@@ -54,7 +54,6 @@ from .profiles import (
 )
 from .game import (
     GameArena,
-    Strategy,
     build_arena,
     extract_sdfa,
     run_machine,

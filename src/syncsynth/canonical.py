@@ -10,18 +10,20 @@ final state, so the pruning leaves `determinize(trim(reader))` unchanged;
 states that pass may still be dead. `canonicalize_finite_shift` guesses a
 hand-off state only where the run it ends can reach it. `canonicalize`'s
 reader tracks the canonical shape and routes no letter the shape forbids;
-it keeps a state only if the prefix copy can still drain its buffer and the
-chain of guessed blocks can still connect from where that copy may end.
+it keeps a state only if its buffer is not stranded (below), the prefix
+copy can still drain that buffer, and the chain of guessed blocks can still
+connect from where that copy may end.
 
-`canonicalize`'s prefix copy consumes a stranded buffer at once. A buffer
-holds letters of one tape, kept while a letter of the partner tape might
-still reach the copy first; it is stranded once that partner tape has closed
-to the copy (the shape forbids it, or a block of it is open). From then on
-the copy reads only the buffer and then later letters of the buffer's tape,
-in order, so every accepting run consumes the buffer that way. And each
-state with the buffer consumed was already reached: by the branch that
-consumed the whole buffer when its last letter arrived, followed by the same
-block steps, which leave the copy alone. The language stays the same.
+`canonicalize` drops a state whose prefix copy holds a stranded buffer. A
+buffer holds letters of one tape, kept while a letter of the partner tape
+might still reach the copy first; it is stranded once that partner tape has
+closed to the copy (the shape forbids it, or a block of it is open). From
+then on the copy reads only the buffer and then later letters of the
+buffer's tape, in order, so every accepting run from the stranded state
+consumes the buffer that way. Each state where that is done was already
+reached, with no buffer left: on the branch that consumed the whole buffer
+at the copy's last routing, followed by the same block steps, which leave
+the copy alone. So dropping the stranded state loses no word.
 
 Both canonicalizers return the minimal DFA of their reader's language.
 """
@@ -159,20 +161,19 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
       stand at there. An open block may still grow by its own tape only if
       it is the last of that tape and the shape allows the tape, and a
       block still missing between two open ones must read a letter.
-    Guesses, blocks and the shape only narrow the future, so a dropped
-    state has no accepting continuation.
+    Guesses, blocks and the shape only narrow the future, so a state that
+    fails either has no accepting continuation.
 
     A buffer holds letters of one tape. Once its partner tape is closed to
     the prefix copy, because the shape forbids that tape or a block of it is
-    open, the buffer is stranded, and the state is replaced by the states
-    where the copy has read the whole buffer, or dropped if there are none.
-    From then on the copy reads only the buffer followed by later letters of
-    the buffer's tape, in order, so every accepting run consumes the buffer
-    exactly so. Conversely, when the buffer's last letter reached the copy,
-    the reader also took the branches that consumed the whole buffer, and
-    only block steps, which leave the copy alone, have run since; so every
-    replacement state is one the reader reached already, and nothing is
-    accepted that was not before. The checks are memoized for the call.
+    open, the buffer is stranded, and the state is dropped. From then on the
+    copy reads only the buffer followed by later letters of the buffer's
+    tape, in order, so every accepting run from the state consumes the
+    buffer exactly so. Each state where that is done was already reached
+    with no buffer left: when the buffer's last letter reached the copy, the
+    reader also took the branch that consumed the whole buffer, and only
+    block steps, which leave the copy alone, have run since. So dropping the
+    stranded state loses no word. The checks are memoized for the call.
     """
     if not cert.finite:
         raise InvalidCertificate("source has infinite shiftlag")
@@ -274,25 +275,7 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
                 continue
             for g, c2 in openers.get(letter, ()):
                 nxt.append(with_blocks(ft, blocks + ((g, c2),)))
-        return [st for n in nxt for st in settle(n) if viable(st)]
-
-    def settle(state) -> list:
-        """The state itself unless its buffer is stranded: not empty, with its
-        partner tape closed to the prefix copy (the shape forbids that tape,
-        or a block of it is open). A stranded buffer is consumed at once: the
-        states where the prefix copy has read all of it, none if it cannot."""
-        shape, q0, buf, first, in_blocks, out_blocks = state
-        if not buf:
-            return [state]
-        partner = PARTNER[buf[0].tape]
-        partner_blocks = in_blocks if partner is Tape.INPUT else out_blocks
-        if partner in allowed_tapes[shape] and not partner_blocks:
-            return [state]
-        return [
-            (shape, q2, (), first, in_blocks, out_blocks)
-            for q2, rest in consumptions(q0, buf)
-            if not rest
-        ]
+        return [st for st in nxt if viable(st)]
 
     @cache
     def drain_set(q0, buf: tuple, tapes: frozenset) -> frozenset:
@@ -332,11 +315,15 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
 
     @cache
     def viable(state):
-        """The drain and chain conditions above."""
+        """The buffer is not stranded, and the drain and chain conditions
+        above hold."""
         shape, q0, buf, first, in_blocks, out_blocks = state
         blocks = {Tape.INPUT: in_blocks, Tape.OUTPUT: out_blocks}
         allowed = allowed_tapes[shape]
-        current = drain_set(q0, buf, frozenset(t for t in allowed if not blocks[t]))
+        open_tapes = frozenset(t for t in allowed if not blocks[t])
+        if buf and PARTNER[buf[0].tape] not in open_tapes:
+            return False
+        current = drain_set(q0, buf, open_tapes)
         for t, k in merged_order(first, len(in_blocks), len(out_blocks)):
             if k < len(blocks[t]):
                 g, c = blocks[t][k]

@@ -13,7 +13,6 @@ import sys
 from . import serialize
 from .analysis import (
     BoundExhausted,
-    ShiftWitness,
     ShiftlagWitness,
     parikh_injective,
     shift_finiteness,
@@ -30,7 +29,14 @@ from .automata import (
 from .canonical import canonicalize
 from .game import build_arena, extract_sdfa, solve, verify_uniformizer
 from .letters import inp
-from .pipeline import PipelineConfig, Verdict, decide, decide_recognizable, target_parameters
+from .pipeline import (
+    REJECTED,
+    PipelineConfig,
+    Verdict,
+    decide,
+    decide_recognizable,
+    target_parameters,
+)
 from .profiles import compute_k, input_stt
 from .resync import ResyncParams, build_Ti, build_TiS
 from .serialize import dumps as automaton_json, load_path, to_dot
@@ -233,21 +239,14 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _verdict_doc(verdict: Verdict) -> dict:
+def _verdict_doc(verdict: Verdict, procedure: str) -> dict:
     doc = {
         "answer": verdict.answer,
+        "procedure": procedure,
         "reason": verdict.reason,
-        "k_used": verdict.stats.get("k_used"),
-        "gamma": verdict.stats.get("gamma"),
-        "n": verdict.stats.get("n"),
-        "sizes": {
-            k: v
-            for k, v in verdict.stats.items()
-            if k.endswith("_states") or k.endswith("_vertices")
-        },
-        "stats": {k: v for k, v in verdict.stats.items()},
+        "stats": dict(verdict.stats),
     }
-    if isinstance(verdict.witness, (ShiftWitness, ShiftlagWitness)):
+    if isinstance(verdict.witness, ShiftlagWitness):
         doc["witness"] = _witness_doc(verdict.witness)
     elif verdict.witness is not None:
         try:
@@ -264,18 +263,23 @@ def _verdict_doc(verdict: Verdict) -> dict:
     return doc
 
 
-def _run_decide(args, recognizable: bool) -> int:
+def cmd_decide(args) -> int:
+    """The exact procedure the input admits. Without `--bound-k`,
+    `decide_recognizable` first: it decides a finite-shift source against any
+    regular target and rejects only an infinite-shift source, which then
+    goes to the block-cap `decide`. With `--bound-k`, `decide` alone."""
     s = load_path(args.source)
     t = load_path(args.target)
-    if recognizable:
-        verdict = decide_recognizable(s, t, PipelineConfig(depth=args.depth))
-    else:
-        verdict = decide(s, t, PipelineConfig(k_override=args.bound_k, depth=args.depth))
-    doc = _verdict_doc(verdict)
+    cfg = PipelineConfig(k_override=args.bound_k, depth=args.depth)
+    procedure = decide if args.bound_k is not None else decide_recognizable
+    verdict = procedure(s, t, cfg)
+    if verdict.answer == REJECTED and procedure is decide_recognizable:
+        procedure = decide
+        verdict = decide(s, t, cfg)
     if args.format == "dot" and verdict.machine is not None:
         _emit(to_dot(verdict.machine, "uniformizer"), args.out)
     else:
-        _print_json(doc, args.out)
+        _print_json(_verdict_doc(verdict, procedure.__name__), args.out)
     return verdict.exit_code
 
 
@@ -306,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bound-k": dict(
             type=_int_at_least(0, "the block cap (--bound-k)"),
             default=None,
-            help="output-block cap override",
+            help="output-block cap override; decides by the block-cap procedure",
         ),
         "--depth": dict(
             type=_int_at_least(1, "the verification depth (--depth)"),
@@ -333,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("synthesize", "solve the subset-uniformization game", ["language"], ["--format"]),
         ("verify", "verify a candidate uniformizer", ["machine", "source", "target"], ["--depth"]),
         ("decide", "decide target-controlled uniformizability", ["source", "target"], list(options)),
-        ("decide-rec", "decide via the finite-shift fast path", ["source", "target"],
-         ["--depth", "--format"]),
     ):
         p = sub.add_parser(name, help=help_)
         for positional in positionals:
@@ -352,8 +354,7 @@ HANDLERS = {
     "profiles": cmd_profiles,
     "synthesize": cmd_synthesize,
     "verify": cmd_verify,
-    "decide": lambda a: _run_decide(a, recognizable=False),
-    "decide-rec": lambda a: _run_decide(a, recognizable=True),
+    "decide": cmd_decide,
 }
 
 

@@ -59,14 +59,6 @@ class GameArena:
     initial: tuple
 
 
-@dataclass(frozen=True)
-class Strategy:
-    choices: dict  # Out vertex -> move
-
-    def move_for(self, vertex):
-        return self.choices.get(vertex)
-
-
 def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
     """Arena over the minimal DFAs of the endmarked language and of its input
     projection, which is read off the first; the input player advances both,
@@ -135,8 +127,9 @@ def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
     )
 
 
-def solve(arena: GameArena) -> tuple[frozenset, Strategy]:
-    """Winning region of the output player and a positional strategy on it.
+def solve(arena: GameArena) -> tuple[frozenset, dict]:
+    """Winning region of the output player and a positional strategy on it:
+    the move of each Out vertex in the region.
 
     One backward pass over the predecessor index, linear in vertices plus
     moves (Grädel, Thomas & Wilke, LNCS 2500, ch. 2). After the endmark the
@@ -188,7 +181,7 @@ def solve(arena: GameArena) -> tuple[frozenset, Strategy]:
         else:
             candidates = [m for m, nxt in vmoves if nxt not in lost]
         choices[v] = min(candidates, key=_move_key)
-    return arena.vertices - lost, Strategy(choices=choices)
+    return arena.vertices - lost, choices
 
 
 def _move_key(move):
@@ -242,7 +235,7 @@ def replay_spoiler(arena: GameArena, region: frozenset, spoiler: dict) -> bool:
     return True
 
 
-def extract_sdfa(arena: GameArena, strategy: Strategy) -> SequentialDfa:
+def extract_sdfa(arena: GameArena, strategy: dict) -> SequentialDfa:
     """The minimal sequential machine of the winning strategy, over the
     endmarked alphabet.
 
@@ -257,11 +250,11 @@ def extract_sdfa(arena: GameArena, strategy: Strategy) -> SequentialDfa:
     letter or is {ε}, an output state's starts with an output letter, so
     Hopcroft never merges the two kinds.
     """
-    if strategy.move_for(arena.initial) is None:
+    if strategy.get(arena.initial) is None:
         raise NotWinning("initial vertex is not in the winning region")
 
     def resolve(v):
-        while v[0] == "out" and strategy.move_for(v) == ("yield",):
+        while v[0] == "out" and strategy.get(v) == ("yield",):
             v = dict(arena.moves[v])[("yield",)]
         return v
 
@@ -269,7 +262,7 @@ def extract_sdfa(arena: GameArena, strategy: Strategy) -> SequentialDfa:
         if v[0] == "in" and letter.tape is Tape.INPUT:
             move = ("end",) if letter.symbol == END_IN else ("play", letter.symbol)
         elif v[0] == "out":
-            move = strategy.move_for(v)
+            move = strategy.get(v)
             if move is None:
                 raise NotWinning(f"strategy undefined at {v}")
             if letter != out(END_OUT if move == ("finish",) else move[1]):

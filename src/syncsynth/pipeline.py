@@ -158,7 +158,8 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
 
 
 def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
-    """Fast path for finite-shift sources: exact, no block cap involved."""
+    """Decide for a finite-shift source against any regular target: exact, no
+    block cap involved."""
     stats: dict = {}
     cert = shift_finiteness(s)
     if not cert.finite:

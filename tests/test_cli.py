@@ -63,10 +63,31 @@ def test_decide_intro_instance(files, tmp_path, capsys):
     assert doc["machine"]["partition"]["output_states"]
 
 
-def test_decide_rejects_without_override(files, capsys):
+def test_decide_answers_the_intro_instance_without_a_flag(files, capsys):
+    """The intro source has finite shift, so `decide` takes the exact
+    finite-shift procedure, which needs no block cap although the target's
+    shiftlag is infinite."""
     s_path, t_path = files
     code = main(["decide", str(s_path), str(t_path), "--depth", "4"])
-    assert code == 3  # outside the decidable fragment without a cap
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0, doc["reason"]
+    assert (doc["answer"], doc["procedure"]) == ("YES", "decide_recognizable")
+    assert doc["verification"]["ok"]
+    assert len(doc["machine"]["states"]) == doc["stats"]["machine_states"] == 7
+
+
+def test_decide_rejects_without_override(tmp_path, capsys, abst_S, intro_T):
+    """An infinite-shift source with an infinite-shiftlag target is outside
+    both exact procedures: without a block cap, `decide` rejects it."""
+    s_path = tmp_path / "s.json"
+    t_path = tmp_path / "t.json"
+    s_path.write_text(serialize.dumps(abst_S), encoding="utf-8")
+    t_path.write_text(serialize.dumps(intro_T), encoding="utf-8")
+    code = main(["decide", str(s_path), str(t_path), "--depth", "4"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert (doc["answer"], doc["procedure"]) == ("REJECTED", "decide")
+    assert doc["reason"].startswith("target language has infinite shiftlag")
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):
@@ -151,7 +172,7 @@ def _renamed(doc, old, new, keys):
 @pytest.mark.parametrize("edit", ["state", "letter", "alphabet"])
 def test_non_string_names_are_input_errors(files, tmp_path, capsys, intro_S, edit):
     """State names and letters must be strings and the alphabets lists: a
-    numeric state once crashed `canon` and `decide-rec` with a TypeError
+    numeric state once crashed `canon` and `decide` with a TypeError
     (exit 1), and an alphabet written as "abc" was read as three letters."""
     doc = serialize.to_dict(intro_S)
     if edit == "state":
@@ -165,7 +186,7 @@ def test_non_string_names_are_input_errors(files, tmp_path, capsys, intro_S, edi
     with pytest.raises(AutomatonError, match="malformed automaton document"):
         serialize.load_path(path)
     _, t_path = files
-    for argv in (["canon", str(path)], ["decide-rec", str(path), str(t_path)]):
+    for argv in (["canon", str(path)], ["decide", str(path), str(t_path)]):
         assert main(argv) == 3, argv
         assert "error: malformed automaton document" in capsys.readouterr().err
 
@@ -232,6 +253,7 @@ def test_resync_stats_name_the_parameters_and_sizes(tmp_path, capsys, abst_S, ab
 
 
 def test_decide_rec_cli(tmp_path, capsys):
+    """`decide` answers a finite-shift source by `decide_recognizable`."""
     s = mk_nfa(
         {"a"}, {"d"}, "s0", {"s1"},
         [("s0", "i", "a", "s0"), ("s0", "o", "d", "s1")],
@@ -241,10 +263,10 @@ def test_decide_rec_cli(tmp_path, capsys):
     t_path = tmp_path / "t.json"
     s_path.write_text(serialize.dumps(s), encoding="utf-8")
     t_path.write_text(serialize.dumps(t), encoding="utf-8")
-    code = main(["decide-rec", str(s_path), str(t_path), "--depth", "5"])
+    code = main(["decide", str(s_path), str(t_path), "--depth", "5"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["answer"] == "YES"
+    assert (doc["answer"], doc["procedure"]) == ("YES", "decide_recognizable")
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -260,7 +282,7 @@ def test_depth_must_be_a_positive_integer(files, tmp_path, capsys, value):
     machine_path.write_text(serialize.dumps(empty), encoding="utf-8")
     assert main(["verify", str(machine_path), str(s_path), str(t_path), "--depth", "3"]) == 1
     capsys.readouterr()
-    for argv in (["verify", str(machine_path)], ["decide"], ["decide-rec"]):
+    for argv in (["verify", str(machine_path)], ["decide"]):
         assert main([*argv, str(s_path), str(t_path), "--depth", value]) == 3, argv
         assert "--depth" in capsys.readouterr().err
     if value == "-1":
@@ -272,16 +294,13 @@ def test_depth_must_be_a_positive_integer(files, tmp_path, capsys, value):
 
 
 def test_rejected_witness_is_structured(tmp_path, capsys, intro_T):
-    """decide prints a REJECTED source's shiftlag witness as classify does,
-    and decide-rec its shift witness."""
+    """decide prints a REJECTED source's shiftlag witness as classify does."""
     path = tmp_path / "t.json"
     path.write_text(serialize.dumps(intro_T), encoding="utf-8")
     assert main(["classify", str(path)]) == 0
     classified = json.loads(capsys.readouterr().out)
     assert main(["decide", str(path), str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["witness"] == classified["shiftlag"]["witness"]
-    assert main(["decide-rec", str(path), str(path)]) == 3
-    assert json.loads(capsys.readouterr().out)["witness"] == classified["shift"]["witness"]
 
 
 def test_state_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, abst_T):
@@ -322,9 +341,9 @@ def test_closure_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, a
 
 def test_canon_and_decide_are_hash_seed_independent(files, tmp_path, abst_S, abst_T):
     """`classify` prints the certificates, `canon` the minimal canonical DFA,
-    `decide` its verdict, `resync` T_iS and `profiles` its counts and tree,
-    with the same bytes under every hash seed. T_i is a minimal DFA, which
-    keeps T_iS at 69 states."""
+    `decide` its verdict by either procedure, `resync` T_iS and `profiles`
+    its counts and tree, with the same bytes under every hash seed. T_i is a
+    minimal DFA, which keeps T_iS at 69 states."""
     root = Path(__file__).resolve().parent.parent
     s_path, t_path = files
     # the intro target has infinite shiftlag, which `profiles` refuses
@@ -336,6 +355,7 @@ def test_canon_and_decide_are_hash_seed_independent(files, tmp_path, abst_S, abs
                     ["classify", str(abst_s_path)],
                     ["classify", str(abst_t_path)],
                     ["canon", str(s_path)],
+                    ["decide", str(s_path), str(t_path)],
                     ["decide", str(s_path), str(t_path), "--bound-k", "3"],
                     ["resync", str(s_path), str(t_path), "--bound-k", "3"],
                     ["profiles", str(abst_s_path), str(abst_t_path)],
@@ -357,15 +377,16 @@ def test_canon_and_decide_are_hash_seed_independent(files, tmp_path, abst_S, abs
 
 
 def test_decide_rec_machine_verifies(tmp_path, capsys, ann_S, ann_T):
-    """A machine from `decide-rec` is endmarked; `verify` meets it there."""
+    """A machine from `decide` is endmarked; `verify` meets it there."""
     s_path = tmp_path / "s.json"
     t_path = tmp_path / "t.json"
     s_path.write_text(serialize.dumps(ann_S), encoding="utf-8")
     t_path.write_text(serialize.dumps(ann_T), encoding="utf-8")
     verdict_path = tmp_path / "verdict.json"
-    code = main(["decide-rec", str(s_path), str(t_path), "--out", str(verdict_path)])
+    code = main(["decide", str(s_path), str(t_path), "--out", str(verdict_path)])
     assert code == 0
     doc = json.loads(verdict_path.read_text(encoding="utf-8"))
+    assert doc["procedure"] == "decide_recognizable"
     machine_path = tmp_path / "machine.json"
     machine_path.write_text(json.dumps(doc["machine"]), encoding="utf-8")
     code = main(["verify", str(machine_path), str(s_path), str(t_path)])
@@ -420,15 +441,20 @@ REMOVED_FLAGS = (
     + [("profiles", "--bound-k"), ("profiles", "--depth"), ("profiles", "--cap")]
     + [("decide", "--cap")]
     + [("verify", "--format"), ("verify", "--cap")]
-    + [("decide-rec", "--bound-k"), ("decide-rec", "--cap")]
 )
 
 
 @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
 def test_subcommand_rejects_flags_it_does_not_read(command, flag, capsys):
     files = {"verify": ["m.json", "s.json", "t.json"], "resync": ["s.json", "t.json"],
-             "profiles": ["s.json", "t.json"], "decide": ["s.json", "t.json"],
-             "decide-rec": ["s.json", "t.json"]}.get(command, ["l.json"])
+             "profiles": ["s.json", "t.json"], "decide": ["s.json", "t.json"]}.get(command, ["l.json"])
     value = "json" if flag == "--format" else "1"
     assert main([command, *files, flag, value]) == 3
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_decide_rec_subcommand_is_gone(capsys):
+    """`decide` picks the finite-shift procedure itself; there is no
+    subcommand that asks for it."""
+    assert main(["decide-rec", "s.json", "t.json"]) == 3
+    assert "invalid choice: 'decide-rec'" in capsys.readouterr().err

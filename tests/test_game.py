@@ -236,7 +236,7 @@ def test_strategy_stays_in_region(corpus):
         for v in region:
             if v[0] != "out":
                 continue
-            move = strategy.move_for(v)
+            move = strategy.get(v)
             if move is None:
                 continue
             nxt = dict(arena.moves[v])[move]
@@ -308,7 +308,7 @@ def test_post_endmark_choices_follow_shortest_paths(corpus, intro_S, abst_S, ann
                 continue
             shortest = [m for m, nxt in moves if distance_to_done(arena, nxt) == dist - 1]
             want = ("finish",) if ("finish",) in shortest else min(shortest)
-            assert strategy.move_for(v) == want, (name, v)
+            assert strategy.get(v) == want, (name, v)
 
 
 def test_synthesized_machine_is_hash_seed_independent(tmp_path):

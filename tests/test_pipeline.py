@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import itertools
 import os
 import random
 import re
@@ -27,8 +28,8 @@ from syncsynth.pipeline import (
     decide_recognizable,
 )
 
-from .conftest import mk_nfa, tag_family
-from .oracles import recompose
+from .conftest import enumerate_accepted, mk_nfa, tag_family
+from .oracles import decode_naive, nfa_accepts_naive, recompose
 from .test_game import assert_minimal_machine
 
 
@@ -596,9 +597,10 @@ def test_decisions_leave_their_inputs_alone(request, procedure, instance, cfg, a
 
 
 @st.composite
-def finite_shift_instances(draw):
-    """A 1-3-state finite-shift source and a 1-3-state finite-shiftlag target
-    over one or two letters per tape; sometimes the target is the source."""
+def finite_shift_instances(draw, any_target=False):
+    """A 1-3-state finite-shift source and a 1-3-state target over one or two
+    letters per tape; sometimes the target is the source. The target has
+    finite shiftlag unless `any_target` is set."""
     inputs = draw(st.sampled_from(["a", "ab"]))
     outputs = draw(st.sampled_from(["d", "de"]))
     letters = [("i", x) for x in inputs] + [("o", y) for y in outputs]
@@ -618,14 +620,14 @@ def finite_shift_instances(draw):
     if draw(st.integers(min_value=0, max_value=3)) == 0:
         return s, s
     t = automaton("t")
-    assume(shiftlag_finiteness(t).finite)
+    assume(any_target or shiftlag_finiteness(t).finite)
     return s, t
 
 
 # S = T = {a·d}: the input letter runs ahead of its output partner, so
 # build_TiS must guess d when a arrives. A build_TiS that never guesses the
 # first partner letter loses the only word, and `decide` answers NO where
-# `decide-rec` answers YES; random draws rarely hit this.
+# `decide_recognizable` answers YES; random draws rarely hit this.
 A_THEN_D = (
     mk_nfa({"a"}, {"d"}, "q0", {"q2"}, [("q0", "i", "a", "q1"), ("q1", "o", "d", "q2")]),
     mk_nfa({"a"}, {"d"}, "t0", {"t2"}, [("t0", "i", "a", "t1"), ("t1", "o", "d", "t2")]),
@@ -634,7 +636,7 @@ A_THEN_D = (
 
 # S = T = {a·e} over outputs {d, e}: build_TiS must guess e, the second of
 # the output letters, when a arrives. A build_TiS that guesses only the
-# first partner letter answers NO where `decide-rec` answers YES.
+# first partner letter answers NO where `decide_recognizable` answers YES.
 A_THEN_E = (
     mk_nfa({"a"}, {"d", "e"}, "q0", {"q2"}, [("q0", "i", "a", "q1"), ("q1", "o", "e", "q2")]),
     mk_nfa({"a"}, {"d", "e"}, "t0", {"t2"}, [("t0", "i", "a", "t1"), ("t1", "o", "e", "t2")]),
@@ -658,3 +660,39 @@ def test_decide_agrees_with_decide_recognizable(instance):
     for verdict in verdicts:
         if verdict.answer == YES:
             assert_minimal_machine(verdict.machine)
+
+
+def assert_uniformizes_upto(machine, s, t, max_len):
+    """Each word of the machine up to `max_len` letters lies in T⊣, and S⊣
+    has a word of the same length with the same decoded pair."""
+    s_end, t_end = add_endmarkers(s), add_endmarkers(t)
+    for w in enumerate_accepted(machine, max_len):
+        assert nfa_accepts_naive(t_end, w), w
+        u, v = decode_naive(w)
+        assert any(
+            nfa_accepts_naive(s_end, recompose(tags, (u, v)))
+            for inputs_at in itertools.combinations(range(len(w)), len(u))
+            for tags in [tuple(1 if j in inputs_at else 2 for j in range(len(w)))]
+        ), w
+
+
+@settings(deadline=None, max_examples=150)
+@given(finite_shift_instances(any_target=True))
+@example((tag_family("1*2*"), tag_family("(1*2*)*")))
+@example((A_THEN_D[0], tag_family("(1*2*)*")))
+def test_decide_recognizable_takes_targets_of_any_shiftlag(instance):
+    """A finite-shift source is decided against any target: never REJECTED,
+    a YES of the block-cap `decide` (sound at any cap) is a YES here, and a
+    NO here leaves `decide` no YES. Every YES machine passes the bounded
+    oracle."""
+    s, t = instance
+    exact = decide_recognizable(s, t, PipelineConfig(depth=4))
+    capped = decide(s, t, PipelineConfig(k_override=2, depth=4))
+    assert exact.answer != REJECTED, exact.reason
+    if capped.answer == YES:
+        assert exact.answer == YES, exact.reason
+    if exact.answer == NO:
+        assert capped.answer != YES, capped.reason
+    for verdict in (exact, capped):
+        if verdict.answer == YES:
+            assert_uniformizes_upto(verdict.machine, s, t, 8)
