@@ -8,6 +8,7 @@ synchronizations can define.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -59,7 +60,7 @@ def measures(w: Sequence) -> SyncMeasures:
 # graph helpers
 
 
-def _scc(nodes, succ) -> tuple[list[list], dict]:
+def scc(nodes, succ) -> tuple[list[list], dict]:
     """Tarjan's algorithm, iterative. Returns components and node -> index."""
     index = {}
     low = {}
@@ -140,56 +141,23 @@ class ShiftCertificate:
 
 
 def shift_finiteness(a: Nfa) -> ShiftCertificate:
-    """Finite iff no cycle of the trimmed, last-tape-enriched graph shifts."""
+    """Infinite iff a strongly connected component of the trimmed automaton
+    has internal edges on both tapes: the cycle `_find_shift_cycle` finds
+    there pumps, and the suffix opens with one turn of it, so that already the
+    first pump adds a shift. Otherwise no cycle starts a run, and the bound is
+    the most runs of an accepted word, less one."""
     t = trim(a)
     if not t.finals:
         return ShiftCertificate(finite=True, bound=0)
-    # enriched nodes: (state, last tape or None)
-    start = (t.initial, None)
-    nodes = {start}
-    edges: dict = {}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        state, last = node
-        for letter, q in t.out_edges(state):
-            tape = int(letter.tape)
-            nxt = (q, tape)
-            is_shift = last is not None and last != tape
-            edges.setdefault(node, []).append((letter, nxt, is_shift))
-            if nxt not in nodes:
-                nodes.add(nxt)
-                queue.append(nxt)
-
-    node_key = lambda n: (n[0], -1 if n[1] is None else n[1])
-    comps, comp_of = _scc(sorted(nodes, key=node_key), lambda n: [e[1] for e in edges.get(n, [])])
-    for node in sorted(nodes, key=node_key):
-        for letter, nxt, is_shift in edges.get(node, []):
-            if is_shift and comp_of[nxt] == comp_of[node]:
-                return ShiftCertificate(finite=False, witness=_shift_witness(t, edges, node, letter, nxt))
-    # longest shift-weighted path over the condensation: no shift edge lies
-    # inside a component, and Tarjan emits a component after all it reaches
-    best = [0] * len(comps)
-    for c in reversed(range(len(comps))):
-        for node in comps[c]:
-            for letter, nxt, is_shift in edges.get(node, []):
-                d = comp_of[nxt]
-                if d != c:
-                    best[d] = max(best[d], best[c] + int(is_shift))
-    return ShiftCertificate(finite=True, bound=max(best, default=0))
-
-
-def _shift_witness(t: Nfa, edges: dict, node, letter, nxt) -> ShiftWitness:
-    """Pump the shift edge node -letter-> nxt, which lies on a cycle of the
-    enriched graph `edges`."""
-
-    def path(start, is_goal) -> SyncWord:
-        return shortest_word([start], lambda n: [e[:2] for e in edges.get(n, ())], is_goal)[1]
-
-    prefix = path((t.initial, None), node.__eq__)
-    back = path(nxt, node.__eq__)
-    suffix = path(node, lambda n: n[0] in t.finals)
-    return ShiftWitness(prefix=prefix, cycle=(letter,) + back, suffix=suffix)
+    for comp in scc(sorted(t.states), lambda p: [q for _, q in t.out_edges(p)])[0]:
+        found = _find_shift_cycle(t, comp)
+        if found is not None:
+            start, cycle = found
+            _, prefix = _bfs_word(t, [t.initial], [start])
+            _, suffix = _bfs_word(t, [start], t.finals)
+            return ShiftCertificate(finite=False, witness=ShiftWitness(prefix, cycle, cycle + suffix))
+    runs = _most_runs(t, math.inf)[t.initial, None]
+    return ShiftCertificate(finite=True, bound=max(runs - 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +266,7 @@ def shiftlag_finiteness(a: Nfa) -> ShiftlagCertificate:
 def _shiftlag_witness_search(t: Nfa) -> Optional[ShiftlagWitness]:
     if not t.finals:
         return None
-    comps, comp_of = _scc(
+    comps, comp_of = scc(
         sorted(t.states), lambda p: [q for _, q in t.out_edges(p)]
     )
     lag_comps = {}
@@ -346,6 +314,30 @@ def certificate_lag_bound(m: int, state_count: int) -> int:
     return 2 * (m * (state_count + 1) + 1)
 
 
+def _most_runs(a: Nfa, cap: float) -> dict:
+    """`best[q, tape]`: the most run starts, capped at `cap`, of an accepting
+    continuation from q after a letter of `tape` (None: no letter yet); -1
+    when no final state is reachable. A backward fixpoint over the edges,
+    whose values only grow; uncapped, it ends only when no cycle visits both
+    tapes."""
+    tapes = (None, Tape.INPUT, Tape.OUTPUT)
+    pred: dict = {}
+    for p, letter, q in a.transitions:
+        pred.setdefault((q, letter.tape), set()).add(p)
+    best = {(q, t): 0 if q in a.finals else -1 for q in a.states for t in tapes}
+    stack = [(q, t) for q in a.finals for t in Tape]
+    while stack:
+        q, tape = stack.pop()
+        for p in pred.get((q, tape), ()):
+            for t in tapes:
+                runs = min(cap, best[q, tape] + (t is not tape))
+                if runs > best[p, t]:
+                    best[p, t] = runs
+                    if t is not None:
+                        stack.append((p, t))
+    return best
+
+
 def least_lag_bound(a: Nfa, m: int, hi: int) -> Optional[int]:
     """Least nu in [0, hi] such that every word of `a` is a ≤nu-lagged prefix
     followed by at most m pure blocks, or None; builds no automaton.
@@ -353,35 +345,19 @@ def least_lag_bound(a: Nfa, m: int, hi: int) -> Optional[int]:
     A suffix is at most m blocks exactly when it has at most m runs (maximal
     one-tape segments), so a word's earliest split is the start of its m-th
     last run, and the word needs the largest |imbalance| of a prefix with at
-    least m run starts after it. `best[q, tape]` is the most run starts,
-    capped at m, of an accepting continuation from q after a letter of `tape`
-    (None: no letter yet). A search over (state, imbalance) that enters a
-    state by a letter of `tape` only when best >= m reaches exactly the
-    prefixes that bound the lag: that condition is prefix-closed along every
-    path.
+    least m run starts after it. A search over (state, imbalance) that enters
+    a state by a letter of `tape` only when `_most_runs`'s best[q, tape],
+    capped at m, reaches m finds exactly the prefixes that bound the lag:
+    that condition is prefix-closed along every path.
     """
     if m < 0:
         raise ValueError("block count must be >= 0")
     if hi < 0:
         return None
-    tapes = (None, Tape.INPUT, Tape.OUTPUT)
     succ: dict = {}
-    pred: dict = {}
     for p, letter, q in a.transitions:
         succ.setdefault(p, set()).add((letter.tape, q))
-        pred.setdefault((q, letter.tape), set()).add(p)
-    # backward pass: a fixpoint over the edges, values only grow
-    best = {(q, t): 0 if q in a.finals else -1 for q in a.states for t in tapes}
-    stack = [(q, t) for q in a.finals for t in Tape]
-    while stack:
-        q, tape = stack.pop()
-        for p in pred.get((q, tape), ()):
-            for t in tapes:
-                runs = min(m, best[q, tape] + (t is not tape))
-                if runs > best[p, t]:
-                    best[p, t] = runs
-                    if t is not None:
-                        stack.append((p, t))
+    best = _most_runs(a, m)
     # forward search; when the start does not qualify, nothing past it does,
     # and every word fits at lag 0
     if best[a.initial, None] < m:

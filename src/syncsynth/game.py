@@ -128,20 +128,24 @@ def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
 
 
 def solve(arena: GameArena) -> tuple[frozenset, dict]:
-    """Winning region of the output player and a positional strategy on it:
-    the move of each Out vertex in the region.
+    """Winning region of the output player and a positional strategy for the
+    winner of each vertex: the move of each Out vertex in the region, and of
+    each In vertex outside it.
 
     One backward pass over the predecessor index, linear in vertices plus
     moves (Grädel, Thomas & Wilke, LNCS 2500, ch. 2). After the endmark the
     output player must complete the word: a post-endmark Out vertex's rank is
     its BFS distance to ("done",), and an unranked one is lost. Before the
     endmark the game is safety: an In vertex is lost once one successor is,
-    an Out vertex once every move's successor is.
+    and its move is the one to that successor, and an Out vertex once every
+    move's successor is. A play that follows the input player's moves thus
+    reaches ever earlier losses, or grows its burst after the endmark, and
+    never returns to a vertex.
     """
     preds: dict = {}
     for v, vmoves in arena.moves.items():
-        for _, nxt in vmoves:
-            preds.setdefault(nxt, []).append(v)
+        for move, nxt in vmoves:
+            preds.setdefault(nxt, []).append((v, move))
 
     def post_out(v) -> bool:
         return v[0] == "out" and v[3] == "post"
@@ -150,29 +154,32 @@ def solve(arena: GameArena) -> tuple[frozenset, dict]:
     queue = deque(rank)
     while queue:
         v = queue.popleft()
-        for u in preds.get(v, ()):
+        for u, _ in preds.get(v, ()):
             if post_out(u) and u not in rank:
                 rank[u] = rank[v] + 1
                 queue.append(u)
 
-    lost = {("lose",)} | {v for v in arena.moves if post_out(v) and v not in rank}
+    # a dict keeps the loss order, and so the input player's moves, free of the hash seed
+    lost = dict.fromkeys([("lose",), *(v for v in arena.moves if post_out(v) and v not in rank)])
     remaining = {
         v: len(vmoves) for v, vmoves in arena.moves.items() if v[0] == "out" and v[3] == "pre"
     }
+    choices = {}
     queue = deque(lost)
     while queue:
         v = queue.popleft()
-        for u in preds.get(v, ()):
+        for u, move in preds.get(v, ()):
             if u in lost or post_out(u):
                 continue
             if u[0] == "out":
                 remaining[u] -= 1
                 if remaining[u]:
                     continue
-            lost.add(u)
+            else:
+                choices[u] = move
+            lost[u] = None
             queue.append(u)
 
-    choices = {}
     for v, vmoves in arena.moves.items():
         if v[0] != "out" or v in lost:
             continue
@@ -181,7 +188,7 @@ def solve(arena: GameArena) -> tuple[frozenset, dict]:
         else:
             candidates = [m for m, nxt in vmoves if nxt not in lost]
         choices[v] = min(candidates, key=_move_key)
-    return arena.vertices - lost, choices
+    return arena.vertices.difference(lost), choices
 
 
 def _move_key(move):
@@ -190,48 +197,43 @@ def _move_key(move):
     return (order.get(move[0], 3), move[1:])
 
 
-def in_spoiling_strategy(arena: GameArena, region: frozenset) -> dict:
-    """For In vertices outside the winning region, one move keeping Out outside."""
-    spoiler = {}
-    for v in arena.vertices:
-        if v[0] != "in" or v in region:
-            continue
-        for move, nxt in arena.moves.get(v, ()):
-            if nxt not in region:
-                spoiler[v] = move
-                break
-    return spoiler
+def in_spoiling_strategy(strategy: dict) -> dict:
+    """The input player's part of a strategy from `solve`: one move for each
+    In vertex outside the winning region."""
+    return {v: move for v, move in strategy.items() if v[0] == "in"}
 
 
 def replay_spoiler(arena: GameArena, region: frozenset, spoiler: dict) -> bool:
-    """Check the spoiling certificate: following it from the initial vertex,
-    every Out choice eventually hits a loss."""
-    if arena.initial in region:
-        return False
-    seen = set()
-    stack = [arena.initial]
+    """Check the spoiling certificate: every play from the initial vertex that
+    follows it ends in a loss for the output player, at ("lose",) or at an Out
+    vertex with no move. A play that returns to a vertex never ends, and an
+    endless play is a win for the output player."""
+    ended = set()  # vertices from which every play ends in a loss
+    play = set()  # the vertices of the play being followed
+    stack = [(arena.initial, None)]
     while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        if v == ("win",) or v == ("done",):
-            return False  # Out escaped
-        if v == ("lose",):
-            continue
-        if v in region:
-            return False
-        if v[0] == "out":
-            succs = [nxt for _, nxt in arena.moves.get(v, ())]
-            if not succs:
-                continue  # stuck Out vertex: a loss
-            stack.extend(succs)
-        else:
-            move = spoiler.get(v)
-            if move is None:
+        v, succs = stack[-1]
+        if succs is None:
+            if v in region:
                 return False
-            nxt = dict(arena.moves[v])[move]
-            stack.append(nxt)
+            if v[0] == "in":
+                move = spoiler.get(v)
+                if move is None:
+                    return False
+                succs = iter((dict(arena.moves[v])[move],))
+            else:
+                succs = iter([nxt for _, nxt in arena.moves.get(v, ())])
+            stack[-1] = (v, succs)
+            play.add(v)
+        nxt = next(succs, None)
+        if nxt is None:
+            stack.pop()
+            play.discard(v)
+            ended.add(v)
+        elif nxt in play:
+            return False
+        elif nxt not in ended:
+            stack.append((nxt, None))
     return True
 
 

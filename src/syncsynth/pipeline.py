@@ -219,7 +219,7 @@ def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, caveat: str) -> 
             stats=stats,
             verification=report,
         )
-    spoiler = in_spoiling_strategy(arena, region)
+    spoiler = in_spoiling_strategy(strategy)
     if not replay_spoiler(arena, region, spoiler):
         return Verdict(
             answer=INCONCLUSIVE,

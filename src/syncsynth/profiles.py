@@ -9,12 +9,13 @@ state pair with the plain transformation functions, and output profiles also
 carry annotated trees. Profiles of one tape form a finite monoid under
 concatenation.
 
-Tree nodes internally carry bookkeeping: each leaf records how it consumed
-the segment (exactly, or with a trailing one-tape run). `Profile` equality
-compares these enriched trees, so words whose public trees agree but whose
-bookkeeping differs keep distinct profiles; the closure counts, r1 and the
-computed block cap are all read off this finer equivalence. Public trees
-expose only state-pair labels.
+Tree nodes internally carry a kind tag: root, leaf (the segment consumed,
+with a one-tape tail in the source), split (a partial block, whose children
+are its intermediate blocks) or block. Public trees expose only state-pair
+labels, so a split with no block to continue it reads there as a leaf.
+`Profile` equality compares the enriched trees, so words whose public trees
+agree but whose kinds differ keep distinct profiles; the closure counts, r1
+and the computed block cap are all read off this finer equivalence.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Sequence
 from .automata import AutomatonError, CapExceeded, Dfa, strict_tape_closure
 from .canonical import CanonicalDfa
 from .letters import PARTNER, Letter, Tape, inp, out
-from .trees import Tree, map_labels, tree
+from .trees import Tree, tree
 
 
 class MixedTapes(AutomatonError):
@@ -98,19 +99,14 @@ class _Ctx:
 
     def stt_enriched(self, x: tuple, p: str, q: str, i: int, tape: Tape) -> Tree:
         frontiers = self.pair_frontiers(x, p, q, tape)
-        leaves: dict = {}
+        leaves = set()
         for t in range(1, len(x) + 1):
             for (pb, qa) in frontiers[t]:
-                if t == len(x):
-                    leaves.setdefault((pb, qa), [False, False])[0] = True
-                else:
-                    q_tail = self.a.run(_letters(x[t:], tape), start=qa)
-                    if q_tail is not None:
-                        leaves.setdefault((pb, q_tail), [False, False])[1] = True
-        children = [
-            tree((LEAF, pb, qa, full, tail))
-            for (pb, qa), (full, tail) in leaves.items()
-        ]
+                # the source reads the rest of the segment as a one-tape tail
+                q_tail = self.a.run(_letters(x[t:], tape), start=qa)
+                if q_tail is not None:
+                    leaves.add((pb, q_tail))
+        children = [tree((LEAF, pb, qa)) for pb, qa in leaves]
         if i > 0:
             for t in range(1, len(x)):
                 for (pb, qa) in frontiers[t]:
@@ -194,7 +190,7 @@ class _AnnBuilder:
                         mid_entries.add((y[t:], pb2, qa2, mid_path, fro))
                     nxt.add((pb2, qa2, fro))
             frontier = nxt
-        children = [tree((LEAF, *entry)) for entry in leaf_entries]
+        children = [tree(entry) for entry in leaf_entries]
         for (rest, pb, qa, mid_path, targets) in mid_entries:
             # a block child is the one child of its MID node with its label
             blocks = {c.label: c for c in mid_path[-1].children}
@@ -203,15 +199,8 @@ class _AnnBuilder:
                 for p2 in ctx.closure[Tape.OUTPUT][pb]
                 if (p2, qa) in blocks
             ]
-            children.append(tree((MID, pb, qa, mid_path, targets), block_kids))
-        return tree((ROOT, p, q, ref_path), children)
-
-
-def _annotated(ctx: _Ctx, enriched: Tree, y: tuple, p: str, q: str, i: int) -> Tree:
-    """The public annotated tree of y at (p, q), over the public form of its
-    enriched tree; the kind tag leaves every label."""
-    builder = _AnnBuilder(ctx, ctx.public(enriched))
-    return map_labels(builder.build(y, p, q, i, ()), lambda lab: lab[1:])
+            children.append(tree((pb, qa, mid_path, targets), block_kids))
+        return tree((p, q, ref_path), children)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +213,7 @@ class Profile:
     depth: int
     tf: tuple  # the target automaton's transform, by `tau`
     pure: tuple  # the source automaton's pure one-tape transform, by `tau`
-    trees: tuple  # sorted ((p, q), enriched tree)
+    trees: tuple  # sorted ((p, q), enriched tree); its kind tags tell a childless split from a leaf
     ann_trees: tuple  # sorted ((p, q), public annotated tree); () for input words
 
 
@@ -238,7 +227,8 @@ def _profile(word, n: int, ctx: _Ctx, tape: Tape) -> Profile:
             enr = ctx.stt_enriched(word, p, q, m, tape)
             trees.append(((p, q), enr))
             if tape is Tape.OUTPUT:
-                ann_trees.append(((p, q), _annotated(ctx, enr, word, p, q, m)))
+                builder = _AnnBuilder(ctx, ctx.public(enr))
+                ann_trees.append(((p, q), builder.build(word, p, q, m, ())))
     letters = _letters(word, tape)
     return Profile(
         tape=tape,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import _scc, build_blocks, build_lag_bounded
+from .analysis import build_blocks, build_lag_bounded, scc
 from .automata import (
     AutomatonError,
     Dfa,
@@ -67,7 +67,7 @@ def tape_capacity(a: Nfa, tape: Tape) -> dict:
     for p, letter, q in a.transitions:
         if p in alive and q in alive:
             succ[p].append((int(letter.tape is tape), q))
-    comps, comp_of = _scc(sorted(alive), lambda p: [q for _, q in succ[p]])
+    comps, comp_of = scc(sorted(alive), lambda p: [q for _, q in succ[p]])
     capacity = dict.fromkeys(a.states, 0)
     # Tarjan emits a component after every component it reaches, so one pass
     # sees final successor values; a tape edge inside a component is unbounded

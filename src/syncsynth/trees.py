@@ -5,7 +5,7 @@ bottom-up, and two trees are equal exactly when they are isomorphic.
 """
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 
 class Tree(NamedTuple):
@@ -15,10 +15,6 @@ class Tree(NamedTuple):
 
 def tree(label: Any, children=()) -> Tree:
     return Tree(label, frozenset(children))
-
-
-def map_labels(t: Tree, fn: Callable[[Any], Any]) -> Tree:
-    return tree(fn(t.label), (map_labels(c, fn) for c in t.children))
 
 
 def canonical(t: Tree) -> str:

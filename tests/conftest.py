@@ -9,7 +9,7 @@ from syncsynth.analysis import ShiftWitness
 from syncsynth.automata import AutomatonError, Dfa, Nfa, SequentialDfa, inclusion, tape_table_dfa
 from syncsynth.canonical import SHAPE, CanonicalDfa
 from syncsynth.letters import Tape, inp, out
-from syncsynth.profiles import _annotated, _Ctx, _profile
+from syncsynth.profiles import _AnnBuilder, _Ctx, _profile
 
 
 def mk_nfa(input_alphabet, output_alphabet, initial, finals, edges, cls=Nfa, **extra):
@@ -349,7 +349,8 @@ def annotated_output_stt(y, p, q, i, a, b):
     the set of reference nodes reached by prefixes of the witness input."""
     ctx = _Ctx(a, b)
     y = tuple(y)
-    return _annotated(ctx, ctx.stt_enriched(y, p, q, i, Tape.OUTPUT), y, p, q, i)
+    builder = _AnnBuilder(ctx, ctx.public(ctx.stt_enriched(y, p, q, i, Tape.OUTPUT)))
+    return builder.build(y, p, q, i, ())
 
 
 def find_idempotent_factor(x, n, a, b):

@@ -255,7 +255,7 @@ def test_criterion_7_game_determinacy():
         else:
             from syncsynth.game import in_spoiling_strategy, replay_spoiler
 
-            spoiler = in_spoiling_strategy(arena, region)
+            spoiler = in_spoiling_strategy(strategy)
             if not replay_spoiler(arena, region, spoiler):
                 problems.append((name, "spoiler replay"))
     elapsed = time.monotonic() - start

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from syncsynth.analysis import (
     _find_lag_cycle,
@@ -94,6 +95,67 @@ def test_shift_witness_pumps(families):
         assert accepts(families["(12)*"], w)
         vals.append(measures(w).shift)
     assert vals[0] < vals[1] < vals[2]
+
+
+LETTERS = (inp("a"), inp("b"), out("c"), out("d"))
+
+
+@st.composite
+def small_nfas(draw):
+    """NFAs of 1-5 states and up to 10 edges over inputs a, b and outputs
+    c, d, untrimmed, with any set of final states."""
+    states = [f"s{j}" for j in range(draw(st.integers(min_value=1, max_value=5)))]
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(states), st.sampled_from(LETTERS), st.sampled_from(states)),
+        max_size=10,
+    ))
+    finals = draw(st.sets(st.sampled_from(states)))
+    return Nfa({"a", "b"}, {"c", "d"}, states, states[0], edges, finals)
+
+
+def most_shifts(a, cap):
+    """The most shifts of an accepted word, capped at `cap`, or -1 for the
+    empty language: a search over (states reached, tape of the last letter,
+    shifts so far, capped), where words that agree on all three have the same
+    futures."""
+    start = (frozenset({a.initial}), None, 0)
+    seen = {start}
+    stack = [start]
+    most = -1
+    while stack:
+        subset, last, shifts = stack.pop()
+        if subset & a.finals:
+            most = max(most, shifts)
+        for letter in LETTERS:
+            reached = a.step_set(subset, letter)
+            node = (reached, letter.tape, min(cap, shifts + (last not in (None, letter.tape))))
+            if reached and node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return most
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_nfas())
+@example(mk_nfa({"a", "b"}, {"d"}, "i", {"f"},
+                [("i", "i", "b", "s"), ("s", "i", "a", "t"), ("t", "o", "d", "s"), ("s", "o", "d", "f")]))
+def test_shift_certificate_is_exact_on_random_nfas(a):
+    """A finite bound is the most shifts of an accepted word: some word has
+    that many and none has one more. An infinite witness pumps: every
+    pumped word is accepted, and each pump adds a shift. In the example,
+    b·d and b·(a·d)·d both shift once, so a witness whose suffix went
+    straight from the cycle to the final state would not grow at its first
+    pump."""
+    cert = shift_finiteness(a)
+    if cert.finite:
+        assert max(most_shifts(a, cert.bound + 1), 0) == cert.bound
+        return
+    shifts = []
+    for j in range(4):
+        w = pumped(cert.witness, j)
+        assert accepts(a, w), j
+        shifts.append(measures(w).shift)
+    assert all(x < y for x, y in zip(shifts, shifts[1:])), shifts
 
 
 def test_shiftlag_families_table(families):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -222,9 +223,84 @@ def test_no_instances_have_replayable_spoilers(corpus):
         if want_win:
             continue
         arena = build_arena(lang)
-        region, _ = solve(arena)
-        spoiler = in_spoiling_strategy(arena, region)
+        region, strategy = solve(arena)
+        spoiler = in_spoiling_strategy(strategy)
         assert replay_spoiler(arena, region, spoiler), name
+
+
+def spoiler_successors(arena, spoiler, v):
+    """Where a play can go from v when the input player follows `spoiler`."""
+    if v[0] == "in":
+        return [dict(arena.moves[v])[spoiler[v]]]
+    return [nxt for _, nxt in arena.moves.get(v, ())]
+
+
+def test_replay_refuses_a_spoiler_that_lets_the_play_run_forever():
+    """a(da)*: the input player wins by ending the stream after a·d, which
+    has no accepted completion. A spoiler that takes each In vertex's first
+    move out of the winning region plays a forever instead; the output player
+    answers d each time, and the play never ends, which the output player
+    wins."""
+    lang = add_endmarkers(mk_nfa({"a"}, {"d"}, "q0", {"q1"}, [("q0", "i", "a", "q1"), ("q1", "o", "d", "q0")]))
+    arena = build_arena(lang)
+    region, strategy = solve(arena)
+    assert arena.initial not in region
+    first_move = {
+        v: next(move for move, nxt in arena.moves[v] if nxt not in region)
+        for v in arena.moves
+        if v[0] == "in" and v not in region
+    }
+    assert set(first_move.values()) == {("play", "a")}
+    assert not replay_spoiler(arena, region, first_move)
+    spoiler = in_spoiling_strategy(strategy)
+    assert ("end",) in spoiler.values()
+    assert replay_spoiler(arena, region, spoiler)
+
+
+def test_spoiler_plays_end_in_a_loss_on_random_languages():
+    """Random 1-4-state languages with 1-9 edges, endmarked: on each lost
+    game the plays that follow the spoiler form an acyclic graph, and each
+    maximal one ends at ("lose",) or at an Out vertex with no move."""
+    rng = random.Random(1)
+    letters = [inp("a"), inp("b"), out("c"), out("d")]
+    lost = 0
+    for _ in range(600):
+        states = [f"q{j}" for j in range(rng.randint(1, 4))]
+        edges = {(rng.choice(states), rng.choice(letters), rng.choice(states)) for _ in range(rng.randint(1, 9))}
+        finals = {q for q in states if rng.random() < 0.5} or {states[-1]}
+        arena = build_arena(add_endmarkers(Nfa({"a", "b"}, {"c", "d"}, states, states[0], edges, finals)))
+        region, strategy = solve(arena)
+        if arena.initial in region:
+            continue
+        lost += 1
+        spoiler = in_spoiling_strategy(strategy)
+        # Kahn's algorithm over the vertices the spoiler's plays reach
+        reached = {arena.initial}
+        stack = [arena.initial]
+        while stack:
+            for nxt in spoiler_successors(arena, spoiler, stack.pop()):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+        indegree = dict.fromkeys(reached, 0)
+        for v in reached:
+            for nxt in spoiler_successors(arena, spoiler, v):
+                indegree[nxt] += 1
+        ready = [v for v in reached if not indegree[v]]
+        removed = 0
+        while ready:
+            v = ready.pop()
+            removed += 1
+            succs = spoiler_successors(arena, spoiler, v)
+            if not succs:
+                assert v == ("lose",) or v[0] == "out", v
+            for nxt in succs:
+                indegree[nxt] -= 1
+                if not indegree[nxt]:
+                    ready.append(nxt)
+        assert removed == len(reached), "a play under the spoiler returns to a vertex"
+        assert replay_spoiler(arena, region, spoiler)
+    assert lost >= 20, lost
 
 
 def test_strategy_stays_in_region(corpus):

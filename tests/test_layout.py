@@ -182,6 +182,27 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def test_no_module_imports_a_private_name():
+    """A module of the package reads only the public names of the others,
+    whether it imports the name or reads it off an imported module; the
+    tests may import private names."""
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # package modules bound by `from . import m`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("syncsynth")):
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if private(a.name)]
+                if node.module in (None, "syncsynth"):
+                    modules |= {a.asname or a.name for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules and private(node.attr):
+                    found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert not found, found
+
+
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 
 

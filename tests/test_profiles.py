@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from syncsynth import profiles
-from syncsynth.automata import CapExceeded
+from syncsynth.automata import CapExceeded, Dfa
 from syncsynth.letters import Tape, inp, out
 from syncsynth.profiles import (
     _AnnBuilder,
@@ -16,7 +16,7 @@ from syncsynth.profiles import (
     ramsey_bound,
     tau,
 )
-from syncsynth.trees import map_labels, tree
+from syncsynth.trees import tree
 
 from .conftest import (
     annotated_output_stt,
@@ -24,6 +24,7 @@ from .conftest import (
     find_idempotent_factor,
     identity_fn,
     input_profile,
+    mk_nfa,
     output_profile,
     output_stt,
     tree_size,
@@ -152,6 +153,11 @@ def test_annotated_builder_rejects_a_foreign_reference(ann):
         builder.build(("c", "c"), "p1", "q6", 0, ())
 
 
+def map_labels(t, fn):
+    """The tree with `fn` applied to every label."""
+    return tree(fn(t.label), (map_labels(c, fn) for c in t.children))
+
+
 def test_annotated_projection_matches_reference(ann):
     a, b = ann
     got = annotated_output_stt(("c", "c"), "p0", "q0", 0, a, b)
@@ -275,6 +281,28 @@ def test_empty_profile_is_identity(abst):
     assert isinstance(p, Profile) and isinstance(q, Profile)
     assert (p.tape, q.tape) == (Tape.INPUT, Tape.OUTPUT)
     assert p.ann_trees == () and len(q.ann_trees) == len(q.trees)
+
+
+def test_kind_tags_separate_output_profiles():
+    """S: q0 -a-> q1 -d-> q2 -a-> q1 with q0 and q1 final; T: one final
+    state with input loops a and b; n = 2. The output words dc and dd agree
+    on both transforms, the public trees and the annotated trees. From
+    (t0, q0), dd has a leaf (t0, q2) and a split (t0, q2) that no block
+    continues, while dc has the split only; the public form shows both as
+    the leaf (t0, q2), so only the kind tags keep the profiles apart."""
+    s = mk_nfa({"a", "b"}, {"c", "d"}, "q0", {"q0", "q1"},
+               [("q0", "i", "a", "q1"), ("q1", "o", "d", "q2"), ("q2", "i", "a", "q1")], cls=Dfa)
+    t = mk_nfa({"a", "b"}, {"c", "d"}, "t0", {"t0"}, [("t0", "i", "a", "t0"), ("t0", "i", "b", "t0")], cls=Dfa)
+    a = canonical_dfa(s)
+    ctx = _Ctx(a, t)
+    dc, dd = (output_profile(y, 2, a, t, ctx=ctx) for y in (("d", "c"), ("d", "d")))
+    assert (dc.tf, dc.pure, dc.ann_trees) == (dd.tf, dd.pure, dd.ann_trees)
+    public = lambda p: [(pair, ctx.public(enriched)) for pair, enriched in p.trees]
+    assert public(dc) == public(dd)
+    assert dc.trees != dd.trees and dc != dd
+    enriched = dict(dd.trees)[("t0", "q0")]
+    assert {c.label[1:] for c in enriched.children} == {("t0", "q2")}
+    assert len(enriched.children) == 2 and not any(c.children for c in enriched.children)
 
 
 def congruence_check(a, b, tape: Tape, n: int = 2):
