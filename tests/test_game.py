@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -274,31 +275,16 @@ def test_spoiler_plays_end_in_a_loss_on_random_languages():
             continue
         lost += 1
         spoiler = in_spoiling_strategy(strategy)
-        # Kahn's algorithm over the vertices the spoiler's plays reach
-        reached = {arena.initial}
+        graph = {}  # the moves that plays following the spoiler can take
         stack = [arena.initial]
         while stack:
-            for nxt in spoiler_successors(arena, spoiler, stack.pop()):
-                if nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
-        indegree = dict.fromkeys(reached, 0)
-        for v in reached:
-            for nxt in spoiler_successors(arena, spoiler, v):
-                indegree[nxt] += 1
-        ready = [v for v in reached if not indegree[v]]
-        removed = 0
-        while ready:
-            v = ready.pop()
-            removed += 1
-            succs = spoiler_successors(arena, spoiler, v)
-            if not succs:
-                assert v == ("lose",) or v[0] == "out", v
-            for nxt in succs:
-                indegree[nxt] -= 1
-                if not indegree[nxt]:
-                    ready.append(nxt)
-        assert removed == len(reached), "a play under the spoiler returns to a vertex"
+            v = stack.pop()
+            if v not in graph:
+                graph[v] = spoiler_successors(arena, spoiler, v)
+                stack.extend(graph[v])
+        tuple(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+        ends = [v for v, succs in graph.items() if not succs]
+        assert all(v == ("lose",) or v[0] == "out" for v in ends), ends
         assert replay_spoiler(arena, region, spoiler)
     assert lost >= 20, lost
 
