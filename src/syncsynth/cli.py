@@ -201,7 +201,7 @@ def cmd_synthesize(args) -> int:
     if END_IN not in lang.input_alphabet:
         lang = add_endmarkers(lang)
     arena = build_arena(lang)
-    region, strategy = solve(arena)
+    region, _ = solve(arena)
     report = {
         "arena_vertices": len(arena.vertices),
         "winning_region": len(region),
@@ -210,7 +210,7 @@ def cmd_synthesize(args) -> int:
     if arena.initial not in region:
         _print_json(report, args.out)
         return 1
-    machine = extract_sdfa(arena, strategy)
+    machine = extract_sdfa(arena, region)
     if args.format == "dot":
         _emit(to_dot(machine, "uniformizer"), args.out)
     else:

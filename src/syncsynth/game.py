@@ -1,9 +1,10 @@
 """Safety game between the input player and the output player, deciding
 whether an endmarked language has a uniformization from inside itself.
 
-The output player wins if it can always complete the word being built to an
-accepted one once the input player ends the stream; emission bursts are
-capped so stalling is never a winning option.
+The input player reads one letter at a time; the output player answers each
+with one move, the output word it emits next. It wins if it can always
+complete the word being built to an accepted one once the input player ends
+the stream.
 """
 from __future__ import annotations
 
@@ -26,8 +27,10 @@ from .automata import (
     minimize,
     pair_in_relation,
     project_input,
+    shortest_word,
+    tape_closure,
 )
-from .letters import SyncWord, Tape, decode, inp, out
+from .letters import SyncWord, Tape, decode, inp
 
 
 class MissingEndmarkers(AutomatonError):
@@ -39,13 +42,12 @@ class NotWinning(AutomatonError):
 
 
 # vertices -------------------------------------------------------------------
-#   ("out", p, d, phase, burst)   output player to move
-#   ("in", p, d, phase)           input player to move (burst resets on yield)
-#   ("win",)                      vacuous win for the output player
-#   ("lose",)                     loss for the output player
-#   ("done",)                     word completed at an accepting state
-# moves: ("emit", o) | ("yield",) | ("finish",) for Out;
-#        ("play", a) | ("end",) for In.
+#   ("out", p, d)   output player to move
+#   ("in", p, d)    input player to move
+#   ("win",)        vacuous win for the output player
+#   ("lose",)       loss for the output player
+#   ("done",)       word completed at an accepting state
+# moves: ("emit", q) for Out; ("play", a) | ("end",) for In.
 
 
 @dataclass(frozen=True)
@@ -53,66 +55,60 @@ class GameArena:
     s_prime: Nfa
     p_dfa: Dfa
     d_dfa: Dfa
-    cap: int
     vertices: frozenset
     moves: dict  # vertex -> sorted tuple of (move, successor)
     initial: tuple
 
 
-def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
+def build_arena(s_prime: Nfa) -> GameArena:
     """Arena over the minimal DFAs of the endmarked language and of its input
     projection, which is read off the first; the input player advances both,
     emissions advance the word automaton only. Both DFAs are trim, so a
-    missing edge is the only way out of either language."""
+    missing edge is the only way out of either language.
+
+    The output player's turn is one move: Out(p, d) moves to In(q, d) for each
+    q that an output word leads p to, in sorted order. Playing that word one
+    letter at a time, under any bound on its length of at least |p_dfa|,
+    would give the same winner: d does not move while the output player
+    emits, the rest of the play depends only on (q, d), and a simple path of
+    fewer than |p_dfa| letters reaches every such q. After the endmark the
+    word must be completed, so ("end",) leads to ("done",) when an output word
+    leads δ(p, ⊣i) to a final state (`⊣o` is an output letter, so that word
+    ends in it), and to ("lose",) otherwise.
+    """
     if END_IN not in s_prime.input_alphabet or END_OUT not in s_prime.output_alphabet:
         raise MissingEndmarkers("build_arena expects an endmarked language")
     p_dfa = minimize(determinize(s_prime))
     d_dfa = minimize(determinize(project_input(p_dfa)))
-    if cap is None:
-        cap = len(p_dfa.states) * len(d_dfa.states) + 1
-
+    emits = tape_closure(p_dfa, Tape.OUTPUT)
     base_inputs = sorted(s_prime.input_alphabet - {END_IN})
-    base_outputs = sorted(s_prime.output_alphabet - {END_OUT})
 
     moves: dict = {}
-    initial = ("out", p_dfa.initial, d_dfa.initial, "pre", 0)
+    initial = ("out", p_dfa.initial, d_dfa.initial)
     queue = deque([initial])
     seen = {initial, ("win",), ("lose",), ("done",)}
     while queue:
         v = queue.popleft()
-        kind = v[0]
-        out_moves = []
+        kind, p, d = v
         if kind == "out":
-            _, p, d, phase, burst = v
-            for o in base_outputs:
-                p2 = p_dfa.delta(p, out(o))
-                if p2 is None:
-                    continue
-                nxt = ("out", p2, d, phase, burst + 1) if burst < cap else ("lose",)
-                out_moves.append((("emit", o), nxt))
-            if phase == "pre":
-                out_moves.append((("yield",), ("in", p, d, phase)))
-            elif p_dfa.delta(p, out(END_OUT)) in p_dfa.finals:
-                out_moves.append((("finish",), ("done",)))
-        elif kind == "in":
-            _, p, d, phase = v
+            vmoves = [(("emit", q), ("in", q, d)) for q in sorted(emits[p])]
+        else:
+            vmoves = []
             for a in base_inputs:
-                d2 = d_dfa.delta(d, inp(a))
+                d2, p2 = d_dfa.delta(d, inp(a)), p_dfa.delta(p, inp(a))
                 if d2 is None:
-                    out_moves.append((("play", a), ("win",)))
-                    continue
-                p2 = p_dfa.delta(p, inp(a))
-                nxt = ("out", p2, d2, "pre", 0) if p2 is not None else ("lose",)
-                out_moves.append((("play", a), nxt))
-            d2 = d_dfa.delta(d, inp(END_IN))
+                    nxt = ("win",)
+                else:
+                    nxt = ("out", p2, d2) if p2 is not None else ("lose",)
+                vmoves.append((("play", a), nxt))
+            d2, p2 = d_dfa.delta(d, inp(END_IN)), p_dfa.delta(p, inp(END_IN))
             if d2 is None or d2 not in d_dfa.finals:
-                out_moves.append((("end",), ("win",)))
+                nxt = ("win",)
             else:
-                p2 = p_dfa.delta(p, inp(END_IN))
-                nxt = ("out", p2, d, "post", 0) if p2 is not None else ("lose",)
-                out_moves.append((("end",), nxt))
-        moves[v] = tuple(out_moves)
-        for _, nxt in out_moves:
+                nxt = ("done",) if p2 is not None and emits[p2] & p_dfa.finals else ("lose",)
+            vmoves.append((("end",), nxt))
+        moves[v] = tuple(vmoves)
+        for _, nxt in vmoves:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -120,7 +116,6 @@ def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
         s_prime=s_prime,
         p_dfa=p_dfa,
         d_dfa=d_dfa,
-        cap=cap,
         vertices=frozenset(seen),
         moves=moves,
         initial=initial,
@@ -128,86 +123,54 @@ def build_arena(s_prime: Nfa, cap: Optional[int] = None) -> GameArena:
 
 
 def solve(arena: GameArena) -> tuple[frozenset, dict]:
-    """Winning region of the output player and a positional strategy for the
-    winner of each vertex: the move of each Out vertex in the region, and of
+    """Winning region of the output player, and the input player's move at
     each In vertex outside it.
 
-    One backward pass over the predecessor index, linear in vertices plus
-    moves (Grädel, Thomas & Wilke, LNCS 2500, ch. 2). After the endmark the
-    output player must complete the word: a post-endmark Out vertex's rank is
-    its BFS distance to ("done",), and an unranked one is lost. Before the
-    endmark the game is safety: an In vertex is lost once one successor is,
-    and its move is the one to that successor, and an Out vertex once every
-    move's successor is. A play that follows the input player's moves thus
-    reaches ever earlier losses, or grows its burst after the endmark, and
-    never returns to a vertex.
+    One backward pass over the predecessor index from ("lose",), linear in
+    vertices plus moves (Grädel, Thomas & Wilke, LNCS 2500, ch. 2): an In
+    vertex is lost once one successor is, and its move is the one to that
+    successor, and an Out vertex once every successor is. A play that follows
+    the input player's moves thus reaches ever earlier losses and never
+    returns to a vertex.
     """
     preds: dict = {}
     for v, vmoves in arena.moves.items():
         for move, nxt in vmoves:
             preds.setdefault(nxt, []).append((v, move))
 
-    def post_out(v) -> bool:
-        return v[0] == "out" and v[3] == "post"
-
-    rank = {("done",): 0, ("win",): 0}
-    queue = deque(rank)
-    while queue:
-        v = queue.popleft()
-        for u, _ in preds.get(v, ()):
-            if post_out(u) and u not in rank:
-                rank[u] = rank[v] + 1
-                queue.append(u)
-
     # a dict keeps the loss order, and so the input player's moves, free of the hash seed
-    lost = dict.fromkeys([("lose",), *(v for v in arena.moves if post_out(v) and v not in rank)])
-    remaining = {
-        v: len(vmoves) for v, vmoves in arena.moves.items() if v[0] == "out" and v[3] == "pre"
-    }
-    choices = {}
+    lost = {("lose",): None}
+    remaining = {v: len(vmoves) for v, vmoves in arena.moves.items() if v[0] == "out"}
+    spoiler = {}
     queue = deque(lost)
     while queue:
         v = queue.popleft()
         for u, move in preds.get(v, ()):
-            if u in lost or post_out(u):
+            if u in lost:
                 continue
             if u[0] == "out":
                 remaining[u] -= 1
                 if remaining[u]:
                     continue
             else:
-                choices[u] = move
+                spoiler[u] = move
             lost[u] = None
             queue.append(u)
-
-    for v, vmoves in arena.moves.items():
-        if v[0] != "out" or v in lost:
-            continue
-        if v[3] == "post":
-            candidates = [m for m, nxt in vmoves if rank.get(nxt) == rank[v] - 1]
-        else:
-            candidates = [m for m, nxt in vmoves if nxt not in lost]
-        choices[v] = min(candidates, key=_move_key)
-    return arena.vertices.difference(lost), choices
+    return arena.vertices.difference(lost), spoiler
 
 
-def _move_key(move):
-    # finish < yield < emissions by letter; determinism of extracted machines
-    order = {"finish": 0, "yield": 1, "emit": 2}
-    return (order.get(move[0], 3), move[1:])
-
-
-def in_spoiling_strategy(strategy: dict) -> dict:
-    """The input player's part of a strategy from `solve`: one move for each
-    In vertex outside the winning region."""
-    return {v: move for v, move in strategy.items() if v[0] == "in"}
+def in_spoiling_strategy(spoiler: dict) -> dict:
+    """The spoiling certificate that `replay_spoiler` checks: a copy of the
+    input player's moves from `solve`, one for each In vertex outside the
+    winning region."""
+    return dict(spoiler)
 
 
 def replay_spoiler(arena: GameArena, region: frozenset, spoiler: dict) -> bool:
     """Check the spoiling certificate: every play from the initial vertex that
-    follows it ends in a loss for the output player, at ("lose",) or at an Out
-    vertex with no move. A play that returns to a vertex never ends, and an
-    endless play is a win for the output player."""
+    follows it ends at ("lose",). A move its In vertex lacks fails the check,
+    and so does a play that returns to a vertex: it never ends, and an endless
+    play is a win for the output player."""
     ended = set()  # vertices from which every play ends in a loss
     play = set()  # the vertices of the play being followed
     stack = [(arena.initial, None)]
@@ -217,10 +180,10 @@ def replay_spoiler(arena: GameArena, region: frozenset, spoiler: dict) -> bool:
             if v in region:
                 return False
             if v[0] == "in":
-                move = spoiler.get(v)
-                if move is None:
+                nxt = dict(arena.moves[v]).get(spoiler.get(v))
+                if nxt is None:
                     return False
-                succs = iter((dict(arena.moves[v])[move],))
+                succs = iter((nxt,))
             else:
                 succs = iter([nxt for _, nxt in arena.moves.get(v, ())])
             stack[-1] = (v, succs)
@@ -237,48 +200,60 @@ def replay_spoiler(arena: GameArena, region: frozenset, spoiler: dict) -> bool:
     return True
 
 
-def extract_sdfa(arena: GameArena, strategy: dict) -> SequentialDfa:
-    """The minimal sequential machine of the winning strategy, over the
+def extract_sdfa(arena: GameArena, region: frozenset) -> SequentialDfa:
+    """The minimal sequential machine of a winning strategy, over the
     endmarked alphabet.
 
-    `explore_nfa` walks the strategy's vertices, resolving yields. An In vertex
-    reads each input (`⊣i` is its end move) unless that move is missing or
-    leaves the domain (to ("win",)); a missing edge then rejects. An Out vertex
-    takes its one strategy move, emitting o or `⊣o` for finish, and ("done",)
-    is the one final vertex. `minimize` names the states, and the partition is
-    read off the out-edges: a state with an output edge is an output state,
-    every other one, the final state included, an input state. After `trim`
-    every state's future is non-empty; an input state's starts with an input
-    letter or is {ε}, an output state's starts with an output letter, so
-    Hopcroft never merges the two kinds.
+    `explore_nfa` walks states (p, d, the output letters left to emit). With
+    none left the machine reads: an input letter the domain DFA lacks, or
+    `⊣i` where the domain does not end, has no edge and rejects. After an
+    input letter it emits the first shortest output word, in letter order,
+    that leads p to a q with In(q, d) in the region; after `⊣i` the first
+    shortest one to a final state, which ends in `⊣o`. `minimize` names the
+    states, and the partition is read off the out-edges: a state with an
+    output edge is an output state, every other one, the final state
+    included, an input state. After `trim` every state's future is
+    non-empty; an input state's starts with an input letter or is {ε}, an
+    output state's starts with an output letter, so Hopcroft never merges the
+    two kinds.
     """
-    if strategy.get(arena.initial) is None:
+    p_dfa, d_dfa = arena.p_dfa, arena.d_dfa
+    if arena.initial not in region:
         raise NotWinning("initial vertex is not in the winning region")
 
-    def resolve(v):
-        while v[0] == "out" and strategy.get(v) == ("yield",):
-            v = dict(arena.moves[v])[("yield",)]
-        return v
+    def emit(p, d, is_goal):
+        """The state that emits the first shortest output word leading p to a
+        state with `is_goal`."""
+        found = shortest_word(
+            [p],
+            lambda q: [(letter, r) for letter, r in p_dfa.out_edges(q) if letter.tape is Tape.OUTPUT],
+            is_goal,
+        )
+        if found is None:
+            raise NotWinning(f"no output word from {p} wins at {d}")
+        return p, d, found[1]
 
-    def step(v, letter):
-        if v[0] == "in" and letter.tape is Tape.INPUT:
-            move = ("end",) if letter.symbol == END_IN else ("play", letter.symbol)
-        elif v[0] == "out":
-            move = strategy.get(v)
-            if move is None:
-                raise NotWinning(f"strategy undefined at {v}")
-            if letter != out(END_OUT if move == ("finish",) else move[1]):
-                return ()
-        else:
+    def in_region(d):
+        return lambda q: ("in", q, d) in region
+
+    def step(state, letter):
+        p, d, word = state
+        if word:
+            return [(p_dfa.delta(p, letter), d, word[1:])] if letter == word[0] else ()
+        d2 = d_dfa.delta(d, letter) if letter.tape is Tape.INPUT else None
+        if d2 is None:
             return ()
-        nxt = dict(arena.moves[v]).get(move)
-        return () if nxt is None or nxt == ("win",) else (resolve(nxt),)
+        if letter.symbol != END_IN:
+            return [emit(p_dfa.delta(p, letter), d2, in_region(d2))]
+        if d2 in d_dfa.finals:
+            return [emit(p_dfa.delta(p, letter), d2, lambda q: q in p_dfa.finals)]
+        return ()
 
     machine = minimize(
         explore_nfa(
-            resolve(arena.initial),
+            emit(p_dfa.initial, d_dfa.initial, in_region(d_dfa.initial)),
             step,
-            lambda v: v == ("done",),
+            lambda state: not state[2] and state[0] in p_dfa.finals,
             arena.s_prime.input_alphabet,
             arena.s_prime.output_alphabet,
             prefix="v",

@@ -202,7 +202,7 @@ def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, caveat: str) -> 
     stats["arena_vertices"] = len(arena.vertices)
     region, strategy = solve(arena)
     if arena.initial in region:
-        machine = extract_sdfa(arena, strategy)
+        machine = extract_sdfa(arena, region)
         report = verify_uniformizer(machine, s_end, add_endmarkers(t), depth=depth)
         stats["machine_states"] = len(machine.states)
         if not report.ok:

@@ -120,14 +120,15 @@ def in_force_loss_set(arena):
     return losing
 
 
-def distance_to_done(arena, v):
-    """Fewest moves from v to ("done",) by forward breadth-first search over
-    the arena's moves, or None if ("done",) is unreachable."""
-    layer, seen, steps = {v}, {v}, 0
+def fewest_output_letters(dfa, state):
+    """Fewest output letters that lead `state` of a DFA to a final state, by
+    forward breadth-first search over its output edges, or None if no
+    output word does."""
+    layer, seen, steps = {state}, {state}, 0
     while layer:
-        if ("done",) in layer:
+        if layer & dfa.finals:
             return steps
-        layer = {nxt for u in layer for _, nxt in arena.moves.get(u, ())} - seen
+        layer = {q for p, letter, q in dfa.transitions if p in layer and letter.tape is Tape.OUTPUT} - seen
         seen |= layer
         steps += 1
     return None

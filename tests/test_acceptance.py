@@ -249,7 +249,7 @@ def test_criterion_7_game_determinacy():
             problems.append((name, "verdict"))
             continue
         if want_win:
-            machine = extract_sdfa(arena, strategy)
+            machine = extract_sdfa(arena, region)
             if not verify_uniformizer(machine, lang, lang, depth=5).ok:
                 problems.append((name, "verification"))
         else:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -28,10 +29,10 @@ from syncsynth.game import (
     solve,
     verify_uniformizer,
 )
-from syncsynth.letters import inp, out
+from syncsynth.letters import Tape, inp, out
 
 from .conftest import mk_nfa
-from .oracles import distance_to_done, in_force_loss_set
+from .oracles import fewest_output_letters, in_force_loss_set
 
 
 def sync_language(words, input_alphabet, output_alphabet):
@@ -154,14 +155,16 @@ def test_arena_structural_bound(corpus):
         arena = build_arena(lang)
         n_p = len(arena.p_dfa.states)
         n_d = len(arena.d_dfa.states)
-        assert len(arena.vertices) <= 2 * (arena.cap + 1) * n_p * n_d * 2, name
+        assert len(arena.vertices) <= 2 * n_p * n_d + 3, name
 
 
 def test_initial_vertex_is_out_owned(corpus):
+    """The output player moves first, and may emit the empty word."""
     for name, lang, _ in corpus:
         arena = build_arena(lang)
+        _, p, d = arena.initial
         assert arena.initial[0] == "out", name
-        assert any(m == ("yield",) for m, _ in arena.moves[arena.initial]), name
+        assert (("emit", p), ("in", p, d)) in arena.moves[arena.initial], name
 
 
 def test_solve_matches_exhaustive_search(corpus):
@@ -178,8 +181,8 @@ def test_solve_matches_exhaustive_search(corpus):
 def test_single_word_machine(corpus):
     name, lang, _ = corpus[0]
     arena = build_arena(lang)
-    region, strategy = solve(arena)
-    machine = extract_sdfa(arena, strategy)
+    region, _ = solve(arena)
+    machine = extract_sdfa(arena, region)
     produced = run_machine(machine, ("a", END_IN))
     assert produced is not None
     assert [l.symbol for l in produced] == ["a", END_IN, "d", END_OUT]
@@ -204,17 +207,17 @@ def test_extracted_machines_are_minimal(corpus):
         if not want_win:
             continue
         arena = build_arena(lang)
-        _, strategy = solve(arena)
-        assert_minimal_machine(extract_sdfa(arena, strategy))
+        region, _ = solve(arena)
+        assert_minimal_machine(extract_sdfa(arena, region))
 
 
 def test_extracted_machines_verify(corpus):
     for name, lang, want_win in corpus:
         arena = build_arena(lang)
-        region, strategy = solve(arena)
+        region, _ = solve(arena)
         if not want_win:
             continue
-        machine = extract_sdfa(arena, strategy)
+        machine = extract_sdfa(arena, region)
         report = verify_uniformizer(machine, lang, lang, depth=5)
         assert report.ok, (name, report.failures)
 
@@ -241,7 +244,8 @@ def test_replay_refuses_a_spoiler_that_lets_the_play_run_forever():
     has no accepted completion. A spoiler that takes each In vertex's first
     move out of the winning region plays a forever instead; the output player
     answers d each time, and the play never ends, which the output player
-    wins."""
+    wins. A certificate that names a move its In vertex lacks fails the
+    replay too, instead of raising."""
     lang = add_endmarkers(mk_nfa({"a"}, {"d"}, "q0", {"q1"}, [("q0", "i", "a", "q1"), ("q1", "o", "d", "q0")]))
     arena = build_arena(lang)
     region, strategy = solve(arena)
@@ -256,20 +260,27 @@ def test_replay_refuses_a_spoiler_that_lets_the_play_run_forever():
     spoiler = in_spoiling_strategy(strategy)
     assert ("end",) in spoiler.values()
     assert replay_spoiler(arena, region, spoiler)
+    assert not replay_spoiler(arena, region, dict.fromkeys(spoiler, ("play", "zzz")))
 
 
-def test_spoiler_plays_end_in_a_loss_on_random_languages():
-    """Random 1-4-state languages with 1-9 edges, endmarked: on each lost
-    game the plays that follow the spoiler form an acyclic graph, and each
-    maximal one ends at ("lose",) or at an Out vertex with no move."""
-    rng = random.Random(1)
+def random_languages(seed, count):
+    """`count` endmarked languages of random 1-4-state automata with 1-9
+    edges over inputs {a, b} and outputs {c, d}."""
+    rng = random.Random(seed)
     letters = [inp("a"), inp("b"), out("c"), out("d")]
-    lost = 0
-    for _ in range(600):
+    for _ in range(count):
         states = [f"q{j}" for j in range(rng.randint(1, 4))]
         edges = {(rng.choice(states), rng.choice(letters), rng.choice(states)) for _ in range(rng.randint(1, 9))}
         finals = {q for q in states if rng.random() < 0.5} or {states[-1]}
-        arena = build_arena(add_endmarkers(Nfa({"a", "b"}, {"c", "d"}, states, states[0], edges, finals)))
+        yield add_endmarkers(Nfa({"a", "b"}, {"c", "d"}, states, states[0], edges, finals))
+
+
+def test_spoiler_plays_end_in_a_loss_on_random_languages():
+    """On each lost game of `random_languages` the plays that follow the
+    spoiler form an acyclic graph, and each maximal one ends at ("lose",)."""
+    lost = 0
+    for lang in random_languages(1, 600):
+        arena = build_arena(lang)
         region, strategy = solve(arena)
         if arena.initial in region:
             continue
@@ -284,34 +295,55 @@ def test_spoiler_plays_end_in_a_loss_on_random_languages():
                 stack.extend(graph[v])
         tuple(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
         ends = [v for v, succs in graph.items() if not succs]
-        assert all(v == ("lose",) or v[0] == "out" for v in ends), ends
+        assert ends == [("lose",)], ends
         assert replay_spoiler(arena, region, spoiler)
     assert lost >= 20, lost
 
 
-def test_strategy_stays_in_region(corpus):
-    for name, lang, want_win in corpus:
-        if not want_win:
-            continue
-        arena = build_arena(lang)
-        region, strategy = solve(arena)
-        for v in region:
-            if v[0] != "out":
-                continue
-            move = strategy.get(v)
-            if move is None:
-                continue
-            nxt = dict(arena.moves[v])[move]
-            assert nxt in region, (name, v, move)
+def output_runs(machine):
+    """Lengths of the maximal runs of output letters the machine emits, one
+    from the initial state and from each target of an input edge."""
+    starts = {machine.initial} | {q for _, letter, q in machine.transitions if letter.tape is Tape.INPUT}
+    runs = []
+    for q in sorted(starts):
+        n = 0
+        while q in machine.output_states:
+            (_, q), = machine.out_edges(q)
+            n += 1
+        runs.append(n)
+    return runs
 
 
-def test_burst_cap_sufficiency(corpus):
-    for name, lang, _ in corpus:
+def test_output_runs_are_simple_paths_on_random_languages():
+    """Each output run of a won machine of `random_languages` is a shortest
+    word, so it follows a simple path of the word automaton: fewer letters
+    than that automaton has states. Greedy least-letter emission padded runs
+    up to a bound on their length."""
+    won = 0
+    for lang in random_languages(5, 3000):
         arena = build_arena(lang)
         region, _ = solve(arena)
-        bigger = build_arena(lang, cap=arena.cap + 3)
-        region2, _ = solve(bigger)
-        assert (arena.initial in region) == (bigger.initial in region2), name
+        if arena.initial not in region:
+            continue
+        won += 1
+        machine = extract_sdfa(arena, region)
+        assert max(output_runs(machine)) <= len(arena.p_dfa.states) - 1
+    assert won >= 2000, won
+
+
+def test_strategy_stays_in_region(corpus):
+    """The output player can stay in the region and the input player cannot
+    leave it; each spoiler move leaves it."""
+    for name, lang, _ in corpus:
+        arena = build_arena(lang)
+        region, strategy = solve(arena)
+        for v, moves in arena.moves.items():
+            succs = [nxt for _, nxt in moves]
+            if v in region:
+                stays = any if v[0] == "out" else all
+                assert stays(nxt in region for nxt in succs), (name, v)
+        for v, move in strategy.items():
+            assert v[0] == "in" and dict(arena.moves[v])[move] not in region, (name, v)
 
 
 def test_extract_requires_win(corpus):
@@ -319,16 +351,16 @@ def test_extract_requires_win(corpus):
         if want_win:
             continue
         arena = build_arena(lang)
-        region, strategy = solve(arena)
+        region, _ = solve(arena)
         with pytest.raises(NotWinning):
-            extract_sdfa(arena, strategy)
+            extract_sdfa(arena, region)
 
 
 def test_verify_rejects_mutated_machine(corpus):
     name, lang, _ = corpus[2]  # late-choice instance
     arena = build_arena(lang)
-    region, strategy = solve(arena)
-    machine = extract_sdfa(arena, strategy)
+    region, _ = solve(arena)
+    machine = extract_sdfa(arena, region)
     # redirect one output edge to a wrong successor
     swapped = None
     for (p, letter, q) in sorted(machine.transitions):
@@ -352,25 +384,28 @@ def test_verify_rejects_mutated_machine(corpus):
     assert not report.ok
 
 
-def test_post_endmark_choices_follow_shortest_paths(corpus, intro_S, abst_S, ann_S):
-    """After the endmark Out must finish the word: a vertex is winning iff
-    ("done",) is reachable, and its move lies on a shortest path there,
-    finishing first and otherwise emitting the least letter."""
+def test_completions_are_shortest(corpus, intro_S, abst_S, ann_S):
+    """After the endmark the machine completes the word by a shortest output
+    word to a final state of the word automaton."""
     languages = [(name, lang) for name, lang, _ in corpus]
     languages += [(name, add_endmarkers(s)) for name, s in (("intro", intro_S), ("abst", abst_S), ("ann", ann_S))]
+    checked = 0
     for name, lang in languages:
         arena = build_arena(lang)
-        region, strategy = solve(arena)
-        for v, moves in arena.moves.items():
-            if v[0] != "out" or v[3] != "post":
+        region, _ = solve(arena)
+        if arena.initial not in region:
+            continue
+        machine = extract_sdfa(arena, region)
+        inputs = sorted(lang.input_alphabet - {END_IN})
+        for stream in itertools.chain.from_iterable(itertools.product(inputs, repeat=n) for n in range(5)):
+            produced = run_machine(machine, stream + (END_IN,))
+            if produced is None:
                 continue
-            dist = distance_to_done(arena, v)
-            assert (v in region) == (dist is not None), (name, v)
-            if dist is None:
-                continue
-            shortest = [m for m, nxt in moves if distance_to_done(arena, nxt) == dist - 1]
-            want = ("finish",) if ("finish",) in shortest else min(shortest)
-            assert strategy.get(v) == want, (name, v)
+            cut = produced.index(inp(END_IN)) + 1
+            completion = produced[cut:]
+            assert len(completion) == fewest_output_letters(arena.p_dfa, arena.p_dfa.run(produced[:cut])), (name, stream)
+            checked += 1
+    assert checked >= 20, checked
 
 
 def test_synthesized_machine_is_hash_seed_independent(tmp_path):

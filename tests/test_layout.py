@@ -221,3 +221,58 @@ def test_no_environment_knobs():
             if names & ENVIRONMENT_READS:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+UNSET_DEFAULTS_ALLOWED = {
+    # the console script calls main() and only the tests pass argv
+    ("main", "argv"),
+    # the `decide` command calls it through its `procedure` variable
+    ("decide_recognizable", "cfg"),
+}
+
+
+def _calls(roots: list) -> list:
+    """Every call in the Python files under `roots`, as (called name, call);
+    the name is the function's, or the attribute's for a method call."""
+    calls = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    calls.append((func.id if isinstance(func, ast.Name) else getattr(func, "attr", None), node))
+    return calls
+
+
+def _sets(call: ast.Call, name: str, position) -> bool:
+    """Whether a call passes parameter `name` by keyword, or by position when
+    `position` (counted among the call's own arguments) is not None; a
+    `*args` or `**kwargs` argument may pass it either way."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and any(
+        isinstance(arg, ast.Starred) or i == position for i, arg in enumerate(call.args)
+    )
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """A default that no call in `src/syncsynth` or `decidebench/` overrides
+    is a knob nobody turns: the value belongs inside the function. A method
+    binds `self` or `cls` before the call's own arguments."""
+    calls = _calls([PACKAGE, REPO / "decidebench"])
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args]
+            bound = 1 if params[:1] in (["self"], ["cls"]) else 0
+            defaulted = [(p, i - bound) for i, p in enumerate(params) if i >= len(params) - len(args.defaults)]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param, position in defaulted:
+                if (node.name, param) in UNSET_DEFAULTS_ALLOWED:
+                    continue
+                if not any(called == node.name and _sets(call, param, position) for called, call in calls):
+                    unset.append(f"{path.name}:{node.lineno} {node.name}({param}=)")
+    assert not unset, unset

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import itertools
+import json
 import os
 import random
 import re
@@ -16,7 +17,8 @@ from syncsynth import automata, pipeline, profiles, serialize
 from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
 from syncsynth.automata import add_endmarkers
 from syncsynth.canonical import canonicalize, canonicalize_finite_shift
-from syncsynth.game import VerificationReport, verify_uniformizer
+from syncsynth.cli import main
+from syncsynth.game import VerificationReport, run_machine, verify_uniformizer
 from syncsynth.resync import build_TiS
 from syncsynth.pipeline import (
     INCONCLUSIVE,
@@ -567,6 +569,37 @@ def test_yes_machines_are_minimal(request, name, procedure, cfg, states):
     assert verdict.answer == YES, verdict.reason
     assert_minimal_machine(verdict.machine)
     assert len(verdict.machine.states) == states
+
+
+def padded_output():
+    """S = x·a*·b reads x, then emits a^n·b; T = a*·b·x asks for the output
+    first. Any n works, so the machine should emit b alone."""
+    s = mk_nfa({"x"}, {"a", "b"}, "s0", {"s2"},
+               [("s0", "i", "x", "s1"), ("s1", "o", "a", "s1"), ("s1", "o", "b", "s2")])
+    t = mk_nfa({"x"}, {"a", "b"}, "t0", {"t2"},
+               [("t0", "o", "a", "t0"), ("t0", "o", "b", "t1"), ("t1", "i", "x", "t2")])
+    return s, t
+
+
+def test_machines_emit_no_padding(tmp_path, capsys):
+    """The machine emits b, not a run of a's as long as a bound on the
+    output player's turn: `decide_recognizable`, `decide` at block cap 2 and
+    the `decide` command all give the 5-state machine."""
+    s, t = padded_output()
+    s_path, t_path = tmp_path / "s.json", tmp_path / "t.json"
+    s_path.write_text(serialize.dumps(s), encoding="utf-8")
+    t_path.write_text(serialize.dumps(t), encoding="utf-8")
+    assert main(["decide", str(s_path), str(t_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    machines = [
+        decide_recognizable(s, t, PipelineConfig()).machine,
+        decide(s, t, PipelineConfig(k_override=2)).machine,
+        serialize.from_dict(doc["machine"]),
+    ]
+    for machine in machines:
+        assert len(machine.states) == 5
+        produced = run_machine(machine, ("x", automata.END_IN))
+        assert [l.symbol for l in produced] == ["b", "x", automata.END_IN, automata.END_OUT]
 
 
 @pytest.mark.parametrize("procedure, instance, cfg, answer", [
