@@ -29,8 +29,7 @@ from .analysis import (
     ShiftCertificate,
     ShiftlagCertificate,
     SyncMeasures,
-    build_blocks,
-    build_lag_bounded,
+    build_shape,
     least_lag_bound,
     measures,
     parikh_injective,

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .automata import Dfa, Nfa, explore_nfa, shortest_word, trim
+from .automata import Nfa, explore_nfa, shortest_word, trim
 from .letters import Letter, SyncWord, Tape
 
 
@@ -156,7 +156,7 @@ def shift_finiteness(a: Nfa) -> ShiftCertificate:
             _, prefix = _bfs_word(t, [t.initial], [start])
             _, suffix = _bfs_word(t, [start], t.finals)
             return ShiftCertificate(finite=False, witness=ShiftWitness(prefix, cycle, cycle + suffix))
-    runs = _most_runs(t, math.inf)[t.initial, None]
+    runs = most_counted(t, math.inf, run_starts)[t.initial, None]
     return ShiftCertificate(finite=True, bound=max(runs - 1, 0))
 
 
@@ -214,14 +214,11 @@ def _find_lag_cycle(t: Nfa, comp: list) -> Optional[tuple[str, SyncWord]]:
     if ret is None:
         raise ValueError(f"{q!r} has no path back to {root!r}: not a strongly connected component")
     _, back = ret
+    # a tree word's net lag is its end's potential, so the cycles back to root
+    # through the inconsistent edge and past it differ in net lag by
+    # pot[p] + w - pot[q] != 0: one of them is unbalanced
     cycle = tree_word[p] + (letter,) + back
-    if _net_lag(cycle) != 0:
-        return root, cycle
-    # same return path without the inconsistent edge flips the net lag off zero
-    cycle2 = tree_word[q] + back
-    if _net_lag(cycle2) == 0:
-        raise RuntimeError(f"lag potentials disagree on {bad!r} but both cycles through it are balanced")
-    return root, cycle2
+    return root, cycle if _net_lag(cycle) != 0 else tree_word[q] + back
 
 
 def _find_shift_cycle(t: Nfa, comp: list) -> Optional[tuple[str, SyncWord]]:
@@ -314,13 +311,22 @@ def certificate_lag_bound(m: int, state_count: int) -> int:
     return 2 * (m * (state_count + 1) + 1)
 
 
-def _most_runs(a: Nfa, cap: float) -> dict:
-    """`best[q, tape]`: the most run starts, capped at `cap`, of an accepting
-    continuation from q after a letter of `tape` (None: no letter yet); -1
-    when no final state is reachable. A backward fixpoint over the edges,
-    whose values only grow; uncapped, it ends only when no cycle visits both
-    tapes."""
+def run_starts(prev, tape) -> bool:
+    """`most_counted`'s count of run starts: a letter whose tape is not the
+    tape of the letter before it."""
+    return prev is not tape
+
+
+def most_counted(a: Nfa, cap: float, counted: Callable) -> dict:
+    """`best[q, tape]`: the most counted letters, capped at `cap`, of an
+    accepting continuation from q after a letter of `tape` (None: no letter
+    yet); -1 when no final state is reachable. `counted(prev, tape)` is 0 or 1
+    for a letter of `tape` after one of `prev`: `run_starts` counts runs, and
+    `tape is x` counts the letters of tape x. A backward fixpoint over the
+    edges, whose values only grow; uncapped, it ends only when no cycle holds
+    a counted letter."""
     tapes = (None, Tape.INPUT, Tape.OUTPUT)
+    gain = {tape: [(t, int(counted(t, tape))) for t in tapes] for tape in Tape}
     pred: dict = {}
     for p, letter, q in a.transitions:
         pred.setdefault((q, letter.tape), set()).add(p)
@@ -329,10 +335,10 @@ def _most_runs(a: Nfa, cap: float) -> dict:
     while stack:
         q, tape = stack.pop()
         for p in pred.get((q, tape), ()):
-            for t in tapes:
-                runs = min(cap, best[q, tape] + (t is not tape))
-                if runs > best[p, t]:
-                    best[p, t] = runs
+            for t, add in gain[tape]:
+                count = min(cap, best[q, tape] + add)
+                if count > best[p, t]:
+                    best[p, t] = count
                     if t is not None:
                         stack.append((p, t))
     return best
@@ -346,7 +352,7 @@ def least_lag_bound(a: Nfa, m: int, hi: int) -> Optional[int]:
     one-tape segments), so a word's earliest split is the start of its m-th
     last run, and the word needs the largest |imbalance| of a prefix with at
     least m run starts after it. A search over (state, imbalance) that enters
-    a state by a letter of `tape` only when `_most_runs`'s best[q, tape],
+    a state by a letter of `tape` only when `most_counted`'s best[q, tape],
     capped at m, reaches m finds exactly the prefixes that bound the lag:
     that condition is prefix-closed along every path.
     """
@@ -357,7 +363,7 @@ def least_lag_bound(a: Nfa, m: int, hi: int) -> Optional[int]:
     succ: dict = {}
     for p, letter, q in a.transitions:
         succ.setdefault(p, set()).add((letter.tape, q))
-    best = _most_runs(a, m)
+    best = most_counted(a, m, run_starts)
     # forward search; when the start does not qualify, nothing past it does,
     # and every word fits at lag 0
     if best[a.initial, None] < m:
@@ -379,54 +385,40 @@ def least_lag_bound(a: Nfa, m: int, hi: int) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# constraint automata
+# the target's shape
 
 
-def build_lag_bounded(nu: int, input_alphabet, output_alphabet) -> Dfa:
-    """DFA of all words whose every prefix is at most nu-lagged, with an edge
-    for every (state, letter).
+def build_shape(gamma: int, n: int, output_cap: Optional[int], input_alphabet, output_alphabet) -> Nfa:
+    """NFA for the words p·b where every prefix of p is at most gamma-lagged
+    and b is at most n blocks, each any input word or an output word of
+    length at most output_cap (None = unbounded). gamma = 0 gives the blocks
+    alone, n = 0 the lag-bounded words alone.
 
-    A state is the prefix imbalance, or "sink" once it exceeds nu."""
-
-    def step(d, letter):
-        if d == "sink":
-            return ("sink",)
-        d += 1 if letter.tape is Tape.INPUT else -1
-        return (d if abs(d) <= nu else "sink",)
-
-    return explore_nfa(
-        0,
-        step,
-        lambda d: d != "sink",
-        input_alphabet,
-        output_alphabet,
-        prefix="l",
-        build=Dfa,
-    )
-
-
-def build_blocks(n: int, output_cap: Optional[int], input_alphabet, output_alphabet) -> Nfa:
-    """NFA for at most n blocks, each any input word or an output word of length
-    at most output_cap (None = unbounded).
-
-    A state is (blocks opened, tape of the open block, output letters in it);
-    a letter continues the open block or opens the next one."""
+    A state is ("lag", imbalance) inside the prefix, or (blocks opened, tape
+    of the open block, output letters in it); a letter continues the prefix
+    or the open block, or opens the next block. Every state accepts."""
     if n < 0:
         raise ValueError("block count must be >= 0")
 
     def step(state, letter):
-        used, tape, filled = state
         # output letters are counted only against a cap
         grow = int(letter.tape is Tape.OUTPUT and output_cap is not None)
         nxt = []
-        if letter.tape is tape and (not grow or filled < output_cap):
-            nxt.append((used, tape, filled + grow))
+        if state[0] == "lag":
+            d = state[1] + (1 if letter.tape is Tape.INPUT else -1)
+            if abs(d) <= gamma:
+                nxt.append(("lag", d))
+            used = 0
+        else:
+            used, tape, filled = state
+            if letter.tape is tape and (not grow or filled < output_cap):
+                nxt.append((used, tape, filled + grow))
         if used < n and (not grow or output_cap >= 1):
             nxt.append((used + 1, letter.tape, grow))
         return nxt
 
     return explore_nfa(
-        (0, None, 0), step, lambda state: True, input_alphabet, output_alphabet, prefix="b"
+        ("lag", 0), step, lambda state: True, input_alphabet, output_alphabet, prefix="b"
     )
 
 

@@ -475,33 +475,6 @@ def add_endmarkers(a: Nfa) -> Nfa:
     )
 
 
-def concat(a: Nfa, b: Nfa) -> Nfa:
-    """ε-free concatenation of two NFAs."""
-
-    # states: ("a", q) inside a, ("b", q) inside b
-    def step(state, letter):
-        side, q = state
-        nxt = [(side, q2) for q2 in (a if side == "a" else b).successors(q, letter)]
-        if side == "a" and q in a.finals:
-            nxt += [("b", q2) for q2 in b.successors(b.initial, letter)]
-        return nxt
-
-    def is_final(state):
-        side, q = state
-        if side == "b":
-            return q in b.finals
-        return q in a.finals and b.initial in b.finals
-
-    return explore_nfa(
-        ("a", a.initial),
-        step,
-        is_final,
-        a.input_alphabet | b.input_alphabet,
-        a.output_alphabet | b.output_alphabet,
-        prefix="c",
-    )
-
-
 class CapExceeded(AutomatonError):
     """A run hit a fixed cap: a named construction grew past `STATE_CAP`
     states, or a profile closure past `profiles.CLOSURE_CAP` profiles. The

@@ -10,20 +10,9 @@ final state, so the pruning leaves `determinize(trim(reader))` unchanged;
 states that pass may still be dead. `canonicalize_finite_shift` guesses a
 hand-off state only where the run it ends can reach it. `canonicalize`'s
 reader tracks the canonical shape and routes no letter the shape forbids;
-it keeps a state only if its buffer is not stranded (below), the prefix
-copy can still drain that buffer, and the chain of guessed blocks can still
-connect from where that copy may end.
-
-`canonicalize` drops a state whose prefix copy holds a stranded buffer. A
-buffer holds letters of one tape, kept while a letter of the partner tape
-might still reach the copy first; it is stranded once that partner tape has
-closed to the copy (the shape forbids it, or a block of it is open). From
-then on the copy reads only the buffer and then later letters of the
-buffer's tape, in order, so every accepting run from the stranded state
-consumes the buffer that way. Each state where that is done was already
-reached, with no buffer left: on the branch that consumed the whole buffer
-at the copy's last routing, followed by the same block steps, which leave
-the copy alone. So dropping the stranded state loses no word.
+it keeps a state only if its buffer is not stranded (see `canonicalize`),
+the prefix copy can still drain that buffer, and the chain of guessed
+blocks can still connect from where that copy may end.
 
 Both canonicalizers return the minimal DFA of their reader's language.
 """
@@ -32,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .analysis import ShiftlagCertificate, least_lag_bound
+from .analysis import ShiftlagCertificate, least_lag_bound, most_counted, run_starts
 from .automata import (
     AutomatonError,
     Dfa,
@@ -82,6 +71,10 @@ def canonicalize_finite_shift(s: Nfa, cert) -> Dfa:
         raise InvalidCertificate("source has infinite shift")
     s = trim(s)
     max_pairs = cert.bound + 2
+    # a word with at most `bound` shifts has at most bound + 1 runs; the cap
+    # keeps the pass finite on a source whose shift is infinite
+    if most_counted(s, max_pairs, run_starts)[s.initial, None] > cert.bound + 1:
+        raise InvalidCertificate("certificate's shift bound does not cover this source")
     out_reach = tape_closure(s, Tape.OUTPUT)
 
     # states: ("in", cur, committed pairs) then ("out", cur, remaining pairs)

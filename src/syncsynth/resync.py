@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import build_blocks, build_lag_bounded, scc
+from .analysis import build_shape, most_counted
 from .automata import (
     AutomatonError,
     Dfa,
     Nfa,
-    concat,
-    coreachable_states,
     determinize,
     explore_nfa,
     inclusion,
@@ -52,35 +50,8 @@ def build_Ti(t: Nfa, p: ResyncParams) -> Dfa:
 
     Only T_i's language matters to build_TiS, and every nondeterministic
     T_i state would multiply its guessing states."""
-    shape = concat(
-        build_lag_bounded(p.gamma, t.input_alphabet, t.output_alphabet),
-        build_blocks(p.n, p.i, t.input_alphabet, t.output_alphabet),
-    )
+    shape = build_shape(p.gamma, p.n, p.i, t.input_alphabet, t.output_alphabet)
     return minimize(determinize(trim(product(t, shape))))
-
-
-def tape_capacity(a: Nfa, tape: Tape) -> dict:
-    """Per state: max number of `tape` letters on any accepting path from it
-    (None = unbounded). Dead states get 0."""
-    alive = coreachable_states(a)
-    succ = {p: [] for p in alive}
-    for p, letter, q in a.transitions:
-        if p in alive and q in alive:
-            succ[p].append((int(letter.tape is tape), q))
-    comps, comp_of = scc(sorted(alive), lambda p: [q for _, q in succ[p]])
-    capacity = dict.fromkeys(a.states, 0)
-    # Tarjan emits a component after every component it reaches, so one pass
-    # sees final successor values; a tape edge inside a component is unbounded
-    for c, comp in enumerate(comps):
-        values = [
-            None if capacity[q] is None or (w and comp_of[q] == c) else capacity[q] + w
-            for p in comp
-            for w, q in succ[p]
-        ]
-        best = None if None in values else max(values, default=0)
-        for p in comp:
-            capacity[p] = best
-    return capacity
 
 
 def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> Nfa:
@@ -100,27 +71,25 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> Nfa:
     Let u be the word read so far and s its T_i state. T_i is a trim DFA, so
     s stands for the residual u⁻¹T_i, which is not empty unless T_i is (and
     then no letter is read). Every word u·v of T_i splits as p·b, with p at
-    most gamma-lagged and b at most n blocks of at most i outputs each. The queue holds at most the lead of u's
-    leading tape (a guess pushes one letter, a letter on the lagging tape
-    pops one, a tail letter pushes nothing). Guessed inputs are owed to
-    leading outputs: at most gamma if u ends inside p, else gamma plus u's
-    outputs inside b, at most gamma + i*n. Guessed outputs are owed to
-    leading inputs, and `viable` keeps them within s's output capacity, the
-    most outputs on a word v of u⁻¹T_i. If v has more than i*n outputs, some
-    of them belong to p, so u ends inside p and leads by at most gamma;
-    otherwise the capacity is at most i*n. A longer queue means `ti` has
-    another shape, and raises ShapeViolation.
+    most gamma-lagged and b at most n blocks of at most i outputs each. The
+    queue holds at most the lead of u's leading tape (a guess pushes one
+    letter, a letter on the lagging tape pops one, a tail letter pushes
+    nothing). Guessed inputs are owed to leading outputs: at most gamma if u
+    ends inside p, else gamma plus u's outputs inside b, at most gamma + i*n.
+    Guessed outputs are owed to leading inputs, and `viable` keeps them
+    within s's output capacity, the most outputs on a word v of u⁻¹T_i. If v
+    has more than i*n outputs, some of them belong to p, so u ends inside p
+    and leads by at most gamma; otherwise the capacity is at most i*n. A
+    longer queue means `ti` has another shape, and raises ShapeViolation.
+
+    A tape's capacity is counted by `analysis.most_counted` only up to
+    gamma + 1 + i*n, the length past which a queue raises ShapeViolation: no
+    queue is longer, so a queue fits under the capped capacity exactly when
+    it fits under the true one.
     """
     dfa = a.dfa
     alphabet = {Tape.INPUT: sorted(ti.input_alphabet), Tape.OUTPUT: sorted(ti.output_alphabet)}
     cap = params.gamma + 1 + params.i * params.n
-
-    def astep(q, *letters):
-        for letter in letters:
-            if q is None:
-                return None
-            q = dfa.delta(q, letter)
-        return q
 
     # core states: (a_state, queue, tail)
     #   queue: guessed letters, all on one tape, that arrivals must match
@@ -133,7 +102,7 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> Nfa:
         if queue and queue[0].tape is x:
             return [(q, queue[1:], tail)] if queue[0] == letter else []
         if tail is not None:
-            q2 = astep(q, letter) if tail is x else None
+            q2 = dfa.delta(q, letter) if tail is x else None
             return [] if q2 is None else [(q2, queue, tail)]
         # x runs ahead: guess its y partner, or begin an x tail
         if len(queue) >= cap:
@@ -141,10 +110,10 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> Nfa:
         results = []
         for g in alphabet[y]:
             guess = Letter(y, g)
-            q2 = astep(q, *((letter, guess) if x is Tape.INPUT else (guess, letter)))
+            q2 = dfa.run((letter, guess) if x is Tape.INPUT else (guess, letter), start=q)
             if q2 is not None:
                 results.append((q2, queue + (guess,), tail))
-        q2 = astep(q, letter)
+        q2 = dfa.delta(q, letter)
         if q2 is not None:
             results.append((q2, queue, x))
         return results
@@ -155,15 +124,12 @@ def build_TiS(a: CanonicalDfa, ti: Nfa, params: ResyncParams) -> Nfa:
 
     core_init = (dfa.initial, (), None)
     initial = (core_init, ti.initial)
-    capacity = {x: tape_capacity(ti, x) for x in Tape}
+    capacity = {x: most_counted(ti, cap, lambda prev, tape, x=x: tape is x) for x in Tape}
 
     def viable(core, tstate) -> bool:
         queue = core[1]
-        if not queue:
-            return True
         # guessed letters must still be able to arrive from this target state
-        limit = capacity[queue[0].tape][tstate]
-        return limit is None or len(queue) <= limit
+        return not queue or len(queue) <= capacity[queue[0].tape][tstate, None]
 
     def step(state, letter):
         core, tstate = state

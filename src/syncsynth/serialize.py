@@ -97,12 +97,8 @@ def from_dict(doc: dict) -> Union[Nfa, Dfa, SequentialDfa]:
     if partition is not None:
         return SequentialDfa(**common, **partition)
     per_pair = {(p, l) for p, l, _ in common["transitions"]}
-    if len(per_pair) == len(common["transitions"]):
-        try:
-            return Dfa(**common)
-        except AutomatonError:
-            pass
-    return Nfa(**common)
+    deterministic = len(per_pair) == len(common["transitions"])
+    return (Dfa if deterministic else Nfa)(**common)
 
 
 def loads(text: str) -> Union[Nfa, Dfa, SequentialDfa]:

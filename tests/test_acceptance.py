@@ -6,14 +6,13 @@ independent oracles in this package's test suite.
 import time
 
 from syncsynth.analysis import (
-    build_blocks,
-    build_lag_bounded,
+    build_shape,
     certificate_lag_bound,
     measures,
     shift_finiteness,
     shiftlag_finiteness,
 )
-from syncsynth.automata import concat, inclusion, pair_in_relation, trim
+from syncsynth.automata import inclusion, pair_in_relation, trim
 from syncsynth.canonical import canonicalize, canonicalize_finite_shift
 from syncsynth.game import build_arena, extract_sdfa, solve, verify_uniformizer
 from syncsynth.letters import Tape, decode
@@ -298,10 +297,7 @@ def test_criterion_9_certificate_validity(families):
         if cert.nu != certificate_lag_bound(cert.m, len(trimmed.states)):
             problems.append((name, "nu formula"))
             continue
-        right = concat(
-            build_lag_bounded(cert.nu, fam.input_alphabet, fam.output_alphabet),
-            build_blocks(cert.m, None, fam.input_alphabet, fam.output_alphabet),
-        )
+        right = build_shape(cert.nu, cert.m, None, fam.input_alphabet, fam.output_alphabet)
         ok, witness = inclusion(fam, right)
         if not ok:
             problems.append((name, witness))

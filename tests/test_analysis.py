@@ -5,8 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from syncsynth.analysis import (
     _find_lag_cycle,
-    build_blocks,
-    build_lag_bounded,
+    build_shape,
     certificate_lag_bound,
     least_lag_bound,
     measures,
@@ -16,7 +15,6 @@ from syncsynth.analysis import (
 )
 from syncsynth.automata import (
     Nfa,
-    concat,
     inclusion,
     trim,
 )
@@ -183,10 +181,7 @@ def test_shiftlag_certificate_inclusion_holds(families):
         cert = shiftlag_finiteness(fam)
         t = trim(fam)
         assert cert.nu == certificate_lag_bound(cert.m, len(t.states))
-        right = concat(
-            build_lag_bounded(cert.nu, fam.input_alphabet, fam.output_alphabet),
-            build_blocks(cert.m, None, fam.input_alphabet, fam.output_alphabet),
-        )
+        right = build_shape(cert.nu, cert.m, None, fam.input_alphabet, fam.output_alphabet)
         ok, _ = inclusion(fam, right)
         assert ok
 
@@ -214,49 +209,72 @@ def test_shiftlag_bruteforce_growth_cross_check(families):
     assert grows == [1, 2, 3, 4]
 
 
+# the lag-bounded language is the shape with no blocks, the blocks language
+# the shape with no lagged prefix
+
+
 def test_build_lag_bounded_zero():
-    d = build_lag_bounded(0, {"a"}, {"d"})
+    d = build_shape(0, 0, None, {"a"}, {"d"})
     assert accepts(d, ())
     assert not accepts(d, (I1,))
     assert not accepts(d, (O2,))
-    assert len(d.states) == 2
+    assert len(d.states) == 1
 
 
 def test_build_lag_bounded_language(families):
     for nu in (1, 2):
-        d = build_lag_bounded(nu, {"a"}, {"d"})
+        d = build_shape(nu, 0, None, {"a"}, {"d"})
         for w in all_words({"a"}, {"d"}, 8):
             assert accepts(d, w) == (lag_naive(to_tags(w)) <= nu)
 
 
 def test_build_lag_bounded_examples():
-    d2 = build_lag_bounded(2, {"a"}, {"d"})
+    d2 = build_shape(2, 0, None, {"a"}, {"d"})
     assert accepts(d2, tw("1122"))
     assert not accepts(d2, tw("111"))
 
 
 def test_build_blocks_examples():
-    b0 = build_blocks(0, 2, {"a"}, {"d"})
+    b0 = build_shape(0, 0, 2, {"a"}, {"d"})
     assert accepts(b0, ())
     assert not accepts(b0, (I1,))
-    b1 = build_blocks(1, 2, {"a"}, {"d"})
+    b1 = build_shape(0, 1, 2, {"a"}, {"d"})
     assert accepts(b1, tw("22"))
     assert not accepts(b1, tw("222"))
-    b2 = build_blocks(2, 1, {"a"}, {"d"})
+    b2 = build_shape(0, 2, 1, {"a"}, {"d"})
     assert accepts(b2, tw("1112"))
     assert not accepts(b2, tw("212"))
 
 
 def test_build_blocks_vs_naive():
     for n, cap in ((1, 2), (2, 1), (3, 2), (2, None)):
-        b = build_blocks(n, cap, {"a"}, {"d"})
+        b = build_shape(0, n, cap, {"a"}, {"d"})
         for w in all_words({"a"}, {"d"}, 6):
             assert accepts(b, w) == blocks_member_naive(to_tags(w), n, cap), (n, cap, w)
     # two letters per tape: a block holds any mix of its tape's letters
     for n, cap in ((0, None), (1, 0), (2, 0), (3, None), (3, 1), (4, 2)):
-        b = build_blocks(n, cap, {"a", "b"}, {"d", "e"})
+        b = build_shape(0, n, cap, {"a", "b"}, {"d", "e"})
         for w in all_words({"a", "b"}, {"d", "e"}, 5):
             assert accepts(b, w) == blocks_member_naive(to_tags(w), n, cap), (n, cap, w)
+
+
+def shape_member_naive(tags, gamma, n, cap):
+    """Some split p·b with every prefix of p at most gamma-lagged and b at
+    most n blocks of at most cap outputs each."""
+    return any(
+        lag_naive(tags[:k]) <= gamma and blocks_member_naive(tags[k:], n, cap)
+        for k in range(len(tags) + 1)
+    )
+
+
+def test_build_shape_vs_naive():
+    for gamma in (0, 1, 2):
+        for n in (0, 1, 2, 3):
+            for cap in (None, 0, 1, 2):
+                shape = build_shape(gamma, n, cap, {"a"}, {"d"})
+                for w in all_words({"a"}, {"d"}, 6):
+                    want = shape_member_naive(to_tags(w), gamma, n, cap)
+                    assert accepts(shape, w) == want, (gamma, n, cap, w)
 
 
 def test_parikh_injective_families(families):
@@ -316,10 +334,7 @@ def lag_blocks_cover(a, nu, m):
     pure blocks, by inclusion in the lag-bounded automaton concatenated with
     the blocks automaton: the definition `least_lag_bound` answers without
     automata."""
-    right = concat(
-        build_lag_bounded(nu, a.input_alphabet, a.output_alphabet),
-        build_blocks(m, None, a.input_alphabet, a.output_alphabet),
-    )
+    right = build_shape(nu, m, None, a.input_alphabet, a.output_alphabet)
     ok, _ = inclusion(a, right)
     return ok
 

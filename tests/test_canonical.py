@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncsynth.analysis import shift_finiteness, shiftlag_finiteness
+from syncsynth.analysis import ShiftCertificate, shift_finiteness, shiftlag_finiteness
 from syncsynth.canonical import (
     SHAPE,
     InvalidCertificate,
@@ -107,6 +107,26 @@ def test_canonicalize_rejects_infinite():
     cert = shiftlag_finiteness(fam)
     with pytest.raises(InvalidCertificate):
         canonicalize(fam, cert)
+
+
+def test_finite_shift_refuses_a_bound_that_does_not_cover():
+    """The one word a·d·b·e·a·d has 6 runs, so its shift bound is 5. A
+    certificate claiming less is refused, where it gave the empty language;
+    the pass that checks it is capped, so a forged certificate for an
+    infinite-shift source is refused too. The true bound still passes."""
+    word = [("i", "a"), ("o", "d"), ("i", "b"), ("o", "e"), ("i", "a"), ("o", "d")]
+    s = mk_nfa(
+        {"a", "b"}, {"d", "e"}, "q0", {"q6"},
+        [(f"q{j}", tape, sym, f"q{j + 1}") for j, (tape, sym) in enumerate(word)],
+    )
+    assert shift_finiteness(s) == ShiftCertificate(finite=True, bound=5)
+    for bound in (0, 4):
+        with pytest.raises(InvalidCertificate, match="does not cover"):
+            canonicalize_finite_shift(s, ShiftCertificate(finite=True, bound=bound))
+    with pytest.raises(InvalidCertificate, match="does not cover"):
+        canonicalize_finite_shift(tag_family("(1*2*)*"), ShiftCertificate(finite=True, bound=3))
+    d = canonicalize_finite_shift(s, ShiftCertificate(finite=True, bound=5))
+    assert pairs_upto(d, 6) == pairs_upto(s, 6) == {(("a", "b", "a"), ("d", "e", "d"))}
 
 
 def test_canonicalize_1star2star_source(families):

@@ -6,6 +6,7 @@ tests that use it. The brute-force oracles stay independent of the library,
 and no module imports a name it never reads.
 """
 import ast
+import importlib
 import importlib.util
 import re
 from pathlib import Path
@@ -139,6 +140,20 @@ def test_every_definition_is_reached_or_library_api():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name not in reached
     )
     assert not unreached, unreached
+
+
+def test_readme_names_resolve():
+    """Every backticked `module.name` in README whose module is one of the
+    package's names an attribute of that module, so a removed or renamed
+    definition cannot stay in the prose."""
+    modules = {p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    named = sorted({(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)`", text) if m in modules})
+    assert named
+    stale = [
+        f"{m}.{n}" for m, n in named if not hasattr(importlib.import_module(f"syncsynth.{m}"), n)
+    ]
+    assert not stale, stale
 
 
 def test_oracles_import_nothing_of_the_library_but_letters():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncsynth.analysis import certificate_lag_bound, shiftlag_finiteness
+from syncsynth.analysis import certificate_lag_bound, most_counted, shiftlag_finiteness
 from syncsynth.automata import (
     CapExceeded,
     Nfa,
@@ -25,7 +25,6 @@ from syncsynth.resync import (
     build_Ti,
     build_TiS,
     build_Tprime_recognizable,
-    tape_capacity,
 )
 
 from .conftest import accepts, enumerate_accepted, mk_nfa, state_cap, tag_family
@@ -282,8 +281,10 @@ def _random_small_nfa(rng):
 
 
 def test_tape_capacity_matches_bounded_paths(abst_T, ann_T):
-    """An accepting path with |Q| letters of a tape repeats a state around
-    one of them, so a count of |Q| within |Q|^2 + 2|Q| edges means unbounded."""
+    """`most_counted` counting one tape's letters, the capacity `build_TiS`
+    reads: an accepting path with |Q| letters of a tape repeats a state around
+    one of them, so a count of |Q| within |Q|^2 + 2|Q| edges means unbounded,
+    and the pass gives its cap there; a dead state gets -1."""
     rng = random.Random(7)
     automata = [_random_small_nfa(rng) for _ in range(60)]
     automata += [build_Ti(t, ResyncParams(n=3, gamma=2, i=2)) for t in (abst_T, ann_T)]
@@ -291,5 +292,11 @@ def test_tape_capacity_matches_bounded_paths(abst_T, ann_T):
         n = len(a.states)
         for tape in (Tape.INPUT, Tape.OUTPUT):
             naive = tape_count_naive(a, tape, n * n + 2 * n)
-            want = {p: (None if c is not None and c >= n else (c or 0)) for p, c in naive.items()}
-            assert tape_capacity(a, tape) == want, (sorted(a.transitions, key=repr), tape)
+            for cap in (1, 3, 9):
+                best = most_counted(a, cap, lambda prev, t: t is tape)
+                got = {p: best[p, None] for p in a.states}
+                want = {
+                    p: -1 if c is None else cap if c >= n else min(c, cap)
+                    for p, c in naive.items()
+                }
+                assert got == want, (sorted(a.transitions, key=repr), tape, cap)
