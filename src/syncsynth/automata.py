@@ -407,7 +407,12 @@ def project_input(a: Nfa) -> Nfa:
     Finals are closed under pure-output reachability so trailing output
     suffixes are not lost.
     """
-    closure = tape_closure(a, Tape.OUTPUT)
+    return project_input_from(a, tape_closure(a, Tape.OUTPUT))
+
+
+def project_input_from(a: Nfa, closure: dict) -> Nfa:
+    """`project_input(a)`, read off a's output closure `closure`, which is
+    `tape_closure(a, Tape.OUTPUT)`."""
     transitions = set()
     for p in a.states:
         for r in closure[p]:
@@ -441,13 +446,19 @@ def make_sequential_check(
     )
 
 
+def refuse_endmarkers(a: Nfa) -> None:
+    """Raise ReservedSymbolClash, naming the endmarker, when a's alphabet holds one."""
+    for symbol, alphabet in ((END_IN, a.input_alphabet), (END_OUT, a.output_alphabet)):
+        if symbol in alphabet:
+            raise ReservedSymbolClash(f"endmarker symbol {symbol} already in the base alphabet")
+
+
 def add_endmarkers(a: Nfa) -> Nfa:
     """Accept w1·(1,⊣i)·w2·(2,⊣o) where w1w2 ∈ L(a) and w2 is pure output,
     for every such split: all interleavings consistent with the endmarkers
     closing their tapes. The split is guessed nondeterministically.
     """
-    if END_IN in a.input_alphabet or END_OUT in a.output_alphabet:
-        raise ReservedSymbolClash("endmarker symbol already in the base alphabet")
+    refuse_endmarkers(a)
     end_in, end_out = inp(END_IN), out(END_OUT)
 
     # states: ("pre", q) before the input endmarker, ("post", q) after it,

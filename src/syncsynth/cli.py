@@ -197,10 +197,7 @@ def cmd_profiles(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    lang = load_path(args.language)
-    if END_IN not in lang.input_alphabet:
-        lang = add_endmarkers(lang)
-    arena = build_arena(lang)
+    arena = build_arena(load_path(args.language))
     region, _ = solve(arena)
     report = {
         "arena_vertices": len(arena.vertices),
@@ -225,8 +222,8 @@ def cmd_verify(args) -> int:
     s = load_path(args.source)
     t = load_path(args.target)
     # synthesized machines read endmarked words; meet them on that alphabet
-    if END_IN in machine.input_alphabet and END_IN not in s.input_alphabet:
-        s, t = add_endmarkers(s), add_endmarkers(t)
+    if END_IN in machine.input_alphabet:
+        s, t = (a if END_IN in a.input_alphabet else add_endmarkers(a) for a in (s, t))
     report = verify_uniformizer(machine, s, t, depth=args.depth)
     _print_json(
         {

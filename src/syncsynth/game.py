@@ -1,10 +1,11 @@
 """Safety game between the input player and the output player, deciding
-whether an endmarked language has a uniformization from inside itself.
+whether a synchronized language has a uniformization from inside itself.
 
-The input player reads one letter at a time; the output player answers each
-with one move, the output word it emits next. It wins if it can always
-complete the word being built to an accepted one once the input player ends
-the stream.
+The input player reads one letter at a time or ends the stream; the output
+player answers each letter with one move, the output word it emits next. It
+wins if it can always complete the word being built to an accepted one once
+the input player ends the stream. The machine of a win is endmarked: it reads
+`⊣i` where the stream ends and writes `⊣o` after its last output.
 """
 from __future__ import annotations
 
@@ -27,14 +28,12 @@ from .automata import (
     minimize,
     pair_in_relation,
     project_input,
+    project_input_from,
+    refuse_endmarkers,
     shortest_word,
     tape_closure,
 )
-from .letters import SyncWord, Tape, decode, inp
-
-
-class MissingEndmarkers(AutomatonError):
-    pass
+from .letters import SyncWord, Tape, decode, inp, out
 
 
 class NotWinning(AutomatonError):
@@ -52,7 +51,6 @@ class NotWinning(AutomatonError):
 
 @dataclass(frozen=True)
 class GameArena:
-    s_prime: Nfa
     p_dfa: Dfa
     d_dfa: Dfa
     vertices: frozenset
@@ -60,28 +58,32 @@ class GameArena:
     initial: tuple
 
 
-def build_arena(s_prime: Nfa) -> GameArena:
-    """Arena over the minimal DFAs of the endmarked language and of its input
-    projection, which is read off the first; the input player advances both,
-    emissions advance the word automaton only. Both DFAs are trim, so a
-    missing edge is the only way out of either language.
+def build_arena(lang: Nfa) -> GameArena:
+    """Arena over the minimal DFAs of the synchronized language and of its
+    input projection, which is read off the first through the same output
+    closure; the input player advances both, emissions advance the word
+    automaton only. Both DFAs are trim, so a missing edge is the only way
+    out of either language. Raises ReservedSymbolClash when `lang`'s
+    alphabet holds an endmarker.
 
     The output player's turn is one move: Out(p, d) moves to In(q, d) for each
     q that an output word leads p to, in sorted order. Playing that word one
     letter at a time, under any bound on its length of at least |p_dfa|,
     would give the same winner: d does not move while the output player
     emits, the rest of the play depends only on (q, d), and a simple path of
-    fewer than |p_dfa| letters reaches every such q. After the endmark the
-    word must be completed, so ("end",) leads to ("done",) when an output word
-    leads δ(p, ⊣i) to a final state (`⊣o` is an output letter, so that word
-    ends in it), and to ("lose",) otherwise.
+    fewer than |p_dfa| letters reaches every such q. The input player ends
+    the stream with ("end",), which leads to ("win",) when d is not final,
+    and otherwise to ("done",) when an output word leads p to a final state,
+    to ("lose",) when none does. This is the game on the minimal DFA of
+    `add_endmarkers(lang)`: its states before `⊣i` are p_dfa's, no other
+    state has their futures, and after `⊣i` only output letters, then `⊣o`,
+    complete the word.
     """
-    if END_IN not in s_prime.input_alphabet or END_OUT not in s_prime.output_alphabet:
-        raise MissingEndmarkers("build_arena expects an endmarked language")
-    p_dfa = minimize(determinize(s_prime))
-    d_dfa = minimize(determinize(project_input(p_dfa)))
+    refuse_endmarkers(lang)
+    p_dfa = minimize(determinize(lang))
     emits = tape_closure(p_dfa, Tape.OUTPUT)
-    base_inputs = sorted(s_prime.input_alphabet - {END_IN})
+    d_dfa = minimize(determinize(project_input_from(p_dfa, emits)))
+    base_inputs = sorted(p_dfa.input_alphabet)
 
     moves: dict = {}
     initial = ("out", p_dfa.initial, d_dfa.initial)
@@ -101,11 +103,10 @@ def build_arena(s_prime: Nfa) -> GameArena:
                 else:
                     nxt = ("out", p2, d2) if p2 is not None else ("lose",)
                 vmoves.append((("play", a), nxt))
-            d2, p2 = d_dfa.delta(d, inp(END_IN)), p_dfa.delta(p, inp(END_IN))
-            if d2 is None or d2 not in d_dfa.finals:
+            if d not in d_dfa.finals:
                 nxt = ("win",)
             else:
-                nxt = ("done",) if p2 is not None and emits[p2] & p_dfa.finals else ("lose",)
+                nxt = ("done",) if emits[p] & p_dfa.finals else ("lose",)
             vmoves.append((("end",), nxt))
         moves[v] = tuple(vmoves)
         for _, nxt in vmoves:
@@ -113,7 +114,6 @@ def build_arena(s_prime: Nfa) -> GameArena:
                 seen.add(nxt)
                 queue.append(nxt)
     return GameArena(
-        s_prime=s_prime,
         p_dfa=p_dfa,
         d_dfa=d_dfa,
         vertices=frozenset(seen),
@@ -202,14 +202,15 @@ def replay_spoiler(arena: GameArena, region: frozenset, spoiler: dict) -> bool:
 
 def extract_sdfa(arena: GameArena, region: frozenset) -> SequentialDfa:
     """The minimal sequential machine of a winning strategy, over the
-    endmarked alphabet.
+    language's alphabet and the endmarkers.
 
     `explore_nfa` walks states (p, d, the output letters left to emit). With
     none left the machine reads: an input letter the domain DFA lacks, or
     `⊣i` where the domain does not end, has no edge and rejects. After an
     input letter it emits the first shortest output word, in letter order,
     that leads p to a q with In(q, d) in the region; after `⊣i` the first
-    shortest one to a final state, which ends in `⊣o`. `minimize` names the
+    shortest one to a final state, then `⊣o`. The state after `⊣o`, the
+    machine's one final state, has no word state p. `minimize` names the
     states, and the partition is read off the out-edges: a state with an
     output edge is an output state, every other one, the final state
     included, an input state. After `trim` every state's future is
@@ -240,22 +241,23 @@ def extract_sdfa(arena: GameArena, region: frozenset) -> SequentialDfa:
         p, d, word = state
         if word:
             return [(p_dfa.delta(p, letter), d, word[1:])] if letter == word[0] else ()
+        if letter == end_in and d in d_dfa.finals:
+            # d None: the input has ended; `⊣o` leaves p_dfa, so p is None after it
+            word = emit(p, d, lambda q: q in p_dfa.finals)[2]
+            return [(p, None, word + (end_out,))]
         d2 = d_dfa.delta(d, letter) if letter.tape is Tape.INPUT else None
         if d2 is None:
             return ()
-        if letter.symbol != END_IN:
-            return [emit(p_dfa.delta(p, letter), d2, in_region(d2))]
-        if d2 in d_dfa.finals:
-            return [emit(p_dfa.delta(p, letter), d2, lambda q: q in p_dfa.finals)]
-        return ()
+        return [emit(p_dfa.delta(p, letter), d2, in_region(d2))]
 
+    end_in, end_out = inp(END_IN), out(END_OUT)
     machine = minimize(
         explore_nfa(
             emit(p_dfa.initial, d_dfa.initial, in_region(d_dfa.initial)),
             step,
-            lambda state: not state[2] and state[0] in p_dfa.finals,
-            arena.s_prime.input_alphabet,
-            arena.s_prime.output_alphabet,
+            lambda state: state[0] is None,
+            p_dfa.input_alphabet | {END_IN},
+            p_dfa.output_alphabet | {END_OUT},
             prefix="v",
             build=Dfa,
         )

@@ -3,8 +3,8 @@ uniformization by a sequential machine?
 
 The source is canonicalized, the target is constrained to capped output
 blocks, the resynchronized source is built, and the question reduces to
-domain equality plus a safety game on the endmarked language. A YES at any
-block cap is sound; a NO is only claimed when the cap provably suffices.
+domain equality plus a safety game on it. A YES at any block cap is sound; a
+NO is only claimed when the cap provably suffices.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .automata import (
     determinize,
     inclusion,
     language_equal,
-    minimize,
     project_input,
     trim,
 )
@@ -182,19 +181,19 @@ def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) 
 
 
 def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, caveat: str) -> Verdict:
-    """The shared tail: the arena on the endmarked minimal DFA of `synced`, a
-    domain check against the arena's input DFA, the game, then a verified
-    machine (YES) or a replayed spoiling strategy (NO when `caveat` is empty;
-    otherwise `synced` is not exact, and INCONCLUSIVE with `caveat` opening
-    the reason). Only the minimal DFA and the source are ever projected."""
+    """The shared tail: the arena on the minimal DFA of `synced`, a domain
+    check against the arena's input DFA, the game, then an endmarked machine
+    verified against the endmarked source and target (YES) or a replayed
+    spoiling strategy (NO when `caveat` is empty; otherwise `synced` is not
+    exact, and INCONCLUSIVE with `caveat` opening the reason). Only the
+    minimal DFA and the source are ever projected."""
     miss = INCONCLUSIVE if caveat else NO
-    arena = build_arena(add_endmarkers(minimize(determinize(synced))))
-    s_end = add_endmarkers(s)
-    ok, witness = inclusion(project_input(s_end), arena.d_dfa)
+    arena = build_arena(synced)
+    ok, witness = inclusion(project_input(s), arena.d_dfa)
     if not ok:
         return Verdict(
             answer=miss,
-            witness=witness[:-1],  # drop the input endmarker
+            witness=witness,
             reason=caveat + "an input of the source relation has no allowed synchronization",
             stats=stats,
         )
@@ -203,7 +202,7 @@ def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, caveat: str) -> 
     region, strategy = solve(arena)
     if arena.initial in region:
         machine = extract_sdfa(arena, region)
-        report = verify_uniformizer(machine, s_end, add_endmarkers(t), depth=depth)
+        report = verify_uniformizer(machine, add_endmarkers(s), add_endmarkers(t), depth=depth)
         stats["machine_states"] = len(machine.states)
         if not report.ok:
             return Verdict(

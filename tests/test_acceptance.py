@@ -12,7 +12,7 @@ from syncsynth.analysis import (
     shift_finiteness,
     shiftlag_finiteness,
 )
-from syncsynth.automata import inclusion, pair_in_relation, trim
+from syncsynth.automata import add_endmarkers, inclusion, pair_in_relation, trim
 from syncsynth.canonical import canonicalize, canonicalize_finite_shift
 from syncsynth.game import build_arena, extract_sdfa, solve, verify_uniformizer
 from syncsynth.letters import Tape, decode
@@ -249,7 +249,8 @@ def test_criterion_7_game_determinacy():
             continue
         if want_win:
             machine = extract_sdfa(arena, region)
-            if not verify_uniformizer(machine, lang, lang, depth=5).ok:
+            endmarked = add_endmarkers(lang)
+            if not verify_uniformizer(machine, endmarked, endmarked, depth=5).ok:
                 problems.append((name, "verification"))
         else:
             from syncsynth.game import in_spoiling_strategy, replay_spoiler

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -123,10 +124,24 @@ def test_synthesize_and_verify(tmp_path, capsys):
     from syncsynth.automata import add_endmarkers
     endmarked = tmp_path / "endmarked.json"
     endmarked.write_text(serialize.dumps(add_endmarkers(s)), encoding="utf-8")
-    code = main(
-        ["verify", str(machine_path), str(endmarked), str(endmarked), "--depth", "4"]
-    )
-    assert code == 0
+    # `verify` endmarks each of the source and the target whose alphabet
+    # lacks `⊣i`, so every mix of plain and endmarked files meets the machine
+    for source, target in itertools.product((lang_path, endmarked), repeat=2):
+        code = main(["verify", str(machine_path), str(source), str(target), "--depth", "4"])
+        captured = capsys.readouterr()
+        assert code == 0, (source.name, target.name, captured.out, captured.err)
+
+
+def test_synthesize_refuses_an_endmarked_language(tmp_path, capsys):
+    """`synthesize` plays on the language as it is: an endmarker already in
+    its alphabet is an input error that names the endmarker."""
+    s = mk_nfa({"a"}, {"d"}, "q0", {"q2"}, [("q0", "i", "a", "q1"), ("q1", "o", "d", "q2")])
+    path = tmp_path / "endmarked.json"
+    path.write_text(serialize.dumps(automata.add_endmarkers(s)), encoding="utf-8")
+    assert main(["synthesize", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "⊣i" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_machine_without_partition_is_input_error(tmp_path, capsys):

@@ -13,13 +13,13 @@ from syncsynth.automata import (
     END_IN,
     END_OUT,
     Nfa,
+    ReservedSymbolClash,
     SequentialDfa,
     add_endmarkers,
     language_equal,
     minimize,
 )
 from syncsynth.game import (
-    MissingEndmarkers,
     NotWinning,
     build_arena,
     extract_sdfa,
@@ -31,12 +31,13 @@ from syncsynth.game import (
 )
 from syncsynth.letters import Tape, inp, out
 
+from .arena_endmarked import build_endmarked_arena, extract_endmarked_sdfa
 from .conftest import mk_nfa
 from .oracles import fewest_output_letters, in_force_loss_set
 
 
 def sync_language(words, input_alphabet, output_alphabet):
-    """NFA accepting exactly the given tagged words (then endmarked)."""
+    """NFA accepting exactly the given tagged words."""
     states = {"i"}
     transitions = set()
     finals = set()
@@ -48,9 +49,7 @@ def sync_language(words, input_alphabet, output_alphabet):
             transitions.add((prev, letter, nxt))
             prev = nxt
         finals.add(prev)
-    if not words:
-        pass
-    raw = Nfa(
+    return Nfa(
         input_alphabet=frozenset(input_alphabet),
         output_alphabet=frozenset(output_alphabet),
         states=frozenset(states | finals),
@@ -58,7 +57,6 @@ def sync_language(words, input_alphabet, output_alphabet):
         transitions=frozenset(transitions),
         finals=frozenset(finals),
     )
-    return add_endmarkers(raw)
 
 
 A, B, C = inp("a"), inp("b"), inp("c")
@@ -66,30 +64,13 @@ D, E, F = out("d"), out("e"), out("f")
 
 
 def tiny_instances():
-    """(name, endmarked language, expected Out win?) — the game corpus."""
+    """(name, language, expected Out win?) — the game corpus."""
     inst = []
     inst.append(("single-word", sync_language([(A, D)], {"a"}, {"d", "e"}), True))
     # In can spoil: output must be chosen before the deciding input letter
-    spoil = Nfa(
-        input_alphabet=frozenset({"a", "b", "c", END_IN}),
-        output_alphabet=frozenset({"d", "e", END_OUT}),
-        states=frozenset({"0", "1d", "1e", "2d", "2e", "3", "4", "5"}),
-        initial="0",
-        transitions=frozenset(
-            {
-                ("0", A, "1d"),
-                ("0", A, "1e"),
-                ("1d", D, "2d"),
-                ("1e", E, "2e"),
-                ("2d", B, "3"),
-                ("2e", C, "3"),
-                ("3", inp(END_IN), "4"),
-                ("4", out(END_OUT), "5"),
-            }
-        ),
-        finals=frozenset({"5"}),
+    inst.append(
+        ("forced-early-choice", sync_language([(A, D, B), (A, E, C)], {"a", "b", "c"}, {"d", "e"}), False)
     )
-    inst.append(("forced-early-choice", spoil, False))
     inst.append(
         ("late-choice", sync_language([(A, B, D), (A, C, E)], {"a", "b", "c"}, {"d", "e"}), True)
     )
@@ -112,27 +93,9 @@ def tiny_instances():
     inst.append(
         ("long-burst", sync_language([(A, D, D, D)], {"a"}, {"d"}), True)
     )
-    # In spoils by length: the single output must be emitted before the
-    # endmarker, so it commits against an unseen future input
-    len_spoil = Nfa(
-        input_alphabet=frozenset({"a", END_IN}),
-        output_alphabet=frozenset({"d", END_OUT}),
-        states=frozenset({"0", "1", "2", "3", "4", "5", "6"}),
-        initial="0",
-        transitions=frozenset(
-            {
-                ("0", A, "1"),
-                ("1", D, "2"),  # after one a: exactly one d, then stop
-                ("2", inp(END_IN), "3"),
-                ("3", out(END_OUT), "6"),
-                ("1", A, "4"),  # after two a: no output at all
-                ("4", inp(END_IN), "5"),
-                ("5", out(END_OUT), "6"),
-            }
-        ),
-        finals=frozenset({"6"}),
-    )
-    inst.append(("premature-commitment", len_spoil, False))
+    # In spoils by length: d must be emitted before the first input or never,
+    # and the input player then ends the stream after one a or after two
+    inst.append(("premature-commitment", sync_language([(D, A), (A, A)], {"a"}, {"d"}), False))
     # two completions after the input: the shorter one (f) is the one to take
     inst.append(
         ("shortest-completion", sync_language([(A, D, E), (A, F)], {"a"}, {"d", "e", "f"}), True)
@@ -145,9 +108,14 @@ def corpus():
     return tiny_instances()
 
 
-def test_arena_requires_endmarkers(intro_S):
-    with pytest.raises(MissingEndmarkers):
-        build_arena(intro_S)
+def test_arena_refuses_an_endmarked_language(intro_S):
+    """The arena plays on the language itself; an endmarker already in its
+    alphabet is refused, and the error names it."""
+    with pytest.raises(ReservedSymbolClash, match=END_IN):
+        build_arena(add_endmarkers(intro_S))
+    only_out = Nfa({"a"}, {"d", END_OUT}, {"q"}, "q", set(), {"q"})
+    with pytest.raises(ReservedSymbolClash, match=END_OUT):
+        build_arena(only_out)
 
 
 def test_arena_structural_bound(corpus):
@@ -218,7 +186,8 @@ def test_extracted_machines_verify(corpus):
         if not want_win:
             continue
         machine = extract_sdfa(arena, region)
-        report = verify_uniformizer(machine, lang, lang, depth=5)
+        endmarked = add_endmarkers(lang)
+        report = verify_uniformizer(machine, endmarked, endmarked, depth=5)
         assert report.ok, (name, report.failures)
 
 
@@ -246,7 +215,7 @@ def test_replay_refuses_a_spoiler_that_lets_the_play_run_forever():
     answers d each time, and the play never ends, which the output player
     wins. A certificate that names a move its In vertex lacks fails the
     replay too, instead of raising."""
-    lang = add_endmarkers(mk_nfa({"a"}, {"d"}, "q0", {"q1"}, [("q0", "i", "a", "q1"), ("q1", "o", "d", "q0")]))
+    lang = mk_nfa({"a"}, {"d"}, "q0", {"q1"}, [("q0", "i", "a", "q1"), ("q1", "o", "d", "q0")])
     arena = build_arena(lang)
     region, strategy = solve(arena)
     assert arena.initial not in region
@@ -264,15 +233,35 @@ def test_replay_refuses_a_spoiler_that_lets_the_play_run_forever():
 
 
 def random_languages(seed, count):
-    """`count` endmarked languages of random 1-4-state automata with 1-9
-    edges over inputs {a, b} and outputs {c, d}."""
+    """`count` languages of random 1-4-state automata with 1-9 edges over
+    inputs {a, b} and outputs {c, d}."""
     rng = random.Random(seed)
     letters = [inp("a"), inp("b"), out("c"), out("d")]
     for _ in range(count):
         states = [f"q{j}" for j in range(rng.randint(1, 4))]
         edges = {(rng.choice(states), rng.choice(letters), rng.choice(states)) for _ in range(rng.randint(1, 9))}
         finals = {q for q in states if rng.random() < 0.5} or {states[-1]}
-        yield add_endmarkers(Nfa({"a", "b"}, {"c", "d"}, states, states[0], edges, finals))
+        yield Nfa({"a", "b"}, {"c", "d"}, states, states[0], edges, finals)
+
+
+def test_arena_agrees_with_the_endmarked_reference(corpus):
+    """On the corpus and 300 languages of `random_languages`, the arena on a
+    language L and the reference arena on `add_endmarkers(L)` have as many
+    vertices and the same winner, and a won game gives the same machine
+    bytes."""
+    languages = [lang for _, lang, _ in corpus] + list(random_languages(2, 300))
+    won = 0
+    for lang in languages:
+        arena, reference = build_arena(lang), build_endmarked_arena(add_endmarkers(lang))
+        region, _ = solve(arena)
+        reference_region, _ = solve(reference)
+        assert len(arena.vertices) == len(reference.vertices)
+        assert (arena.initial in region) == (reference.initial in reference_region)
+        if arena.initial in region:
+            won += 1
+            machine = extract_endmarked_sdfa(reference, reference_region)
+            assert serialize.dumps(extract_sdfa(arena, region)) == serialize.dumps(machine)
+    assert won >= 100 and len(languages) - won >= 20, won
 
 
 def test_spoiler_plays_end_in_a_loss_on_random_languages():
@@ -302,14 +291,15 @@ def test_spoiler_plays_end_in_a_loss_on_random_languages():
 
 def output_runs(machine):
     """Lengths of the maximal runs of output letters the machine emits, one
-    from the initial state and from each target of an input edge."""
+    from the initial state and from each target of an input edge, not
+    counting `⊣o`."""
     starts = {machine.initial} | {q for _, letter, q in machine.transitions if letter.tape is Tape.INPUT}
     runs = []
     for q in sorted(starts):
         n = 0
         while q in machine.output_states:
-            (_, q), = machine.out_edges(q)
-            n += 1
+            (letter, q), = machine.out_edges(q)
+            n += letter != out(END_OUT)
         runs.append(n)
     return runs
 
@@ -380,15 +370,16 @@ def test_verify_rejects_mutated_machine(corpus):
         input_states=machine.input_states,
         output_states=machine.output_states,
     )
-    report = verify_uniformizer(mutated, lang, lang, depth=5)
+    endmarked = add_endmarkers(lang)
+    report = verify_uniformizer(mutated, endmarked, endmarked, depth=5)
     assert not report.ok
 
 
 def test_completions_are_shortest(corpus, intro_S, abst_S, ann_S):
     """After the endmark the machine completes the word by a shortest output
-    word to a final state of the word automaton."""
+    word to a final state of the word automaton, then writes `⊣o`."""
     languages = [(name, lang) for name, lang, _ in corpus]
-    languages += [(name, add_endmarkers(s)) for name, s in (("intro", intro_S), ("abst", abst_S), ("ann", ann_S))]
+    languages += [("intro", intro_S), ("abst", abst_S), ("ann", ann_S)]
     checked = 0
     for name, lang in languages:
         arena = build_arena(lang)
@@ -396,13 +387,14 @@ def test_completions_are_shortest(corpus, intro_S, abst_S, ann_S):
         if arena.initial not in region:
             continue
         machine = extract_sdfa(arena, region)
-        inputs = sorted(lang.input_alphabet - {END_IN})
+        inputs = sorted(lang.input_alphabet)
         for stream in itertools.chain.from_iterable(itertools.product(inputs, repeat=n) for n in range(5)):
             produced = run_machine(machine, stream + (END_IN,))
             if produced is None:
                 continue
-            cut = produced.index(inp(END_IN)) + 1
-            completion = produced[cut:]
+            cut = produced.index(inp(END_IN))
+            *completion, last = produced[cut + 1:]
+            assert last == out(END_OUT), (name, stream)
             assert len(completion) == fewest_output_letters(arena.p_dfa, arena.p_dfa.run(produced[:cut])), (name, stream)
             checked += 1
     assert checked >= 20, checked
