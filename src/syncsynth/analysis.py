@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .automata import Nfa, explore_nfa, shortest_word, trim
+from .automata import Nfa, explore_nfa, reachable, shortest_word, trim
 from .letters import Letter, SyncWord, Tape
 
 
@@ -360,28 +360,23 @@ def least_lag_bound(a: Nfa, m: int, hi: int) -> Optional[int]:
         raise ValueError("block count must be >= 0")
     if hi < 0:
         return None
-    succ: dict = {}
-    for p, letter, q in a.transitions:
-        succ.setdefault(p, set()).add((letter.tape, q))
     best = most_counted(a, m, run_starts)
     # forward search; when the start does not qualify, nothing past it does,
     # and every word fits at lag 0
     if best[a.initial, None] < m:
         return 0
-    seen = {(a.initial, 0)}
-    stack = [(a.initial, 0)]
-    worst = 0
-    while stack:
-        p, d = stack.pop()
-        for tape, q in succ.get(p, ()):
-            node = (q, d + (1 if tape is Tape.INPUT else -1))
-            if best[q, tape] >= m and node not in seen:
-                if abs(node[1]) > hi:
-                    return None
-                worst = max(worst, abs(node[1]))
-                seen.add(node)
-                stack.append(node)
-    return worst
+    succ: dict = {}
+    for p, letter, q in a.transitions:
+        if best[q, letter.tape] >= m:
+            succ.setdefault(p, set()).add((q, 1 if letter.tape is Tape.INPUT else -1))
+
+    def successors(node):
+        # a node past hi already answers None, so it is not expanded
+        p, d = node
+        return [] if abs(d) > hi else [(q, d + step) for q, step in succ.get(p, ())]
+
+    worst = max(abs(d) for _, d in reachable([(a.initial, 0)], successors))
+    return None if worst > hi else worst
 
 
 # ---------------------------------------------------------------------------

@@ -293,47 +293,38 @@ def shortest_word(starts: Iterable, successors: Callable, is_goal: Callable) -> 
     return None
 
 
+def reachable(starts: Iterable, successors: Callable) -> frozenset:
+    """Every node reachable from `starts`, the starts included.
+
+    Nodes are any hashable values and `successors(node)` returns the next
+    nodes. The one search for a set of nodes, where no path is wanted."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in successors(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return frozenset(seen)
+
+
 def is_empty(a: Nfa) -> tuple[bool, Optional[SyncWord]]:
     """Emptiness with a shortest witness on the non-empty side (BFS, sorted edges)."""
     found = shortest_word([a.initial], a.out_edges, lambda q: q in a.finals)
     return (True, None) if found is None else (False, found[1])
 
 
-def reachable_states(a: Nfa) -> frozenset:
-    # a local successor map, so `a` gains no cached `_out_edges`
-    succ: dict = {}
-    for p, _, q in a.transitions:
-        succ.setdefault(p, set()).add(q)
-    seen = {a.initial}
-    queue = deque([a.initial])
-    while queue:
-        p = queue.popleft()
-        for q in succ.get(p, ()):
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return frozenset(seen)
-
-
-def coreachable_states(a: Nfa) -> frozenset:
-    preds: dict = {}
-    for p, _, q in a.transitions:
-        preds.setdefault(q, set()).add(p)
-    seen = set(a.finals)
-    queue = deque(a.finals)
-    while queue:
-        q = queue.popleft()
-        for p in preds.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return frozenset(seen)
-
-
 def trim(a: Nfa) -> Nfa:
     """Keep exactly the reachable-and-co-reachable states (plus the initial
     state), under their names and in the class of `a`."""
-    useful = reachable_states(a) & coreachable_states(a)
+    # local successor and predecessor maps, so `a` gains no cached `_out_edges`
+    succ: dict = {}
+    pred: dict = {}
+    for p, _, q in a.transitions:
+        succ.setdefault(p, set()).add(q)
+        pred.setdefault(q, set()).add(p)
+    forward = reachable([a.initial], lambda p: succ.get(p, ()))
+    useful = forward & reachable(a.finals, lambda q: pred.get(q, ()))
     keep = useful | {a.initial}
     fields = dict(
         states=keep,
@@ -378,18 +369,11 @@ def language_equal(a: Nfa, b: Nfa) -> tuple[bool, Optional[SyncWord]]:
 
 def tape_closure(a: Nfa, tape: Tape) -> dict:
     """Per state, the states reachable via words of one tape (reflexive-transitive)."""
-    closure = {}
-    for p in a.states:
-        seen = {p}
-        queue = deque([p])
-        while queue:
-            r = queue.popleft()
-            for letter, q in a.out_edges(r):
-                if letter.tape is tape and q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        closure[p] = frozenset(seen)
-    return closure
+    succ: dict = {p: [] for p in a.states}
+    for p, letter, q in a.transitions:
+        if letter.tape is tape:
+            succ[p].append(q)
+    return {p: reachable([p], succ.__getitem__) for p in a.states}
 
 
 def strict_tape_closure(a: Nfa, tape: Tape) -> dict:

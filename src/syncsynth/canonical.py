@@ -29,6 +29,7 @@ from .automata import (
     determinize,
     explore_nfa,
     minimize,
+    reachable,
     strict_tape_closure,
     tape_closure,
     trim,
@@ -205,28 +206,23 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
         Remaining buffers mixing both tapes are pruned: an eager run never
         needs them, and they would blow up the state space.
         """
-        results = set()
-        in_queue = tuple(l for l in buf if l.tape is Tape.INPUT)
-        out_queue = tuple(l for l in buf if l.tape is Tape.OUTPUT)
-        seen = set()
-        stack = [(q, 0, 0)]
-        while stack:
-            state, i, j = stack.pop()
-            if (state, i, j) in seen:
-                continue
-            seen.add((state, i, j))
-            rest_in = in_queue[i:]
-            rest_out = out_queue[j:]
-            if not rest_in or not rest_out:
-                rest = rest_in + rest_out
-                if len(rest) <= buf_cap:
-                    results.add((state, rest))
-            if rest_in:
-                for q2 in s.successors(state, rest_in[0]):
-                    stack.append((q2, i + 1, j))
-            if rest_out:
-                for q2 in s.successors(state, rest_out[0]):
-                    stack.append((q2, i, j + 1))
+        ins = tuple(l for l in buf if l.tape is Tape.INPUT)
+        outs = tuple(l for l in buf if l.tape is Tape.OUTPUT)
+
+        def successors(node):
+            state, i, j = node
+            nxt = []
+            if i < len(ins):
+                nxt += [(q2, i + 1, j) for q2 in s.successors(state, ins[i])]
+            if j < len(outs):
+                nxt += [(q2, i, j + 1) for q2 in s.successors(state, outs[j])]
+            return nxt
+
+        results = {
+            (state, ins[i:] + outs[j:])
+            for state, i, j in reachable([(q, 0, 0)], successors)
+            if (i == len(ins) or j == len(outs)) and len(ins) - i + len(outs) - j <= buf_cap
+        }
         return tuple(sorted(results, key=repr))
 
     def block_index_ok(first_tape, tape, count):
@@ -278,19 +274,18 @@ def canonicalize(s: Nfa, cert: ShiftlagCertificate) -> CanonicalDfa:
         is consumed only when one arrives."""
         if not tapes:
             return frozenset() if buf else frozenset({q0})
-        seen = {(q0, 0)}
-        stack = [(q0, 0)]
-        while stack:
-            q, i = stack.pop()
+
+        def successors(node):
+            q, i = node
+            nxt = []
             for letter, q2 in s.out_edges(q):
-                nodes = [(q2, i)] if letter.tape in tapes else []
+                if letter.tape in tapes:
+                    nxt.append((q2, i))
                 if i < len(buf) and letter == buf[i]:
-                    nodes.append((q2, i + 1))
-                for node in nodes:
-                    if node not in seen:
-                        seen.add(node)
-                        stack.append(node)
-        return frozenset(q for q, i in seen if i == len(buf))
+                    nxt.append((q2, i + 1))
+            return nxt
+
+        return frozenset(q for q, i in reachable([(q0, 0)], successors) if i == len(buf))
 
     @cache
     def merged_order(first, n_in: int, n_out: int) -> tuple:

@@ -13,7 +13,6 @@ import sys
 from . import serialize
 from .analysis import (
     BoundExhausted,
-    ShiftlagWitness,
     parikh_injective,
     shift_finiteness,
     shiftlag_finiteness,
@@ -28,7 +27,7 @@ from .automata import (
 )
 from .canonical import canonicalize
 from .game import build_arena, extract_sdfa, solve, verify_uniformizer
-from .letters import inp
+from .letters import Letter, inp
 from .pipeline import (
     REJECTED,
     PipelineConfig,
@@ -243,13 +242,14 @@ def _verdict_doc(verdict: Verdict, procedure: str) -> dict:
         "reason": verdict.reason,
         "stats": dict(verdict.stats),
     }
-    if isinstance(verdict.witness, ShiftlagWitness):
-        doc["witness"] = _witness_doc(verdict.witness)
-    elif verdict.witness is not None:
-        try:
-            doc["witness"] = _word_doc(verdict.witness)
-        except (TypeError, AttributeError):
-            doc["witness"] = repr(verdict.witness)
+    witness = verdict.witness
+    if dataclasses.is_dataclass(witness):
+        doc["witness"] = _witness_doc(witness)
+    elif witness is not None and all(isinstance(l, Letter) for l in witness):
+        doc["witness"] = _word_doc(witness)
+    elif witness is not None:
+        # the spoiler's moves: (In vertex, move) pairs
+        doc["witness"] = [[list(v), list(move)] for v, move in witness]
     if verdict.machine is not None:
         doc["machine"] = serialize.to_dict(verdict.machine)
     if verdict.verification is not None:

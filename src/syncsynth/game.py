@@ -9,6 +9,7 @@ the input player ends the stream. The machine of a win is endmarked: it reads
 """
 from __future__ import annotations
 
+import graphlib
 import itertools
 from collections import deque
 from dataclasses import dataclass, replace
@@ -29,6 +30,7 @@ from .automata import (
     pair_in_relation,
     project_input,
     project_input_from,
+    reachable,
     refuse_endmarkers,
     shortest_word,
     tape_closure,
@@ -168,35 +170,23 @@ def in_spoiling_strategy(spoiler: dict) -> dict:
 
 def replay_spoiler(arena: GameArena, region: frozenset, spoiler: dict) -> bool:
     """Check the spoiling certificate: every play from the initial vertex that
-    follows it ends at ("lose",). A move its In vertex lacks fails the check,
-    and so does a play that returns to a vertex: it never ends, and an endless
-    play is a win for the output player."""
-    ended = set()  # vertices from which every play ends in a loss
-    play = set()  # the vertices of the play being followed
-    stack = [(arena.initial, None)]
-    while stack:
-        v, succs = stack[-1]
-        if succs is None:
-            if v in region:
-                return False
-            if v[0] == "in":
-                nxt = dict(arena.moves[v]).get(spoiler.get(v))
-                if nxt is None:
-                    return False
-                succs = iter((nxt,))
-            else:
-                succs = iter([nxt for _, nxt in arena.moves.get(v, ())])
-            stack[-1] = (v, succs)
-            play.add(v)
-        nxt = next(succs, None)
-        if nxt is None:
-            stack.pop()
-            play.discard(v)
-            ended.add(v)
-        elif nxt in play:
-            return False
-        elif nxt not in ended:
-            stack.append((nxt, None))
+    follows it ends at ("lose",). A play that meets the region fails it, so
+    does a move its In vertex lacks, and so does a cycle among the plays'
+    vertices: a play around it never ends, which the output player wins."""
+
+    def follow(v):
+        if v[0] == "in":
+            nxt = dict(arena.moves[v]).get(spoiler.get(v))
+            return [] if nxt is None else [nxt]
+        return [nxt for _, nxt in arena.moves.get(v, ())]
+
+    plays = {v: follow(v) for v in reachable([arena.initial], follow)}
+    if any(v in region or (v[0] == "in" and not nxt) for v, nxt in plays.items()):
+        return False
+    try:
+        graphlib.TopologicalSorter(plays).prepare()
+    except graphlib.CycleError:
+        return False
     return True
 
 

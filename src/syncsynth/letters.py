@@ -37,15 +37,9 @@ def out(symbol: str) -> Letter:
     return Letter(Tape.OUTPUT, symbol)
 
 
-def project_input(w: Sequence[Letter]) -> tuple[str, ...]:
-    return tuple(l.symbol for l in w if l.tape is Tape.INPUT)
-
-
-def project_output(w: Sequence[Letter]) -> tuple[str, ...]:
-    return tuple(l.symbol for l in w if l.tape is Tape.OUTPUT)
-
-
 def decode(w: Sequence[Letter]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The pair of words a synchronization encodes."""
-    return project_input(w), project_output(w)
-
+    """The pair of words a synchronization encodes: input, then output."""
+    return (
+        tuple(l.symbol for l in w if l.tape is Tape.INPUT),
+        tuple(l.symbol for l in w if l.tape is Tape.OUTPUT),
+    )

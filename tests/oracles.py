@@ -20,6 +20,14 @@ def nfa_accepts_naive(a, w):
     return walk(a.initial, tuple(w))
 
 
+def ends_naive(a, p, w):
+    """The states that reading w from p can end in, edge by edge."""
+    current = {p}
+    for letter in w:
+        current = {q for (r, l, q) in a.transitions if r in current and l == letter}
+    return current
+
+
 def all_words(input_alphabet, output_alphabet, max_len):
     """Every tagged word up to max_len, shortest first."""
     letters = [inp(s) for s in sorted(input_alphabet)] + [

@@ -22,12 +22,13 @@ from syncsynth.automata import (
     pair_in_relation,
     product,
     project_input,
+    tape_closure,
     trim,
 )
-from syncsynth.letters import decode, inp, out
+from syncsynth.letters import Tape, decode, inp, out
 
 from .conftest import accepts, enumerate_accepted, mk_nfa, tag_family
-from .oracles import all_words, decode_naive, language_upto, nfa_accepts_naive, recompose, to_tags
+from .oracles import all_words, decode_naive, ends_naive, language_upto, nfa_accepts_naive, recompose, to_tags
 
 A = inp("a")
 B = inp("b")
@@ -334,8 +335,9 @@ def _check_shortest(holds, witness, words, is_word):
     ),
 )
 def test_searches_match_brute_force(pair, queries):
-    """is_empty, inclusion and pair_in_relation on random nondeterministic
-    automata: shortest witnesses and exact pair membership."""
+    """is_empty, inclusion, pair_in_relation, trim and tape_closure on random
+    nondeterministic automata: shortest witnesses, exact pair membership,
+    exactly the useful states, and each tape's closure."""
     a, b = pair
     lang_a = language_upto(a, SEARCH_DEPTH)
     lang_b = language_upto(b, SEARCH_DEPTH)
@@ -349,3 +351,19 @@ def test_searches_match_brute_force(pair, queries):
         pair_ = (tuple(u), tuple(v))
         expected = any(decode_naive(w) == pair_ for w in lang_a if len(w) == len(u) + len(v))
         assert pair_in_relation(a, *pair_) == expected, pair_
+    # a path visits each state at most once, so it has fewer letters than a has states
+    paths = list(all_words(a.input_alphabet, a.output_alphabet, len(a.states) - 1))
+    useful = {
+        q
+        for q in set().union(*(ends_naive(a, a.initial, w) for w in paths))
+        if any(ends_naive(a, q, w) & a.finals for w in paths)
+    }
+    trimmed = trim(a)
+    assert trimmed.states == useful | {a.initial}
+    assert language_upto(trimmed, SEARCH_DEPTH) == lang_a
+    for tape in Tape:
+        alphabets = (a.input_alphabet, ()) if tape is Tape.INPUT else ((), a.output_alphabet)
+        words = list(all_words(*alphabets, len(a.states)))
+        closure = tape_closure(a, tape)
+        for p in a.states:
+            assert closure[p] == set().union(*(ends_naive(a, p, w) for w in words)), (tape, p)

@@ -11,9 +11,10 @@ from syncsynth import automata, profiles, serialize
 from syncsynth.automata import AutomatonError, SequentialDfa
 from syncsynth.cli import main
 from syncsynth.letters import Tape
-from syncsynth.pipeline import PipelineConfig
+from syncsynth.pipeline import PipelineConfig, decide_recognizable
 
 from .conftest import mk_nfa, tag_family
+from .test_pipeline import delay_instance
 
 
 @pytest.fixture()
@@ -316,6 +317,36 @@ def test_rejected_witness_is_structured(tmp_path, capsys, intro_T):
     classified = json.loads(capsys.readouterr().out)
     assert main(["decide", str(path), str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["witness"] == classified["shiftlag"]["witness"]
+
+
+def _write_pair(tmp_path, s, t):
+    paths = (tmp_path / "s.json", tmp_path / "t.json")
+    for path, a in zip(paths, (s, t)):
+        path.write_text(serialize.dumps(a), encoding="utf-8")
+    return [str(path) for path in paths]
+
+
+def test_game_no_witness_is_structured(tmp_path, capsys):
+    """decide prints a lost game's witness, the spoiler's moves, as
+    [vertex, move] lists that give back the verdict's witness."""
+    s, t = delay_instance(2, 1)
+    assert main(["decide", *_write_pair(tmp_path, s, t)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["answer"] == "NO" and "spoils" in doc["reason"]
+    moves = [(tuple(v), tuple(move)) for v, move in doc["witness"]]
+    assert moves and all(v[0] == "in" and move[0] in ("play", "end") for v, move in moves)
+    assert tuple(moves) == decide_recognizable(s, t).witness
+
+
+def test_domain_no_witness_is_a_word(tmp_path, capsys):
+    """decide prints a domain NO's witness, an input with no allowed
+    synchronization, as a word: here S = {ε} against T = ∅, so the empty word."""
+    s = mk_nfa({"a"}, {"b"}, "q0", {"q0"}, [])
+    t = mk_nfa({"a"}, {"b"}, "p0", set(), [])
+    assert main(["decide", *_write_pair(tmp_path, s, t)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["answer"], doc["witness"]) == ("NO", [])
+    assert "no allowed synchronization" in doc["reason"]
 
 
 def test_state_cap_exits_inconclusive(tmp_path, capsys, monkeypatch, abst_S, abst_T):
