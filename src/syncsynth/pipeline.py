@@ -3,8 +3,10 @@ uniformization by a sequential machine?
 
 The source is canonicalized, the target is constrained to capped output
 blocks, the resynchronized source is built, and the question reduces to
-domain equality plus a safety game on it. A YES at any block cap is sound; a
-NO is only claimed when the cap provably suffices.
+domain equality plus a safety game on it. `decide` climbs a ladder of block
+caps k = 0, 1, ... up to the cap it uses, and stops at the first rung that
+settles the question. A YES at any block cap is sound; a NO is only claimed
+when the cap provably suffices, or when T_k is T itself.
 """
 from __future__ import annotations
 
@@ -89,7 +91,25 @@ def target_parameters(
 
 
 def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
-    """Decide T-controlled uniformizability of the source relation."""
+    """Decide T-controlled uniformizability of the source relation.
+
+    The block cap used is `cfg.k_override`, or else the computed bound,
+    capped at FEASIBLE_K_CAP. With an override only that cap is played.
+    Otherwise the game is played at k = 0, 1, ... up to it, and the first of
+    these settles the verdict:
+    - a YES: a machine won on T_kS lies inside T_k ⊆ T;
+    - a rung where T_k = T: its NO (domain or game) is exact;
+    - a `verify:` or `spoiler:` self-check INCONCLUSIVE, or `CapExceeded`;
+    - the top rung, whose lost game is a NO when the computed bound was used
+      and an INCONCLUSIVE opened by "block cap:" otherwise.
+    The ladder changes no verdict of the top rung alone, only how soon it
+    is found. T_k ⊆ T_{k+1} ⊆ T, so T_k = T makes every larger rung play
+    the same language and the same arena. A game won at k is won at every
+    larger k: the domain is the same, and the output player has more moves.
+    So only a YES machine may come from a smaller arena than the top rung's.
+
+    `stats["k_used"]` is the rung that settled; `k_source` and `k_computed`
+    still describe the bound."""
     stats: dict = {}
     cert_s = shiftlag_finiteness(s)
     if not cert_s.finite:
@@ -136,24 +156,32 @@ def decide(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
             else:
                 k_used = bound.k
                 stats["k_source"] = "computed"
-        stats["k_used"] = k_used
-
-        params = ResyncParams(n=n, gamma=gamma, i=k_used)
-        t_i = build_Ti(t, params)
-        stats["t_i_states"] = len(t_i.states)
-        # when the block cap is not binding, a NO is exact regardless of k
-        if inexact_k:
-            same, _ = language_equal(t_i, t)
-            if same:
-                inexact_k = ""
-                stats["t_i_equals_t"] = True
-
-        tis = build_TiS(can, t_i, params)
     except CapExceeded as exc:
         return Verdict(answer=INCONCLUSIVE, reason=str(exc), stats=stats)
-    stats["t_i_s_states"] = len(tis.states)
+
     caveat = f"block cap: {inexact_k}, so T_i may miss words and a NO is not exact; "
-    return _play(s, t, tis, cfg.depth, stats, caveat if inexact_k else "")
+    for k in range(k_used if cfg.k_override is not None else 0, k_used + 1):
+        rung = dict(stats, k_used=k)
+        params = ResyncParams(n=n, gamma=gamma, i=k)
+        try:
+            t_i = build_Ti(t, params)
+            rung["t_i_states"] = len(t_i.states)
+            exact = k == k_used and not inexact_k
+            # when the block cap is not binding, a NO is exact regardless of k
+            if not exact:
+                exact, _ = language_equal(t_i, t)
+                if exact:
+                    rung["t_i_equals_t"] = True
+            tis = build_TiS(can, t_i, params)
+        except CapExceeded as exc:
+            return Verdict(answer=INCONCLUSIVE, reason=str(exc), stats=rung)
+        rung["t_i_s_states"] = len(tis.states)
+        # a loss below the top rung on a T_k short of T climbs to k + 1; the
+        # top rung's caveat is a string, so its _play always returns a verdict
+        miss_caveat = "" if exact else caveat if k == k_used else None
+        verdict = _play(s, t, tis, cfg.depth, rung, miss_caveat)
+        if verdict is not None:
+            return verdict
 
 
 def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) -> Verdict:
@@ -180,17 +208,23 @@ def decide_recognizable(s: Nfa, t: Nfa, cfg: PipelineConfig = PipelineConfig()) 
     return _play(s, t, t_prime, cfg.depth, stats, "")
 
 
-def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, caveat: str) -> Verdict:
+def _play(
+    s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, caveat: Optional[str]
+) -> Optional[Verdict]:
     """The shared tail: the arena on the minimal DFA of `synced`, a domain
     check against the arena's input DFA, the game, then an endmarked machine
     verified against the endmarked source and target (YES) or a replayed
-    spoiling strategy (NO when `caveat` is empty; otherwise `synced` is not
-    exact, and INCONCLUSIVE with `caveat` opening the reason). Only the
-    minimal DFA and the source are ever projected."""
+    spoiling strategy. A loss (domain or game) is a NO when `caveat` is
+    empty. Otherwise `synced` is not exact: the loss is INCONCLUSIVE with
+    `caveat` opening the reason, or None when `caveat` is None, so that the
+    caller can play a larger block cap. Only the minimal DFA and the source
+    are ever projected."""
     miss = INCONCLUSIVE if caveat else NO
     arena = build_arena(synced)
     ok, witness = inclusion(project_input(s), arena.d_dfa)
     if not ok:
+        if caveat is None:
+            return None
         return Verdict(
             answer=miss,
             witness=witness,
@@ -225,6 +259,8 @@ def _play(s: Nfa, t: Nfa, synced: Nfa, depth: int, stats: dict, caveat: str) -> 
             reason="spoiler: the input player's spoiling strategy fails its replay",
             stats=stats,
         )
+    if caveat is None:
+        return None
     return Verdict(
         answer=miss,
         reason=caveat + "the input player spoils the game",

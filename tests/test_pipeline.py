@@ -21,6 +21,7 @@ from syncsynth.cli import main
 from syncsynth.game import VerificationReport, run_machine, verify_uniformizer
 from syncsynth.resync import build_TiS
 from syncsynth.pipeline import (
+    FEASIBLE_K_CAP,
     INCONCLUSIVE,
     NO,
     PipelineConfig,
@@ -444,9 +445,14 @@ def late_letter_decides():
 )
 def test_lost_game_at_an_inexact_block_cap_is_inconclusive(cfg, why):
     """The input player spoils the game on T_i, but T_i is not T at the block
-    cap used, so the would-be NO is INCONCLUSIVE and its reason says why."""
+    cap used, so the would-be NO is INCONCLUSIVE and its reason says why.
+    Without an override the game is lost at every rung of the ladder, so it
+    ends at the top rung, FEASIBLE_K_CAP."""
     verdict = decide(*late_letter_decides(), cfg)
     assert verdict.answer == INCONCLUSIVE, verdict.reason
+    top = FEASIBLE_K_CAP if cfg.k_override is None else cfg.k_override
+    assert verdict.stats["k_used"] == top
+    assert "t_i_equals_t" not in verdict.stats
     pattern = (
         f"block cap: {why}, so T_i may miss words and a NO is not exact; "
         ".*the input player spoils the game"
@@ -505,6 +511,54 @@ def delay_instance(m: int, d: int):
     return mk_nfa({"a", "b"}, {"n", "o"}, "q0", {"f"}, s_edges), mk_nfa(
         {"a", "b"}, {"n", "o"}, "p0", {"g"}, t_edges
     )
+
+
+# ---------------------------------------------------------------------------
+# the block-cap ladder: rungs k = 0, 1, ... up to the block cap used
+
+
+def test_ladder_stops_at_the_first_won_rung(abst_S, abst_T):
+    """abst's game is won at k = 1 already; k_computed and k_source still
+    describe the bound, k_used the rung that settled."""
+    verdict = decide(abst_S, abst_T)
+    assert verdict.answer == YES, verdict.reason
+    stats = verdict.stats
+    assert (stats["k_used"], stats["k_computed"], stats["k_source"]) == (1, 70, "capped")
+
+
+def test_ladder_stops_at_the_first_exact_rung():
+    """T_0 is the delay target itself, so the lost game at k = 0 is an exact
+    NO, with no block-cap caveat."""
+    verdict = decide(*delay_instance(2, 1))
+    assert verdict.answer == NO, verdict.reason
+    assert verdict.stats["k_used"] == 0 and verdict.stats["t_i_equals_t"]
+    assert verdict.stats["k_source"] == "capped"
+    assert "block cap:" not in verdict.reason
+
+
+def test_ladder_stops_at_a_failed_self_check(monkeypatch):
+    """A machine that fails verification ends the ladder at its rung; the
+    ladder does not climb past it to a larger block cap."""
+    monkeypatch.setattr(pipeline, "verify_uniformizer", _failed_report)
+    verdict = decide(*delay_instance(2, 2))
+    assert verdict.answer == INCONCLUSIVE
+    assert verdict.reason.startswith("verify:")
+    assert verdict.stats["k_used"] == 0
+
+
+def test_block_cap_override_plays_one_rung(monkeypatch, intro_S, intro_T):
+    """An override is the only rung: T_kS is built once, at that k."""
+    played = []
+
+    def recording_build_tis(can, t_i, params):
+        played.append(params.i)
+        return build_TiS(can, t_i, params)
+
+    monkeypatch.setattr(pipeline, "build_TiS", recording_build_tis)
+    verdict = decide(intro_S, intro_T, PipelineConfig(k_override=3))
+    assert verdict.answer == YES, verdict.reason
+    assert verdict.stats["k_used"] == 3
+    assert played == [3]
 
 
 def test_resync_and_no_witness_are_hash_seed_independent(tmp_path):
@@ -693,6 +747,23 @@ def test_decide_agrees_with_decide_recognizable(instance):
     for verdict in verdicts:
         if verdict.answer == YES:
             assert_minimal_machine(verdict.machine)
+
+
+@settings(deadline=None, max_examples=60)
+@given(finite_shift_instances())
+@example(A_THEN_D)
+def test_ladder_answers_yes_exactly_when_its_top_rung_does(instance):
+    """A game won at block cap k is won at every larger cap (same domain,
+    more output moves), so the ladder answers YES exactly when one game at
+    its top rung, min(k_computed, FEASIBLE_K_CAP), does; it never climbs
+    past that rung."""
+    s, t = instance
+    verdict = decide(s, t, PipelineConfig(depth=4))
+    assume("k_computed" in verdict.stats)
+    top = min(verdict.stats["k_computed"], FEASIBLE_K_CAP)
+    single = decide(s, t, PipelineConfig(k_override=top, depth=4))
+    assert (verdict.answer == YES) == (single.answer == YES), (verdict.reason, single.reason)
+    assert verdict.stats["k_used"] <= top
 
 
 def assert_uniformizes_upto(machine, s, t, max_len):
